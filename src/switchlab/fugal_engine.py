@@ -23,14 +23,17 @@ that drives the fugal player.
 
 Numerics.  For a piecewise-linear f the inner objective restricted to one
 grid cell is a ratio of two affine functions of z', hence monotone there,
-so its infimum over the half-interval is attained at a grid node; the node
-scan is exact and golden-section refinement inside the bracketing cell
-cannot move it.  g_plus (the w=+1 branch value) is nondecreasing in x and
-g_minus nonincreasing, so h(x) = g_plus - g_minus is monotone and the
-outer infimum is found by bisection on h.  Policy witnesses additionally
-get a three-point parabolic refinement through exact node samples: the
-node argmin alone is only O(grid step) accurate, which is too coarse for
-the switch-round tolerances the policy has to meet.
+so its infimum over the half-interval is attained at a grid node, where it
+is a line in x: g_plus (the w=+1 branch value) is a lower envelope of lines
+over the nodes right of z and g_minus over those left of it.  One
+convex-hull sweep per branch stores all these envelopes as root paths of a
+tree, searched by binary lifting.  g_plus is nondecreasing in x and g_minus
+nonincreasing, so h = g_plus - g_minus is monotone and piecewise linear;
+the outer infimum is its root, found exactly by Newton steps on the active
+line pair inside a bisection bracket.  Policy witnesses bisect h pointwise
+and additionally get a three-point parabolic refinement through exact node
+samples: the node argmin alone is only O(grid step) accurate, which is too
+coarse for the switch-round tolerances the policy has to meet.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ DEFAULT_RESOLUTION = 2000
 #: lower clamp for the operator denominators 1 + z'w near z' = -w
 DENOM_CLAMP = 1e-9
 
-#: bisection tolerance in x for the outer infimum
+#: bisection tolerance in x for the outer infimum of a pointwise witness
 X_TOL = 1e-10
 
 #: golden-section tolerance in z' for the inner refinement
@@ -244,15 +247,47 @@ def u4_exact() -> tuple[float, float]:
 # the operator on grids
 # ----------------------------------------------------------------------
 
-def fugal_apply(f: GridFunction, x_tol: float = X_TOL) -> GridFunction:
+def _hull_tree(c: np.ndarray, s: np.ndarray, order) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Lower envelopes of the lines c_j - t s_j, added in ``order`` (s rising
+    along it), as one tree: the envelope of the lines added up to j is the
+    root path from j, where line j wins for t above b[j], its crossing with
+    parent[j] (b = -inf at a root).  Returns b and the 2^l-th ancestors."""
+    cl, sl = c.tolist(), s.tolist()
+    parent = list(range(c.size))
+    b = [-math.inf] * c.size
+    stack: list[int] = []
+    for j in order:
+        while stack:
+            top = stack[-1]
+            t = (cl[j] - cl[top]) / (sl[j] - sl[top])
+            if t > b[top]:
+                parent[j], b[j] = top, t
+                break
+            stack.pop()
+        stack.append(j)
+    up = [np.array(parent)]
+    for _ in range(c.size.bit_length()):
+        up.append(up[-1][up[-1]])
+    return np.array(b), up
+
+
+def _active_line(b, up, nodes, t) -> np.ndarray:
+    """The line active at t[r] on the envelope (root path) of nodes[r]."""
+    cur = nodes
+    for jump in reversed(up):   # climb to the last node with breakpoint >= t
+        nxt = jump[cur]
+        cur = np.where(b[nxt] >= t, nxt, cur)
+    return np.where(b[nodes] < t, nodes, up[0][cur])
+
+
+def fugal_apply(f: GridFunction) -> GridFunction:
     """Apply the one-step minimax operator to a grid function.
 
     Endpoints are pinned to 1 (= |z| there); interior nodes run the
-    inf-max-inf.  Inner infima are exact node scans (see module notes);
-    the outer infimum bisects the monotone crossing h(x) = g_plus - g_minus
-    to ``x_tol``.  A sign pattern at the endpoints that contradicts the
-    monotonicity of h raises :class:`NumericStructureError` (grid too
-    coarse for the interpolant to retain the structure the method needs).
+    inf-max-inf exactly on the envelopes of lines (see module notes).  A
+    sign pattern at x = -1 and x = 1 that contradicts the monotonicity of h
+    raises :class:`NumericStructureError` (grid too coarse for the
+    interpolant to retain the structure the method needs).
     """
     N = f.resolution
     z = f.grid
@@ -260,57 +295,80 @@ def fugal_apply(f: GridFunction, x_tol: float = X_TOL) -> GridFunction:
     if np.any(v < np.abs(z) - 1e-9):
         raise ValueError("operator input must dominate |z| pointwise")
 
-    out = np.empty(N + 1)
-    out[0] = 1.0
-    out[N] = 1.0
-
     inv_p = 1.0 / np.maximum(1.0 + z, DENOM_CLAMP)   # w = +1 denominators
     inv_m = 1.0 / np.maximum(1.0 - z, DENOM_CLAMP)   # w = -1 denominators
-    fp = v * inv_p
-    fm = v * inv_m
-    cols = np.arange(N + 1)[None, :]
+    fp, fm = v * inv_p, v * inv_m
+    # w = +1 takes lines fp_j - x inv_p_j over j >= i, w = -1 takes
+    # fm_j - y inv_m_j over j <= i in y = -x: both in slope order.
+    b_p, up_p = _hull_tree(fp, inv_p, range(N, 0, -1))
+    b_m, up_m = _hull_tree(fm, inv_m, range(N))
 
-    interior = np.arange(1, N)
-    n_iter = int(math.ceil(math.log2(2.0 / x_tol)))
-    for chunk in np.array_split(interior, max(1, interior.size // 512)):
-        zc = z[chunk]
-        drop_p = cols < chunk[:, None]   # nodes outside the w=+1 half-interval
-        drop_m = cols > chunk[:, None]
-        one_plus = 1.0 + zc
-        one_minus = 1.0 - zc
-        buf_p = np.empty((chunk.size, N + 1))
-        buf_m = np.empty_like(buf_p)
+    nodes = np.arange(1, N)
+    one_plus, one_minus = 1.0 + z[nodes], 1.0 - z[nodes]
 
-        def branch_values(x):
-            np.multiply(x[:, None], inv_p[None, :], out=buf_p)
-            np.subtract(fp[None, :], buf_p, out=buf_p)
-            np.copyto(buf_p, np.inf, where=drop_p)
-            gp = x + one_plus * buf_p.min(axis=1)
-            np.multiply(x[:, None], inv_m[None, :], out=buf_m)
-            np.add(fm[None, :], buf_m, out=buf_m)
-            np.copyto(buf_m, np.inf, where=drop_m)
-            gm = -x + one_minus * buf_m.min(axis=1)
-            return gp, gm
+    def pair(r, x):
+        return (_active_line(b_p, up_p, nodes[r], x),
+                _active_line(b_m, up_m, nodes[r], -x))
 
-        lo = np.full(chunk.shape, -1.0)
-        hi = np.ones(chunk.shape)
-        gp, gm = branch_values(lo)
-        h_lo = gp - gm
-        gp, gm = branch_values(hi)
-        h_hi = gp - gm
-        if np.any((h_lo > 1e-9) & (h_hi < -1e-9)):
-            raise NumericStructureError(
-                "crossing function not monotone at grid resolution "
-                f"N={N}; refine the grid")
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            gp, gm = branch_values(mid)
-            up = (gp - gm) >= 0.0
-            hi = np.where(up, mid, hi)
-            lo = np.where(up, lo, mid)
-        gp, gm = branch_values(0.5 * (lo + hi))
-        out[chunk] = np.maximum(gp, gm)
+    def h_line(r, jp, jm):
+        """(slope, intercept) of h in x while the lines jp, jm are active."""
+        return (2.0 - one_plus[r] * inv_p[jp] - one_minus[r] * inv_m[jm],
+                one_plus[r] * fp[jp] - one_minus[r] * fm[jm])
 
+    def h_at(r, x, jp, jm):
+        slope, icpt = h_line(r, jp, jm)
+        return slope * x + icpt
+
+    def newton(r, jp, jm):   # root of that line; nan where it is flat
+        slope, icpt = h_line(r, jp, jm)
+        return np.divide(-icpt, slope, out=np.full_like(slope, np.nan), where=slope > 0)
+
+    rows = np.arange(N - 1)
+    lo, hi = np.full(N - 1, -1.0), np.ones(N - 1)
+    lo_p, lo_m = pair(rows, lo)
+    hi_p, hi_m = pair(rows, hi)
+    h_lo, h_hi = h_at(rows, lo, lo_p, lo_m), h_at(rows, hi, hi_p, hi_m)
+    if np.any((h_lo > 1e-9) & (h_hi < -1e-9)):
+        raise NumericStructureError(
+            "crossing function not monotone at grid resolution "
+            f"N={N}; refine the grid")
+    # Where h keeps one sign on [-1, 1] the bracket collapses onto that end;
+    # elsewhere h(lo) < 0 <= h(hi) holds from here on.
+    left, right = h_lo >= 0.0, h_hi < 0.0
+    hi[left], hi_p[left], hi_m[left] = -1.0, lo_p[left], lo_m[left]
+    lo[right], lo_p[right], lo_m[right] = 1.0, hi_p[right], hi_m[right]
+
+    # Once both ends share their active pair, h is that line on the bracket
+    # and its root is exact.  Until then step to the root of the pair at lo,
+    # else at hi, if inside, or else (and every other step after the eighth)
+    # bisect; close on the step if its pair stays active there or h is 0.
+    live = rows
+    for step in range(200):
+        split = (lo_p[live] != hi_p[live]) | (lo_m[live] != hi_m[live])
+        live = live[split & (hi[live] - lo[live] > 1e-15)]
+        if live.size == 0:
+            break
+        a, c = lo[live], hi[live]
+        sp, sm = lo_p[live], lo_m[live]
+        cand = newton(live, sp, sm)
+        miss = ~((a < cand) & (cand < c))
+        sp[miss], sm[miss] = hi_p[live[miss]], hi_m[live[miss]]
+        cand[miss] = newton(live[miss], sp[miss], sm[miss])
+        miss = ~((a < cand) & (cand < c)) | (step >= 8 and step % 2 == 1)
+        cand[miss] = 0.5 * (a[miss] + c[miss])
+        cp, cm = pair(live, cand)
+        h = h_at(live, cand, cp, cm)
+        hit = ((cp == sp) & (cm == sm) & ~miss) | (np.abs(h) <= 1e-15)
+        up = hit | (h >= 0.0)
+        dn = hit | ~up
+        hi[live[up]], hi_p[live[up]], hi_m[live[up]] = cand[up], cp[up], cm[up]
+        lo[live[dn]], lo_p[live[dn]], lo_m[live[dn]] = cand[dn], cp[dn], cm[dn]
+
+    x = np.clip(np.nan_to_num(newton(rows, hi_p, hi_m)), lo, hi)
+    gp = x + one_plus * (fp[hi_p] - x * inv_p[hi_p])
+    gm = -x + one_minus * (fm[hi_m] + x * inv_m[hi_m])
+    out = np.ones(N + 1)
+    out[nodes] = np.maximum(gp, gm)
     k_next = None if f.k_index is None else f.k_index + 1
     return GridFunction(N, out, k_index=k_next)
 
@@ -535,11 +593,12 @@ def solve_tables(budget_K: int, resolution: int = DEFAULT_RESOLUTION) -> list[Gr
         raise ValueError("budget_K must be >= 1")
     if resolution < 100:
         raise ValueError("resolution must be at least 100")
-    tables = _table_cache.setdefault(resolution, [])
-    if not tables:
-        tables.append(GridFunction(resolution, np.ones(resolution + 1), k_index=1))
+    cached = _table_cache.get(resolution, [])
+    tables = list(cached or [GridFunction(resolution, np.ones(resolution + 1), k_index=1)])
     while len(tables) < budget_K:
         tables.append(fugal_apply(tables[-1]))
+    if len(tables) > len(cached):   # publish whole: sweep threads share the cache
+        _table_cache[resolution] = tables
     return tables[:budget_K]
 
 

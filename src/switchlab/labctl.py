@@ -65,6 +65,12 @@ class ExperimentSpec:
         if mode not in ("simulate", "fugal", "oracle", "verify"):
             raise ValueError(f"unknown mode {mode!r}")
         sweep = d.pop("sweep", {})
+        if mode == "simulate":
+            unused = [k for k in ("resolution", "x_grid") if k in d]
+            unused += ["sweep.Z"] if "Z" in sweep else []
+            if unused:
+                raise ValueError(f"simulate does not use {unused} (the fugal "
+                                 "player takes player_params.resolution)")
         norm = d.pop("player_norm", 2)
         spec = cls(
             mode=mode,

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -154,16 +156,8 @@ def test_operator_preserves_pointwise_order():
     # f <= g implies T f <= T g: the integrand multipliers 1+wz and 1+z'w
     # are nonnegative, and the floor induction T u_i >= T a_i relies on
     # exactly this order-preserving direction.
-    N = 200
-    grid = fe.make_grid(N)
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        bump = rng.uniform(0.0, 1.0, N + 1) * (1.0 - np.abs(grid))
-        g_vals = np.abs(grid) + bump
-        f_vals = np.abs(grid) + rng.uniform(0.0, 1.0, N + 1) * bump
-        tf = fe.fugal_apply(fe.GridFunction(N, f_vals))
-        tg = fe.fugal_apply(fe.GridFunction(N, g_vals))
-        assert np.all(tf.values <= tg.values + 1e-9)
+    for f, g in _random_bump_pairs(200):
+        assert np.all(fe.fugal_apply(f).values <= fe.fugal_apply(g).values + 1e-9)
 
 
 def test_operator_never_exceeds_input():
@@ -171,6 +165,133 @@ def test_operator_never_exceeds_input():
     tables = fe.solve_tables(5, 500)
     for a, b in zip(tables, tables[1:]):
         assert np.all(b.values <= a.values + 1e-12)
+
+
+def _reference_apply(f, x_tol=1e-10):
+    """The operator as a dense node scan with a fixed-step bisection of the
+    crossing in x: O(N^2) per step, kept as the reference the envelope
+    implementation must reproduce."""
+    N = f.resolution
+    z = f.grid
+    v = f.values
+    if np.any(v < np.abs(z) - 1e-9):
+        raise ValueError("operator input must dominate |z| pointwise")
+
+    out = np.empty(N + 1)
+    out[0] = 1.0
+    out[N] = 1.0
+
+    inv_p = 1.0 / np.maximum(1.0 + z, fe.DENOM_CLAMP)   # w = +1 denominators
+    inv_m = 1.0 / np.maximum(1.0 - z, fe.DENOM_CLAMP)   # w = -1 denominators
+    fp = v * inv_p
+    fm = v * inv_m
+    cols = np.arange(N + 1)[None, :]
+
+    interior = np.arange(1, N)
+    n_iter = int(math.ceil(math.log2(2.0 / x_tol)))
+    for chunk in np.array_split(interior, max(1, interior.size // 512)):
+        zc = z[chunk]
+        drop_p = cols < chunk[:, None]   # nodes outside the w=+1 half-interval
+        drop_m = cols > chunk[:, None]
+        one_plus = 1.0 + zc
+        one_minus = 1.0 - zc
+        buf_p = np.empty((chunk.size, N + 1))
+        buf_m = np.empty_like(buf_p)
+
+        def branch_values(x):
+            np.multiply(x[:, None], inv_p[None, :], out=buf_p)
+            np.subtract(fp[None, :], buf_p, out=buf_p)
+            np.copyto(buf_p, np.inf, where=drop_p)
+            gp = x + one_plus * buf_p.min(axis=1)
+            np.multiply(x[:, None], inv_m[None, :], out=buf_m)
+            np.add(fm[None, :], buf_m, out=buf_m)
+            np.copyto(buf_m, np.inf, where=drop_m)
+            gm = -x + one_minus * buf_m.min(axis=1)
+            return gp, gm
+
+        lo = np.full(chunk.shape, -1.0)
+        hi = np.ones(chunk.shape)
+        gp, gm = branch_values(lo)
+        h_lo = gp - gm
+        gp, gm = branch_values(hi)
+        h_hi = gp - gm
+        if np.any((h_lo > 1e-9) & (h_hi < -1e-9)):
+            raise fe.NumericStructureError(
+                "crossing function not monotone at grid resolution "
+                f"N={N}; refine the grid")
+        for _ in range(n_iter):
+            mid = 0.5 * (lo + hi)
+            gp, gm = branch_values(mid)
+            up = (gp - gm) >= 0.0
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        gp, gm = branch_values(0.5 * (lo + hi))
+        out[chunk] = np.maximum(gp, gm)
+
+    k_next = None if f.k_index is None else f.k_index + 1
+    return fe.GridFunction(N, out, k_index=k_next)
+
+
+def _random_bump_pairs(N):
+    """Seeded pairs f <= g of inputs above |z|: |z| plus random bumps."""
+    grid = fe.make_grid(N)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        bump = rng.uniform(0.0, 1.0, N + 1) * (1.0 - np.abs(grid))
+        g_vals = np.abs(grid) + bump
+        f_vals = np.abs(grid) + rng.uniform(0.0, 1.0, N + 1) * bump
+        yield fe.GridFunction(N, f_vals), fe.GridFunction(N, g_vals)
+
+
+def test_apply_matches_dense_reference():
+    inputs = []
+    u = fe.GridFunction(1000, np.ones(1001), k_index=1)
+    for _ in range(7):                                   # u_1 .. u_7 at N = 1000
+        inputs.append(u)
+        u = fe.fugal_apply(u)
+    for i in (2, 3, 4):                                  # the floors a_2 .. a_4
+        inputs.append(fe.grid_of(lambda z: fe.quadratic_floor(i, z), 500))
+    for f, g in _random_bump_pairs(200):
+        inputs += [f, g]
+    for f in inputs:
+        new = fe.fugal_apply(f)
+        ref = _reference_apply(f)
+        assert float(np.max(np.abs(new.values - ref.values))) <= 1e-9
+        assert np.all(new.values <= f.values + 1e-12)
+        assert new.values[0] == 1.0 and new.values[-1] == 1.0
+
+
+def test_tables_to_k32_keep_floor_cap_order_and_symmetry():
+    N = 4000
+    grid = fe.make_grid(N)
+    tables = fe.solve_tables(32, N)
+    cap = (grid * grid + 1.0) / 2.0
+    for k, u in enumerate(tables, start=1):
+        floor = fe.grid_of(lambda z: fe.quadratic_floor(k, z), N).values
+        assert np.all(u.values >= floor - 1e-9)
+        if k >= 2:
+            assert np.all(u.values <= cap + 1e-9)
+        assert float(np.max(np.abs(u.values - u.values[::-1]))) <= 1e-9
+        assert u.interp(0.0) * math.sqrt(2.0 * k) >= 1.0
+    for a, b in zip(tables, tables[1:]):
+        assert np.all(b.values <= a.values + 1e-12)
+
+
+def test_solve_tables_cache_is_safe_across_threads(monkeypatch):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(fe, "_table_cache", {})
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(fe.solve_tables, 3, 400) for _ in range(4)]
+                results = [fut.result(timeout=60) for fut in futures]
+            assert [t.k_index for t in fe._table_cache[400]] == [1, 2, 3]
+            for tables in results:
+                assert [t.k_index for t in tables] == [1, 2, 3]
+            assert fe.solve_tables(3, 400)[2].interp(0.0) == pytest.approx(SQRT2 - 1.0, abs=1e-3)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ------------------------------------------------------------- u_k tables

@@ -35,6 +35,21 @@ def test_spec_validation_rejects_bad_input():
         _spec(format="xml")
 
 
+def test_simulate_rejects_resolution():
+    with pytest.raises(ValueError, match="resolution"):
+        _spec(resolution=7)
+
+
+def test_simulate_rejects_x_grid():
+    with pytest.raises(ValueError, match="x_grid"):
+        _spec(x_grid=4)
+
+
+def test_simulate_rejects_sweep_z():
+    with pytest.raises(ValueError, match="sweep.Z"):
+        _spec(sweep={"T": [20], "K": [2], "n": [1], "Z": [55]})
+
+
 def test_minimax_bounds_cases():
     lo, hi = minimax_bounds(100, 4, 1, 2.0)
     assert lo == pytest.approx(100 / math.sqrt(8))
@@ -100,7 +115,7 @@ def test_json_rows_output(tmp_path):
 
 def test_fugal_mode_writes_grid_and_policy(tmp_path):
     spec = ExperimentSpec.from_dict({
-        "mode": "fugal", "sweep": {"K": [3]}, "resolution": 500,
+        "mode": "fugal", "sweep": {"K": [3]}, "resolution": 500, "seed": 3,
         "out": str(tmp_path / "grid.csv"),
     })
     grid_path, policy_path = labctl.run_fugal(spec)
