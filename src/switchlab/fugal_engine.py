@@ -30,10 +30,14 @@ convex-hull sweep per branch stores all these envelopes as root paths of a
 tree, searched by binary lifting.  g_plus is nondecreasing in x and g_minus
 nonincreasing, so h = g_plus - g_minus is monotone and piecewise linear;
 the outer infimum is its root, found exactly by Newton steps on the active
-line pair inside a bisection bracket.  Policy witnesses bisect h pointwise
-and additionally get a three-point parabolic refinement through exact node
-samples: the node argmin alone is only O(grid step) accurate, which is too
-coarse for the switch-round tolerances the policy has to meet.
+line pair inside a bisection bracket.  Policy witnesses run on the same
+envelopes, one sign-tree level per batch (every bias of a level queries the
+same u_{k-1}): h is bisected to X_TOL for all biases at once, and the
+active line at the root is the argmin node.  Because the objective is
+monotone per cell, no search between nodes can beat that node; a
+three-point parabola through it and its neighbours still sharpens the
+minimizer, as the node alone is only O(grid step) accurate, too coarse for
+the switch-round tolerances the policy has to meet.
 """
 
 from __future__ import annotations
@@ -53,11 +57,6 @@ DENOM_CLAMP = 1e-9
 
 #: bisection tolerance in x for the outer infimum of a pointwise witness
 X_TOL = 1e-10
-
-#: golden-section tolerance in z' for the inner refinement
-ZPRIME_TOL = 1e-10
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 _grid_cache: dict[int, np.ndarray] = {}
 
@@ -280,6 +279,19 @@ def _active_line(b, up, nodes, t) -> np.ndarray:
     return np.where(b[nodes] < t, nodes, up[0][cur])
 
 
+def _envelopes(f: GridFunction):
+    """The branch lines of f and their hull trees: w = +1 takes the lines
+    fp_j - x inv_p_j over j >= i, w = -1 takes fm_j - y inv_m_j over j <= i
+    in y = -x, both added in slope order.  Returns
+    (fp, fm, inv_p, inv_m, (b_p, up_p), (b_m, up_m))."""
+    z, v, N = f.grid, f.values, f.resolution
+    inv_p = 1.0 / np.maximum(1.0 + z, DENOM_CLAMP)   # w = +1 denominators
+    inv_m = 1.0 / np.maximum(1.0 - z, DENOM_CLAMP)   # w = -1 denominators
+    fp, fm = v * inv_p, v * inv_m
+    return (fp, fm, inv_p, inv_m,
+            _hull_tree(fp, inv_p, range(N, 0, -1)), _hull_tree(fm, inv_m, range(N)))
+
+
 def fugal_apply(f: GridFunction) -> GridFunction:
     """Apply the one-step minimax operator to a grid function.
 
@@ -295,14 +307,7 @@ def fugal_apply(f: GridFunction) -> GridFunction:
     if np.any(v < np.abs(z) - 1e-9):
         raise ValueError("operator input must dominate |z| pointwise")
 
-    inv_p = 1.0 / np.maximum(1.0 + z, DENOM_CLAMP)   # w = +1 denominators
-    inv_m = 1.0 / np.maximum(1.0 - z, DENOM_CLAMP)   # w = -1 denominators
-    fp, fm = v * inv_p, v * inv_m
-    # w = +1 takes lines fp_j - x inv_p_j over j >= i, w = -1 takes
-    # fm_j - y inv_m_j over j <= i in y = -x: both in slope order.
-    b_p, up_p = _hull_tree(fp, inv_p, range(N, 0, -1))
-    b_m, up_m = _hull_tree(fm, inv_m, range(N))
-
+    fp, fm, inv_p, inv_m, (b_p, up_p), (b_m, up_m) = _envelopes(f)
     nodes = np.arange(1, N)
     one_plus, one_minus = 1.0 + z[nodes], 1.0 - z[nodes]
 
@@ -384,76 +389,62 @@ class OperatorWitness:
     z_next: dict[int, float]      # inner minimizer per adversary sign
 
 
-def _golden_min(fn, a: float, b: float, tol: float = ZPRIME_TOL) -> tuple[float, float]:
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    mid = 0.5 * (a + b)
-    return mid, fn(mid)
+def _witnesses(f: GridFunction, z: np.ndarray, x_tol: float = X_TOL):
+    """Operator witnesses at every bias in z (all |z| < 1), in one batch:
+    the arrays (x, value, z_plus, z_minus) of outer minimizers, operator
+    values and inner minimizers per adversary sign (see module notes)."""
+    grid, v, N = f.grid, f.values, f.resolution
+    *_, (b_p, up_p), (b_m, up_m) = _envelopes(f)
+    j0 = np.searchsorted(grid, z, side="left")        # w = +1 nodes j >= j0
+    j1 = np.searchsorted(grid, z, side="right") - 1   # w = -1 nodes j <= j1
+    fz = np.interp(z, grid, v)
 
+    def at_node(w, j, x):   # the branch objective ((1+wz) f(z') + x (z'-z)) / (1+z'w)
+        return (((1.0 + w * z) * v[j] + x * (grid[j] - z))
+                / np.maximum(1.0 + w * grid[j], DENOM_CLAMP))
 
-def _parabola_vertex(x0, x1, x2, y0, y1, y2) -> float | None:
-    d10, d12 = x1 - x0, x1 - x2
-    den = d10 * (y1 - y2) - d12 * (y1 - y0)
-    if abs(den) < 1e-300:
-        return None
-    vx = x1 - 0.5 * (d10 * d10 * (y1 - y2) - d12 * d12 * (y1 - y0)) / den
-    if not (min(x0, x2) < vx < max(x0, x2)):
-        return None
-    return vx
+    # the off-node candidate z' = z is worth f(z) whatever x is
+    at_z = {w: (1.0 + w * z) * fz / np.maximum(1.0 + w * z, DENOM_CLAMP) for w in (1, -1)}
 
+    def best_node(w, x):    # the active line at x is the node argmin
+        j = _active_line(b_p, up_p, j0, x) if w > 0 else _active_line(b_m, up_m, j1, -x)
+        return j, at_node(w, j, x)
 
-def _inner_min(f: GridFunction, z: float, w: int, x: float,
-               refine: bool) -> tuple[float, float]:
-    """min over the half-interval on w's side of z of the branch objective
-    ((1+wz) f(z') + x (z'-z)) / (1+z'w); returns (value, argmin)."""
-    grid = f.grid
-    v = f.values
-    if w > 0:
-        j0 = int(np.searchsorted(grid, z, side="left"))
-        zc = np.concatenate(([z], grid[j0:]))
-        fc = np.concatenate(([f.interp(z)], v[j0:]))
-    else:
-        j1 = int(np.searchsorted(grid, z, side="right"))
-        zc = np.concatenate((grid[:j1], [z]))
-        fc = np.concatenate((v[:j1], [f.interp(z)]))
-    den = np.maximum(1.0 + w * zc, DENOM_CLAMP)
-    vals = ((1.0 + w * z) * fc + x * (zc - z)) / den
-    i = int(np.argmin(vals))
-    best_v = float(vals[i])
-    best_z = float(zc[i])
+    def h(x):
+        return (np.minimum(at_z[1], best_node(1, x)[1])
+                - np.minimum(at_z[-1], best_node(-1, x)[1]))
 
-    if not refine or not 0 < i < zc.size - 1:
-        return best_v, best_z
+    lo, hi = np.full(z.shape, -1.0), np.ones(z.shape)
+    if np.any((h(lo) > 1e-9) & (h(hi) < -1e-9)):
+        raise NumericStructureError("crossing function not monotone at this point")
+    for _ in range(int(math.ceil(math.log2(2.0 / x_tol)))):
+        mid = 0.5 * (lo + hi)
+        up = h(mid) >= 0.0
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    x = 0.5 * (lo + hi)
+    # symmetric tie: prefer the smallest-magnitude action
+    x[(np.abs(x) < 8.0 * x_tol) & (np.abs(h(np.zeros(z.shape))) < 1e-13)] = 0.0
 
-    def obj(t: float) -> float:
-        return (((1.0 + w * z) * f.interp(t) + x * (t - z))
-                / max(1.0 + w * t, DENOM_CLAMP))
+    def inner(w, first, last):
+        """Inner minimum and minimizer at x over z and the nodes first..last."""
+        j, val = best_node(w, x)
+        take_z = at_z[w] <= val
+        # A three-point parabola through the argmin node and its neighbours
+        # sharpens the minimizer from O(step) to O(step^2).
+        jl, jr = np.maximum(j - 1, 0), np.minimum(j + 1, N)
+        za, zb, zc = grid[jl], grid[j], grid[jr]
+        ya, yb, yc = at_node(w, jl, x), val, at_node(w, jr, x)
+        dba, dbc = zb - za, zb - zc
+        den = dba * (yb - yc) - dbc * (yb - ya)
+        fit = ~take_z & (first < j) & (j < last) & (np.abs(den) >= 1e-300)
+        den[~fit] = 1.0
+        vertex = zb - 0.5 * (dba * dba * (yb - yc) - dbc * dbc * (yb - ya)) / den
+        fit &= (za < vertex) & (vertex < zc)
+        return np.minimum(at_z[w], val), np.where(take_z, z, np.where(fit, vertex, zb))
 
-    zg, vg = _golden_min(obj, float(zc[i - 1]), float(zc[i + 1]))
-    if vg < best_v:
-        best_v, best_z = vg, zg
-
-    # Parabolic vertex through three exact node samples sharpens the argmin
-    # from O(step) to O(step^2); only applies when none of the three points
-    # is the interpolated off-node candidate at z itself.
-    nodes_only = (w > 0 and i >= 2) or (w < 0 and i <= zc.size - 3)
-    if nodes_only:
-        vx = _parabola_vertex(zc[i - 1], zc[i], zc[i + 1],
-                              vals[i - 1], vals[i], vals[i + 1])
-        if vx is not None:
-            best_z = vx
-            best_v = min(best_v, obj(vx))
-    return best_v, best_z
+    vp, zp = inner(1, j0, N)
+    vm, zm = inner(-1, 0, j1)
+    return x, np.maximum(vp, vm), zp, zm
 
 
 def operator_witness(f: GridFunction, z: float, x_tol: float = X_TOL) -> OperatorWitness:
@@ -461,27 +452,9 @@ def operator_witness(f: GridFunction, z: float, x_tol: float = X_TOL) -> Operato
     minimizer for each adversary sign (used to read off block fractions)."""
     if abs(z) >= 1.0:
         raise ValueError("witness queries need |z| < 1")
-
-    def h(x: float) -> float:
-        return (_inner_min(f, z, +1, x, refine=False)[0]
-                - _inner_min(f, z, -1, x, refine=False)[0])
-
-    if h(-1.0) > 1e-9 and h(1.0) < -1e-9:
-        raise NumericStructureError("crossing function not monotone at this point")
-    lo, hi = -1.0, 1.0
-    n_iter = int(math.ceil(math.log2(2.0 / x_tol)))
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        if h(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    x0 = 0.5 * (lo + hi)
-    if abs(x0) < 8.0 * x_tol and abs(h(0.0)) < 1e-13:
-        x0 = 0.0  # symmetric tie: prefer the smallest-magnitude action
-    vp, zp = _inner_min(f, z, +1, x0, refine=True)
-    vm, zm = _inner_min(f, z, -1, x0, refine=True)
-    return OperatorWitness(x=x0, value=max(vp, vm), z_next={+1: zp, -1: zm})
+    x, value, zp, zm = _witnesses(f, np.array([float(z)]), x_tol)
+    return OperatorWitness(x=float(x[0]), value=float(value[0]),
+                           z_next={+1: float(zp[0]), -1: float(zm[0])})
 
 
 # ----------------------------------------------------------------------
@@ -543,7 +516,8 @@ class FugalPolicy:
 
 def extract_policy(tables: list[GridFunction], budget_K: int,
                    resolution: int) -> FugalPolicy:
-    """Walk the recursion tree recording argmin witnesses.
+    """Walk the recursion tree level by level recording argmin witnesses,
+    one batched witness call per level.
 
     At block i (k = budget_K - i + 1 blocks remaining, current bias z,
     remaining horizon fraction tau) the witness of the operator applied to
@@ -556,30 +530,26 @@ def extract_policy(tables: list[GridFunction], budget_K: int,
     current block takes everything that is left.
     """
     nodes: dict[tuple[int, ...], PolicyNode] = {}
-
-    def visit(prefix: tuple[int, ...], z: float, tau: float) -> None:
-        blocks_left = budget_K - len(prefix)
-        if abs(z) >= 1.0 - 1e-12:
-            x = -math.copysign(1.0, z)
-            nodes[prefix] = PolicyNode(x=x, m_plus=tau, m_minus=tau)
-            if blocks_left > 1:
-                visit(prefix + (1,), z, 0.0)
-                visit(prefix + (-1,), z, 0.0)
-            return
+    prefixes: list[tuple[int, ...]] = [()]
+    z, tau = np.zeros(1), np.ones(1)   # per prefix of the level, in order
+    for blocks_left in range(budget_K, 0, -1):
+        absorbed = np.abs(z) >= 1.0 - 1e-12
+        x = np.where(absorbed, -np.copysign(1.0, z), -z + 0.0)
+        frac = {1: tau.copy(), -1: tau.copy()}
+        z_next = {1: z.copy(), -1: z.copy()}
+        live = np.flatnonzero(~absorbed)
+        if blocks_left > 1 and live.size:
+            x[live], _, zp, zm = _witnesses(tables[blocks_left - 2], z[live])
+            for s, zn in ((1, zp), (-1, zm)):
+                frac[s][live] = tau[live] * np.clip((zn - z[live]) / (s + zn), 0.0, 1.0)
+                z_next[s][live] = zn
+        nodes.update(zip(prefixes, map(PolicyNode, x.tolist(), frac[1].tolist(),
+                                       frac[-1].tolist())))
         if blocks_left == 1:
-            nodes[prefix] = PolicyNode(x=-z + 0.0, m_plus=tau, m_minus=tau)
-            return
-        wit = operator_witness(tables[blocks_left - 2], z)
-        frac = {}
-        for s in (1, -1):
-            zn = wit.z_next[s]
-            phi = (zn - z) / (s + zn)
-            frac[s] = float(tau * min(max(phi, 0.0), 1.0))
-        nodes[prefix] = PolicyNode(x=float(wit.x), m_plus=frac[1], m_minus=frac[-1])
-        visit(prefix + (1,), wit.z_next[1], tau - frac[1])
-        visit(prefix + (-1,), wit.z_next[-1], tau - frac[-1])
-
-    visit((), 0.0, 1.0)
+            break
+        prefixes = [p + (s,) for s in (1, -1) for p in prefixes]
+        z = np.concatenate((z_next[1], z_next[-1]))
+        tau = np.concatenate([np.where(absorbed, 0.0, tau - frac[s]) for s in (1, -1)])
     return FugalPolicy(budget_K=budget_K, resolution=resolution, nodes=nodes)
 
 

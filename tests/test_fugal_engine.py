@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -408,3 +409,134 @@ def test_operator_witness_rejects_boundary():
     ones = fe.GridFunction(200, np.ones(201))
     with pytest.raises(ValueError):
         fe.operator_witness(ones, 1.0)
+
+
+# ------------------------------------------------------------- batched witnesses
+
+def _reference_witness(f, z, x_tol=1e-10):
+    """The pointwise witness as a node scan per adversary sign, a fixed-step
+    bisection of the crossing in x and a three-point parabola through the
+    argmin node: O(N) per scan, kept as the reference the level-batched
+    witnesses must reproduce bit for bit."""
+    grid, v = f.grid, f.values
+
+    def scan(w, x):
+        if w > 0:
+            j0 = int(np.searchsorted(grid, z, side="left"))
+            zc = np.concatenate(([z], grid[j0:]))
+            fc = np.concatenate(([f.interp(z)], v[j0:]))
+        else:
+            j1 = int(np.searchsorted(grid, z, side="right"))
+            zc = np.concatenate((grid[:j1], [z]))
+            fc = np.concatenate((v[:j1], [f.interp(z)]))
+        den = np.maximum(1.0 + w * zc, fe.DENOM_CLAMP)
+        return zc, ((1.0 + w * z) * fc + x * (zc - z)) / den
+
+    def h(x):
+        return float(scan(1, x)[1].min() - scan(-1, x)[1].min())
+
+    if h(-1.0) > 1e-9 and h(1.0) < -1e-9:
+        raise fe.NumericStructureError("crossing function not monotone at this point")
+    lo, hi = -1.0, 1.0
+    for _ in range(int(math.ceil(math.log2(2.0 / x_tol)))):
+        mid = 0.5 * (lo + hi)
+        if h(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    x0 = 0.5 * (lo + hi)
+    if abs(x0) < 8.0 * x_tol and abs(h(0.0)) < 1e-13:
+        x0 = 0.0
+    value, z_next = -math.inf, {}
+    for w in (1, -1):
+        zc, vals = scan(w, x0)
+        i = int(np.argmin(vals))
+        value, z_next[w] = max(value, float(vals[i])), zc[i]
+        # the parabola needs three nodes; z itself is first (w=+1) or last
+        if (2 <= i < zc.size - 1) if w > 0 else (1 <= i <= zc.size - 3):
+            (a, b, c), (ya, yb, yc) = zc[i - 1:i + 2], vals[i - 1:i + 2]
+            den = (b - a) * (yb - yc) - (b - c) * (yb - ya)
+            if abs(den) >= 1e-300:
+                vx = b - 0.5 * ((b - a) * (b - a) * (yb - yc) - (b - c) * (b - c) * (yb - ya)) / den
+                if a < vx < c:
+                    z_next[w] = vx
+    return fe.OperatorWitness(x=x0, value=value, z_next=z_next)
+
+
+def _reference_policy(tables, budget_K, resolution):
+    """The sign tree walked depth first, one reference witness per node."""
+    nodes = {}
+
+    def visit(prefix, z, tau):
+        blocks_left = budget_K - len(prefix)
+        if abs(z) >= 1.0 - 1e-12:
+            nodes[prefix] = fe.PolicyNode(x=-math.copysign(1.0, z), m_plus=tau, m_minus=tau)
+            if blocks_left > 1:
+                visit(prefix + (1,), z, 0.0)
+                visit(prefix + (-1,), z, 0.0)
+            return
+        if blocks_left == 1:
+            nodes[prefix] = fe.PolicyNode(x=-z + 0.0, m_plus=tau, m_minus=tau)
+            return
+        wit = _reference_witness(tables[blocks_left - 2], z)
+        frac = {s: float(tau * min(max((wit.z_next[s] - z) / (s + wit.z_next[s]), 0.0), 1.0))
+                for s in (1, -1)}
+        nodes[prefix] = fe.PolicyNode(x=float(wit.x), m_plus=frac[1], m_minus=frac[-1])
+        for s in (1, -1):
+            visit(prefix + (s,), wit.z_next[s], tau - frac[s])
+
+    visit((), 0.0, 1.0)
+    return fe.FugalPolicy(budget_K=budget_K, resolution=resolution, nodes=nodes)
+
+
+@pytest.mark.parametrize("K,N", [(2, 500), (3, 500), (4, 500), (3, 2000), (8, 500)])
+def test_extract_policy_matches_reference_bit_for_bit(K, N):
+    tables = fe.solve_tables(K, N)
+    new = fe.extract_policy(tables, K, N).to_json_dict()
+    ref = _reference_policy(tables, K, N).to_json_dict()
+    # compared as JSON text, so that even the sign of a zero fraction counts
+    assert json.dumps(new) == json.dumps(ref)
+
+
+def test_witness_values_match_operator_at_nodes():
+    # two code paths for the same inf-max-inf: the bisected witness at a
+    # grid node against the exact envelope root of fugal_apply
+    N = 500
+    tables = fe.solve_tables(5, N)
+    interior = fe.make_grid(N)[1:-1]
+    for f, image in zip(tables, tables[1:]):
+        _, value, _, _ = fe._witnesses(f, interior)
+        assert float(np.max(np.abs(value - image.values[1:-1]))) <= 1e-9
+
+
+def test_operator_witness_is_a_batch_of_one():
+    f = fe.solve_tables(4, 500)[3]
+    zs = np.array([-0.93, -0.5, -0.2004, 0.0, 0.004, 0.31, 0.77])
+    xs, values, z_plus, z_minus = fe._witnesses(f, zs)
+    for r, z in enumerate(zs):
+        wit = fe.operator_witness(f, float(z))
+        assert (wit.x, wit.value) == (xs[r], values[r])
+        assert wit.z_next == {+1: z_plus[r], -1: z_minus[r]}
+
+
+def test_policy_k10_sums_to_one_and_is_mirror_symmetric():
+    K = 10
+    _, pol = fe.u_k_solve(K, 500)
+    assert len(pol.nodes) == 2 ** K - 1
+    for code in range(2 ** K):
+        path = tuple(1 if (code >> i) & 1 else -1 for i in range(K))
+        assert pol.path_fraction_sum(path) == pytest.approx(1.0, abs=1e-6)
+    for prefix, node in pol.nodes.items():
+        mirror = pol.nodes[tuple(-s for s in prefix)]
+        assert node.x == pytest.approx(-mirror.x, abs=1e-6)
+        assert node.m_plus == pytest.approx(mirror.m_minus, abs=1e-6)
+        assert abs(node.x) <= 1.0 + 1e-12
+    # The witness on u_1 sends the bias to the boundary z' = w, so every
+    # node of the last level is absorbing: it plays -sign(z) = -w and its
+    # block takes all that is left of the horizon whatever the sign.
+    for code in range(2 ** (K - 1)):
+        prefix = tuple(1 if (code >> i) & 1 else -1 for i in range(K - 1))
+        node = pol.nodes[prefix]
+        left = 1.0 - sum(pol.m_fraction(prefix[:i], prefix[i]) for i in range(K - 1))
+        assert node.x == -prefix[-1]
+        assert node.m_plus == node.m_minus == pytest.approx(left, abs=1e-6)
