@@ -10,13 +10,16 @@ pair.  Regret for linear losses reduces to
 where the dual norm is L2 for p=2 and L1 for p=inf.  The action sequence
 must contain strictly fewer than ``budget_K`` switches; a switch is an
 exact-inequality change between consecutive emitted actions.
+
+A game is stored as columns: the (T, n) actions and losses, and the
+moving flags derived from the actions.  ``Trajectory.from_columns`` is the
+one place that derives switch count, loss sum, feasibility and regret.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -85,62 +88,74 @@ class GameConfig:
         return self.player_norm_p
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One completed round: the action, the loss, and the moving flag."""
-
-    action_x: np.ndarray
-    loss_w: np.ndarray
-    is_moving: bool
+def _moving_mask(actions: np.ndarray) -> np.ndarray:
+    """Per-round moving flags of a (T, n) action array: round 1 always
+    moves, round t > 1 moves when any coordinate differs (exact ``!=``,
+    so -0.0 equals 0.0) from round t-1."""
+    moving = np.ones(len(actions), dtype=bool)
+    moving[1:] = (actions[1:] != actions[:-1]).any(axis=1)
+    return moving
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """A completed game.  Immutable once returned.
 
+    ``rounds`` is a read-only structured array of length T with fields
+    ``action_x`` and ``loss_w`` (shape n each) and ``is_moving``.
     ``feasible`` is False when the recorded actions used switch number
-    budget_K or more; such trajectories carry ``regret=None`` and any
-    attempt to evaluate their regret raises :class:`BudgetViolationError`.
+    budget_K or more; such trajectories carry ``regret=None``.
     """
 
     config: GameConfig
-    rounds: tuple[RoundRecord, ...]
+    rounds: np.ndarray
     switch_count: int
     cumulative_W: np.ndarray
     regret: float | None
     feasible: bool = field(default=True)
 
     @classmethod
-    def from_rounds(cls, config: GameConfig, rounds: Sequence[RoundRecord]) -> "Trajectory":
-        rounds = tuple(rounds)
-        if not rounds:
-            raise ValueError("a trajectory needs at least one round")
-        actions = [r.action_x for r in rounds]
-        switches = count_switches(actions)
-        W = np.zeros(config.dimension_n)
-        for r in rounds:
-            W = W + r.loss_w
+    def from_columns(cls, config: GameConfig, actions, losses) -> "Trajectory":
+        """Build a trajectory from its (T, n) action and loss columns; a
+        list of scalars is one column.  Everything else is derived here.
+
+        The regret is the sequential sum of ``np.dot(w_t, x_t)`` plus the
+        dual norm of the sequential loss sum: summing in any other order
+        (or with ``einsum``) moves results in the last bit.
+        """
+        shape = (config.horizon_T, config.dimension_n)
+        X = np.asarray(actions, dtype=float).reshape(len(actions), -1)
+        L = np.asarray(losses, dtype=float).reshape(len(losses), -1)
+        if X.shape != shape or L.shape != shape:
+            raise ValueError(f"actions {X.shape} and losses {L.shape} must both "
+                             f"have shape (T, n) = {shape}")
+        n = config.dimension_n
+        rounds = np.empty(len(X), dtype=[("action_x", float, (n,)), ("loss_w", float, (n,)),
+                                         ("is_moving", bool)])
+        rounds["action_x"] = X
+        rounds["loss_w"] = L
+        rounds["is_moving"] = _moving_mask(X)
+        rounds.setflags(write=False)
+        switches = int(np.count_nonzero(rounds["is_moving"])) - 1
+        W = np.cumsum(L, axis=0)[-1]
         W.setflags(write=False)
         feasible = switches < config.budget_K
         regret = None
         if feasible:
-            payoff = sum(float(np.dot(r.loss_w, r.action_x)) for r in rounds)
+            payoff = 0.0
+            for w, x in zip(L, X):
+                payoff += float(np.dot(w, x))
             regret = payoff + dual_norm(W, config.player_norm_p)
         return cls(config=config, rounds=rounds, switch_count=switches,
                    cumulative_W=W, regret=regret, feasible=feasible)
 
     def block_lengths(self) -> list[int]:
         """Lengths of maximal stationary blocks, from the is_moving flags."""
-        lengths: list[int] = []
-        for r in self.rounds:
-            if r.is_moving:
-                lengths.append(1)
-            else:
-                lengths[-1] += 1
-        return lengths
+        starts = np.flatnonzero(self.rounds["is_moving"])
+        return np.diff(starts, append=len(self.rounds)).tolist()
 
 
-def count_switches(actions: Sequence[np.ndarray]) -> int:
+def count_switches(actions) -> int:
     """Number of indices i with x_{i+1} != x_i, by exact vector equality.
 
     No tolerance: a strategy that intends to stay put must re-emit the
@@ -148,70 +163,45 @@ def count_switches(actions: Sequence[np.ndarray]) -> int:
     """
     if len(actions) == 0:
         raise ValueError("count_switches needs a nonempty sequence")
-    switches = 0
-    prev = np.asarray(actions[0])
-    for a in actions[1:]:
-        a = np.asarray(a)
-        if not np.array_equal(prev, a):
-            switches += 1
-        prev = a
-    return switches
-
-
-def linear_regret(traj: Trajectory) -> float:
-    """Regret of a feasible trajectory: sum_t w_t.x_t + ||sum_t w_t||_dual."""
-    if not traj.feasible:
-        raise BudgetViolationError(
-            f"trajectory used {traj.switch_count} switches with budget "
-            f"K={traj.config.budget_K}")
-    payoff = sum(float(np.dot(r.loss_w, r.action_x)) for r in traj.rounds)
-    return payoff + dual_norm(traj.cumulative_W, traj.config.player_norm_p)
+    X = np.asarray(actions, dtype=float).reshape(len(actions), -1)
+    return int(np.count_nonzero(_moving_mask(X))) - 1
 
 
 def play_game(player, adversary, config: GameConfig) -> Trajectory:
     """Run the adaptive protocol for T rounds and return the trajectory.
 
     Per round: the player decides x_t from its own state, the adversary
-    observes x_t (plus the moving flag, computed here from exact action
-    equality so there is a single source of truth) and decides w_t, then
-    the player observes w_t.  A player that would exceed the switch budget
-    aborts the game with an error naming the offending round.
+    observes x_t (plus the moving flag, by the same exact inequality that
+    :meth:`Trajectory.from_columns` uses) and decides w_t, then the player
+    observes w_t.  A player that would exceed the switch budget aborts the
+    game with an error naming the offending round.
 
     Both strategies must be freshly initialized for ``config``.
     """
     n = config.dimension_n
     p = config.player_norm_p
     q = config.adversary_norm_q
-    records: list[RoundRecord] = []
-    prev_x: np.ndarray | None = None
+    X = np.empty((config.horizon_T, n))
+    L = np.empty((config.horizon_T, n))
     switches = 0
-    W = np.zeros(n)
-    payoff = 0.0
 
-    for t in range(1, config.horizon_T + 1):
+    for i in range(config.horizon_T):
+        t = i + 1
         x = np.asarray(player.decide(), dtype=float).reshape(n)
         if norm_of(x, p) > 1.0 + BALL_SLACK:
             raise ValueError(f"round {t}: player action leaves the unit {p}-ball")
-        is_moving = prev_x is None or not np.array_equal(x, prev_x)
-        if is_moving and prev_x is not None:
+        is_moving = i == 0 or bool((x != X[i - 1]).any())
+        if is_moving and i > 0:
             switches += 1
             if switches >= config.budget_K:
                 raise BudgetViolationError(
                     f"round {t}: switch number {switches} with budget "
                     f"K={config.budget_K}", round_index=t)
+        X[i] = x
         w = np.asarray(adversary.respond(x, is_moving), dtype=float).reshape(n)
         if norm_of(w, q) > 1.0 + BALL_SLACK:
             raise ValueError(f"round {t}: adversary loss leaves the unit {q}-ball")
+        L[i] = w
         player.observe(w)
-        x_rec = x.copy()
-        w_rec = w.copy()
-        x_rec.setflags(write=False)
-        w_rec.setflags(write=False)
-        records.append(RoundRecord(action_x=x_rec, loss_w=w_rec, is_moving=is_moving))
-        W += w
-        payoff += float(np.dot(w, x))
-        prev_x = x
 
-    W.setflags(write=False)
-    return Trajectory(config=config, rounds=tuple(records), switch_count=switches,
-                      cumulative_W=W, regret=payoff + dual_norm(W, p), feasible=True)
+    return Trajectory.from_columns(config, X, L)

@@ -5,10 +5,11 @@
     labctl oracle   --config spec.json [--out table.csv]
     labctl verify   [--config spec.json] [--out report.json] [--only TAG]
 
-Config files are JSON documents mirroring :class:`ExperimentSpec`.  Sweep
-cells are independent jobs (LABCTL_THREADS caps the worker pool); rows are
-sorted by (T, K, n, seed) before writing so identical spec + seed produces
-byte-identical output regardless of scheduling.
+Config files are JSON documents mirroring :class:`ExperimentSpec`; each
+mode accepts only the keys it reads (``MODE_KEYS``).  Sweep cells run one
+after another in this process (play is pure Python, so threads would only
+queue on the interpreter lock); rows are sorted by (T, K, n, seed) before
+writing, so identical spec + seed produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +36,17 @@ RESULT_COLUMNS = ("T", "K", "n", "player_id", "adversary_id", "seed", "regret",
                   "within_bounds")
 
 _PSEUDO_ADVERSARIES = ("exhaustive_sign",)
+
+#: the config keys each mode reads (``sweep.X`` names a field of ``sweep``);
+#: a spec that sets any other key is rejected rather than silently ignored
+MODE_KEYS = {
+    "simulate": {"sweep.T", "sweep.K", "sweep.n", "player_id", "player_params",
+                 "adversary_id", "adversary_params", "player_norm", "repetitions",
+                 "seed", "out", "format"},
+    "fugal": {"sweep.K", "resolution", "seed", "out"},
+    "oracle": {"sweep.T", "sweep.K", "sweep.Z", "x_grid", "out"},
+    "verify": {"only", "out"},
+}
 
 
 @dataclass
@@ -62,15 +73,12 @@ class ExperimentSpec:
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         d = dict(d)
         mode = d.pop("mode")
-        if mode not in ("simulate", "fugal", "oracle", "verify"):
+        if mode not in MODE_KEYS:
             raise ValueError(f"unknown mode {mode!r}")
         sweep = d.pop("sweep", {})
-        if mode == "simulate":
-            unused = [k for k in ("resolution", "x_grid") if k in d]
-            unused += ["sweep.Z"] if "Z" in sweep else []
-            if unused:
-                raise ValueError(f"simulate does not use {unused} (the fugal "
-                                 "player takes player_params.resolution)")
+        unused = sorted((set(d) | {f"sweep.{k}" for k in sweep}) - MODE_KEYS[mode])
+        if unused:
+            raise ValueError(f"{mode} does not use {unused}")
         norm = d.pop("player_norm", 2)
         spec = cls(
             mode=mode,
@@ -91,8 +99,6 @@ class ExperimentSpec:
             format=d.pop("format", "csv"),
             only=d.pop("only", None),
         )
-        if d:
-            raise ValueError(f"unknown config keys: {sorted(d)}")
         spec.validate()
         return spec
 
@@ -148,13 +154,6 @@ def minimax_bounds(T: int, K: int, n: int, player_norm: float) -> tuple[float, f
     return n * T / math.sqrt(2.0 * K), n * one_d_upper
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("LABCTL_THREADS")
-    if env:
-        return max(1, min(int(env), n_jobs))
-    return max(1, min(4, n_jobs))
-
-
 def _simulate_cell(spec: ExperimentSpec, T: int, K: int, n: int, rep: int) -> ResultRow:
     seed = spec.seed + rep
     cfg = GameConfig(horizon_T=T, budget_K=K, dimension_n=n,
@@ -183,15 +182,9 @@ def _simulate_cell(spec: ExperimentSpec, T: int, K: int, n: int, rep: int) -> Re
 
 
 def run_simulate(spec: ExperimentSpec) -> list[ResultRow]:
-    jobs = [(T, K, n, rep)
+    rows = [_simulate_cell(spec, T, K, n, rep)
             for T in spec.sweep_T for K in spec.sweep_K for n in spec.sweep_n
             for rep in range(spec.repetitions)]
-    workers = _worker_count(len(jobs))
-    if workers == 1:
-        rows = [_simulate_cell(spec, *job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda j: _simulate_cell(spec, *j), jobs))
     rows.sort(key=lambda r: (r.T, r.K, r.n, r.seed))
     return rows
 

@@ -85,65 +85,24 @@ def minimax_sandwich(T: int, K: int, Z: float = 0.0) -> tuple[float, float]:
     return lower, upper
 
 
-def exact_minimax_1d(cfg: OracleConfig) -> OracleReport:
-    """Backward-induction value of the switching-constrained 1-d game.
+def _root_values(T: int, K: int, X: np.ndarray, Z: float, denom: int,
+                 js) -> np.ndarray:
+    """Backward induction of the game with the adversary on {j/denom : j in js}.
 
-    State axes: switches remaining k = 0..K-1, current action index, and
-    W (integral, since the adversary plays +-1).  Switching to a different
-    action consumes a switch; k = 0 pins the action.  The first round's
-    action choice is free.
+    State axes: switches remaining k = 0..K-1, current action index, and W
+    on a grid of step 1/denom reaching (T+1) beyond either side of 0.
+    Switching to a different action consumes a switch; k = 0 pins the
+    action.  Edge columns the adversary step cannot fill hold -inf; they
+    lie outside the W range reachable from the root, so they never reach
+    it.  Returns the root value for each free first action in ``X``.
     """
-    T, K, Z = cfg.horizon_T, cfg.budget_K, cfg.initial_bias_Z
-    X = np.linspace(-1.0, 1.0, cfg.x_grid)
-    Wn = 2 * T + 3
-    off = T + 1
-    Wvals = np.arange(-off, off + 1, dtype=float)
-
-    V = np.broadcast_to(np.abs(Z + Wvals), (K, cfg.x_grid, Wn)).copy()
-
-    def adversary_step(V: np.ndarray) -> np.ndarray:
-        # A[k, i, c] = max_w (w x_i + V[k, i, c + w]); edge columns unused
-        A = np.full_like(V, np.nan)
-        A[:, :, 1:-1] = np.maximum(X[None, :, None] + V[:, :, 2:],
-                                   -X[None, :, None] + V[:, :, :-2])
-        return A
-
-    for _t in range(T, 1, -1):
-        A = adversary_step(V)
-        Vnew = A.copy()
-        if K > 1:
-            best_move = A[:-1].min(axis=1, keepdims=True)
-            Vnew[1:] = np.minimum(A[1:], best_move)
-        V = Vnew
-
-    A = adversary_step(V)
-    root = A[K - 1, :, off]
-    idx = int(np.argmin(root))
-    lower, upper = minimax_sandwich(T, K, Z)
-    return OracleReport(value=float(root[idx]), config=cfg,
-                        witness_first_action=float(X[idx]),
-                        bound_lower=lower, bound_upper=upper)
-
-
-def dense_adversary_value(T: int, K: int, x_grid: int = 21, denom: int = 5,
-                          bias_Z: float = 0.0) -> float:
-    """Same game but with the adversary on the grid {j/denom : |j| <= denom}.
-
-    Used at tiny horizons to confirm the endpoint restriction loses nothing:
-    the dense value must match the +-1 value to roundoff.
-    """
-    if T > 4:
-        raise CapacityError("dense-adversary validation is for T <= 4")
-    X = np.linspace(-1.0, 1.0, x_grid)
     half = denom * (T + 1)
     Wn = 2 * half + 1
-    off = half
     Wvals = np.arange(-half, half + 1, dtype=float) / denom
-
-    V = np.broadcast_to(np.abs(bias_Z + Wvals), (K, x_grid, Wn)).copy()
-    js = range(-denom, denom + 1)
+    V = np.broadcast_to(np.abs(Z + Wvals), (K, len(X), Wn)).copy()
 
     def adversary_step(V: np.ndarray) -> np.ndarray:
+        # A[k, i, c] = max_j ((j/denom) x_i + V[k, i, c + j])
         A = np.full_like(V, -np.inf)
         lo, hi = denom, Wn - denom
         for j in js:
@@ -159,8 +118,33 @@ def dense_adversary_value(T: int, K: int, x_grid: int = 21, denom: int = 5,
             Vnew[1:] = np.minimum(A[1:], best_move)
         V = Vnew
 
-    A = adversary_step(V)
-    return float(A[K - 1, :, off].min())
+    return adversary_step(V)[K - 1, :, half]
+
+
+def exact_minimax_1d(cfg: OracleConfig) -> OracleReport:
+    """Backward-induction value of the switching-constrained 1-d game, with
+    the adversary at the endpoints {-1, +1} (so W stays integral).  The
+    first round's action choice is free."""
+    X = np.linspace(-1.0, 1.0, cfg.x_grid)
+    root = _root_values(cfg.horizon_T, cfg.budget_K, X, cfg.initial_bias_Z, 1, (-1, 1))
+    idx = int(np.argmin(root))
+    lower, upper = minimax_sandwich(cfg.horizon_T, cfg.budget_K, cfg.initial_bias_Z)
+    return OracleReport(value=float(root[idx]), config=cfg,
+                        witness_first_action=float(X[idx]),
+                        bound_lower=lower, bound_upper=upper)
+
+
+def dense_adversary_value(T: int, K: int, x_grid: int = 21, denom: int = 5,
+                          bias_Z: float = 0.0) -> float:
+    """Same game but with the adversary on the grid {j/denom : |j| <= denom}.
+
+    Used at tiny horizons to confirm the endpoint restriction loses nothing:
+    the dense value must match the +-1 value to roundoff.
+    """
+    if T > 4:
+        raise CapacityError("dense-adversary validation is for T <= 4")
+    X = np.linspace(-1.0, 1.0, x_grid)
+    return float(_root_values(T, K, X, bias_Z, denom, range(-denom, denom + 1)).min())
 
 
 def unconstrained_regret_closed_form(K: int) -> float:

@@ -19,7 +19,7 @@ from . import fugal_engine as fe
 from . import minimax_oracle as mo
 from .adversaries import Adversary, ConstantAdversary, make_adversary
 from .errors import CapacityError
-from .game_core import INF, GameConfig, Trajectory, dual_norm, linear_regret, play_game
+from .game_core import INF, GameConfig, Trajectory, dual_norm, play_game
 from .players import HalfSplitPlayer, FugalPlayer, make_player
 
 SQRT2 = math.sqrt(2.0)
@@ -383,8 +383,8 @@ def check_unequal_blocks():
     cfg = GameConfig(horizon_T=T, budget_K=3, dimension_n=1)
     traj = play_game(FugalPlayer(cfg, policy),
                      ConstantAdversary(cfg, w=1.0), cfg)
-    moving_rounds = [t + 1 for t, r in enumerate(traj.rounds) if r.is_moving]
-    first_switch = moving_rounds[1] if len(moving_rounds) > 1 else -1
+    moving_rounds = np.flatnonzero(traj.rounds["is_moving"]) + 1
+    first_switch = int(moving_rounds[1]) if len(moving_rounds) > 1 else -1
     target = math.ceil(FIRST_BLOCK_K3 * T)
     if abs(first_switch - target) > 2:
         failures.append(f"first switch at round {first_switch}, expected "
@@ -477,21 +477,24 @@ def check_core_invariants():
         if abs(di - refi) > 1e-10:
             failures.append("Linf dual norm disagrees with sup oracle")
 
-    # stored regret matches a recompute; zero-loss padding leaves it unchanged
+    # stored regret matches a recompute in another summation order; the
+    # flags and blocks agree with the switch count; zero-loss padding
+    # leaves the regret unchanged
     for seed in range(10):
         T, K, n = 30, 4, 2
         traj = _run("random_switch", "orthogonal", T, K, n=n, seed=seed,
                     player_params={"seed": seed})
-        if abs(linear_regret(traj) - traj.regret) > 1e-12:
+        X, L = traj.rounds["action_x"], traj.rounds["loss_w"]
+        recomputed = float(np.sum(L * X)) + dual_norm(L.sum(axis=0), 2.0)
+        if abs(recomputed - traj.regret) > 1e-12:
             failures.append("stored regret != recomputed regret")
-        moving = sum(1 for r in traj.rounds if r.is_moving)
-        if traj.switch_count != moving - 1:
-            failures.append("switch count != moving rounds - 1")
-        last = traj.rounds[-1]
-        padded = list(traj.rounds) + [
-            type(last)(action_x=last.action_x, loss_w=np.zeros(n), is_moving=False)
-            for _ in range(5)]
-        traj2 = Trajectory.from_rounds(traj.config, padded)
+        moving = int(np.count_nonzero(traj.rounds["is_moving"]))
+        blocks = traj.block_lengths()
+        if traj.switch_count != moving - 1 or len(blocks) != moving or sum(blocks) != T:
+            failures.append("switch count, moving rounds and blocks disagree")
+        padded_cfg = GameConfig(horizon_T=T + 5, budget_K=K, dimension_n=n, seed=seed)
+        traj2 = Trajectory.from_columns(padded_cfg, np.vstack([X, np.repeat(X[-1:], 5, 0)]),
+                                        np.vstack([L, np.zeros((5, n))]))
         if abs(traj2.regret - traj.regret) > 1e-12:
             failures.append("zero-loss padding changed the regret")
 

@@ -193,11 +193,11 @@ def test_all_emissions_respect_ball_exactly():
     ]
     for adv, cfg in cases:
         traj = play_game(RandomSwitchPlayer(cfg), adv, cfg)
-        for r in traj.rounds:
-            if cfg.adversary_norm_q == 2:
-                assert float(np.linalg.norm(r.loss_w)) <= 1.0 + 1e-12
-            else:
-                assert float(np.max(np.abs(r.loss_w))) <= 1.0
+        losses = traj.rounds["loss_w"]
+        if cfg.adversary_norm_q == 2:
+            assert np.all(np.linalg.norm(losses, axis=1) <= 1.0 + 1e-12)
+        else:
+            assert np.all(np.abs(losses) <= 1.0)
 
 
 def test_constant_adversary_rejects_out_of_ball():

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from switchlab.adversaries import ConstantAdversary, SignAdversary
+from switchlab.adversaries import ConstantAdversary, SignAdversary, make_adversary
 from switchlab.errors import BudgetViolationError
-from switchlab.game_core import (GameConfig, RoundRecord, Trajectory, count_switches,
-                                 dual_norm, linear_regret, play_game)
-from switchlab.players import ConstantPlayer, HalfSplitPlayer, Player
+from switchlab.game_core import GameConfig, Trajectory, count_switches, dual_norm, play_game
+from switchlab.players import ConstantPlayer, HalfSplitPlayer, Player, make_player
 
 
 def test_count_switches_examples():
@@ -54,37 +53,33 @@ def test_dual_norm_rejects_bad_input():
         dual_norm(np.array([1.0]), 3)
 
 
-def _traj_1d(config, xs, ws):
-    rounds = []
-    prev = None
-    for x, w in zip(xs, ws):
-        moving = prev is None or x != prev
-        rounds.append(RoundRecord(action_x=np.array([x]), loss_w=np.array([w]),
-                                  is_moving=moving))
-        prev = x
-    return Trajectory.from_rounds(config, rounds)
-
-
 def test_linear_regret_examples():
-    t1 = _traj_1d(GameConfig(1, 1, 1), [0.0], [1.0])
-    assert linear_regret(t1) == pytest.approx(1.0)
+    t1 = Trajectory.from_columns(GameConfig(1, 1, 1), [0.0], [1.0])
+    assert t1.regret == pytest.approx(1.0)
 
-    t2 = _traj_1d(GameConfig(4, 2, 1), [0.0, 0.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0])
-    assert linear_regret(t2) == pytest.approx(2.0)
+    t2 = Trajectory.from_columns(GameConfig(4, 2, 1), [0.0, 0.0, -1.0, -1.0],
+                                 [1.0, 1.0, 1.0, 1.0])
+    assert t2.regret == pytest.approx(2.0)
 
-    cfg = GameConfig(2, 2, 2)
-    rounds = [RoundRecord(np.array([1.0, 0.0]), np.array([0.0, 1.0]), True),
-              RoundRecord(np.array([1.0, 0.0]), np.array([0.0, 1.0]), False)]
-    t3 = Trajectory.from_rounds(cfg, rounds)
-    assert linear_regret(t3) == pytest.approx(2.0)
+    t3 = Trajectory.from_columns(GameConfig(2, 2, 2), [[1.0, 0.0], [1.0, 0.0]],
+                                 [[0.0, 1.0], [0.0, 1.0]])
+    assert t3.regret == pytest.approx(2.0)
+    assert t3.rounds["is_moving"].tolist() == [True, False]
 
 
-def test_linear_regret_infeasible_raises():
-    traj = _traj_1d(GameConfig(3, 2, 1), [0.0, 1.0, 0.0], [1.0, 1.0, 1.0])
+def test_linear_regret_infeasible_is_none():
+    traj = Trajectory.from_columns(GameConfig(3, 2, 1), [0.0, 1.0, 0.0], [1.0, 1.0, 1.0])
+    assert traj.switch_count == 2
     assert not traj.feasible
     assert traj.regret is None
-    with pytest.raises(BudgetViolationError):
-        linear_regret(traj)
+
+
+def test_from_columns_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="shape"):
+        Trajectory.from_columns(GameConfig(3, 2, 1), [0.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="shape"):
+        Trajectory.from_columns(GameConfig(2, 2, 2), [[0.0, 1.0], [0.0, 1.0]],
+                                [1.0, 1.0])
 
 
 def test_play_game_constant_vs_sign():
@@ -145,20 +140,33 @@ def test_trajectory_regret_recompute_and_moving_flags():
             x = float(rng.uniform(-1, 1))
         xs.append(x)
         ws.append(float(rng.uniform(-1, 1)))
-    traj = _traj_1d(cfg, xs, ws)
-    assert linear_regret(traj) == pytest.approx(traj.regret, abs=1e-12)
-    moving = sum(1 for r in traj.rounds if r.is_moving)
-    assert traj.switch_count == moving - 1
+    traj = Trajectory.from_columns(cfg, xs, ws)
+    reference = sum(w * x for w, x in zip(ws, xs)) + abs(sum(ws))
+    assert traj.regret == pytest.approx(reference, abs=1e-12)
+    assert np.flatnonzero(traj.rounds["is_moving"]).tolist() == [0, 5, 11, 17]
+    assert traj.switch_count == 3
+    assert traj.block_lengths() == [5, 6, 6, 3]
+
+
+def test_trajectory_is_read_only_and_blocks_cover_the_horizon():
+    cfg = GameConfig(300, 8, 3, seed=2)
+    traj = play_game(make_player("random_switch", cfg), make_adversary("orthogonal", cfg), cfg)
+    assert len(traj.rounds) == 300
+    assert traj.rounds["action_x"].shape == (300, 3)
+    with pytest.raises(ValueError):
+        traj.rounds["loss_w"][0] = 0.0
+    with pytest.raises(ValueError):
+        traj.cumulative_W[0] = 0.0
+    blocks = traj.block_lengths()
+    assert sum(blocks) == 300
+    assert len(blocks) == traj.switch_count + 1 == 8
+    assert traj.switch_count == count_switches(list(traj.rounds["action_x"]))
 
 
 def test_zero_loss_padding_preserves_regret():
-    cfg = GameConfig(6, 3, 1)
-    traj = _traj_1d(cfg, [0.0, 0.0, 0.5, 0.5, 0.5, 0.5], [1, -1, 1, 1, 0.5, -0.2])
-    last = traj.rounds[-1]
-    cfg2 = GameConfig(9, 3, 1)
-    padded = list(traj.rounds) + [RoundRecord(last.action_x, np.zeros(1), False)
-                                  for _ in range(3)]
-    traj2 = Trajectory.from_rounds(cfg2, padded)
+    xs, ws = [0.0, 0.0, 0.5, 0.5, 0.5, 0.5], [1, -1, 1, 1, 0.5, -0.2]
+    traj = Trajectory.from_columns(GameConfig(6, 3, 1), xs, ws)
+    traj2 = Trajectory.from_columns(GameConfig(9, 3, 1), xs + [0.5] * 3, ws + [0.0] * 3)
     assert traj2.regret == pytest.approx(traj.regret, abs=1e-12)
     assert traj2.switch_count == traj.switch_count
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -50,6 +51,42 @@ def test_simulate_rejects_sweep_z():
         _spec(sweep={"T": [20], "K": [2], "n": [1], "Z": [55]})
 
 
+def test_fugal_rejects_fields_it_does_not_read():
+    base = {"mode": "fugal", "sweep": {"K": [3]}, "resolution": 500, "seed": 3, "out": "g.csv"}
+    ExperimentSpec.from_dict(base)
+    for key, value in (("x_grid", 41), ("player_id", "minibatch"), ("adversary_id", "sign"),
+                       ("player_norm", "inf"), ("repetitions", 2), ("format", "json")):
+        with pytest.raises(ValueError, match=key):
+            ExperimentSpec.from_dict(dict(base, **{key: value}))
+    for key in ("T", "Z", "n"):
+        with pytest.raises(ValueError, match=f"sweep.{key}"):
+            ExperimentSpec.from_dict(dict(base, sweep={"K": [3], key: [4]}))
+
+
+def test_oracle_rejects_fields_it_does_not_read():
+    base = {"mode": "oracle", "sweep": {"T": [4], "K": [2], "Z": [0.0]}, "x_grid": 21}
+    ExperimentSpec.from_dict(base)
+    for key, value in (("resolution", 500), ("seed", 1), ("player_id", "minibatch"),
+                       ("only", "oracle")):
+        with pytest.raises(ValueError, match=key):
+            ExperimentSpec.from_dict(dict(base, **{key: value}))
+    with pytest.raises(ValueError, match="sweep.n"):
+        ExperimentSpec.from_dict(dict(base, sweep={"T": [4], "K": [2], "n": [2]}))
+
+
+def test_verify_rejects_fields_it_does_not_read():
+    ExperimentSpec.from_dict({"mode": "verify", "only": "core", "out": "r.json"})
+    for extra, name in (({"seed": 1}, "seed"), ({"resolution": 500}, "resolution"),
+                        ({"sweep": {"K": [3]}}, "sweep.K")):
+        with pytest.raises(ValueError, match=name):
+            ExperimentSpec.from_dict(dict(extra, mode="verify"))
+
+
+def test_simulate_rejects_only():
+    with pytest.raises(ValueError, match="only"):
+        _spec(only="core")
+
+
 def test_minimax_bounds_cases():
     lo, hi = minimax_bounds(100, 4, 1, 2.0)
     assert lo == pytest.approx(100 / math.sqrt(8))
@@ -79,6 +116,29 @@ def test_simulate_reproducible_csv(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == ",".join(labctl.RESULT_COLUMNS)
+
+
+def test_simulate_csv_bytes_are_pinned(tmp_path):
+    # sha256 of the CSV these sweeps wrote before the trajectory moved to
+    # columns: any change in how regret is summed (einsum, a fused
+    # multiply-add, another order) moves a last bit and fails here
+    base = {"mode": "simulate", "repetitions": 2, "seed": 11}
+    specs = [
+        dict(base, sweep={"T": [37, 200], "K": [3, 8], "n": [1, 2, 3, 5]},
+             player_id="minibatch", adversary_id="product", player_norm="inf"),
+        dict(base, sweep={"T": [37, 200], "K": [3, 8], "n": [2, 3, 5]},
+             player_id="random_switch", adversary_id="orthogonal"),
+        dict(base, sweep={"T": [200], "K": [4], "n": [1]},
+             player_id="minibatch", adversary_id="stopping"),
+        dict(base, sweep={"T": [10], "K": [3], "n": [1]}, repetitions=1,
+             player_id="minibatch", adversary_id="exhaustive_sign"),
+    ]
+    rows = [r for s in specs for r in run_simulate(ExperimentSpec.from_dict(s))]
+    out = tmp_path / "pin.csv"
+    write_rows(rows, str(out), "csv")
+    assert len(rows) == 59
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "51ad2708da2afe562aba43d275eb1e733ebcd98d8e8dd3e7b3e905daf4a993b2")
 
 
 def test_minibatch_vs_stopping_normalized_in_band():

@@ -24,7 +24,7 @@ class ReplayAdversary(Adversary):
 
 
 def _actions(traj):
-    return [float(r.action_x[0]) for r in traj.rounds]
+    return traj.rounds["action_x"][:, 0].tolist()
 
 
 # ----------------------------------------------------------------- minibatch
@@ -43,7 +43,7 @@ def test_minibatch_zero_losses_never_moves():
     cfg = GameConfig(9, 3, 2)
     traj = play_game(MinibatchPlayer(cfg), ConstantAdversary(cfg), cfg)
     assert traj.switch_count == 0
-    assert all(float(np.linalg.norm(r.action_x)) == 0.0 for r in traj.rounds)
+    assert not np.any(traj.rounds["action_x"])
 
 
 def test_minibatch_epoch_length_one_is_plain_ogd():
@@ -152,7 +152,7 @@ def test_fugal_k3_first_switch_fraction(policy_k3):
     for T in (1000, 10_000):
         cfg = GameConfig(T, 3, 1)
         traj = play_game(FugalPlayer(cfg, policy_k3), ConstantAdversary(cfg, w=1.0), cfg)
-        moving = [t + 1 for t, r in enumerate(traj.rounds) if r.is_moving]
+        moving = np.flatnonzero(traj.rounds["is_moving"]) + 1
         assert len(moving) >= 2
         assert abs(moving[1] / T - target) <= 2.0 / T
 
@@ -206,14 +206,9 @@ def test_random_switch_budget_ball_and_reproducibility():
         t1 = play_game(RandomSwitchPlayer(cfg), ConstantAdversary(cfg, [0.5, 0.5]), cfg)
         t2 = play_game(RandomSwitchPlayer(cfg), ConstantAdversary(cfg, [0.5, 0.5]), cfg)
         assert t1.switch_count <= K - 1
-        assert all(float(np.linalg.norm(r.action_x)) <= 1 + 1e-12 for r in t1.rounds)
+        assert np.all(np.linalg.norm(t1.rounds["action_x"], axis=1) <= 1 + 1e-12)
         assert t1.regret == t2.regret
-        assert _all_actions_equal(t1, t2)
-
-
-def _all_actions_equal(t1, t2):
-    return all(np.array_equal(a.action_x, b.action_x)
-               for a, b in zip(t1.rounds, t2.rounds))
+        assert np.array_equal(t1.rounds["action_x"], t2.rounds["action_x"])
 
 
 def test_switch_budget_invariant_randomized_adversaries():
