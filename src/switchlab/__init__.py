@@ -14,7 +14,7 @@ from .game_core import (GameConfig, Trajectory, count_switches, dual_norm,
 from .players import (ConstantPlayer, FugalPlayer, HalfSplitPlayer,
                       MinibatchPlayer, RandomSwitchPlayer, make_player)
 from .adversaries import (ConstantAdversary, OrthogonalAdversary, ProductAdversary,
-                          SignAdversary, StoppingAdversary, make_adversary)
+                          SignAdversary, make_adversary)
 from .fugal_engine import (FugalPolicy, GridFunction, fugal_apply, quadratic_floor,
                            quadratic_floor_image, u4_exact, u_k_solve)
 from .minimax_oracle import (OracleConfig, OracleReport, exact_minimax_1d,

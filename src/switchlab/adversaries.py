@@ -4,6 +4,8 @@ Every adversary is a self-contained state machine with one method,
 ``respond(player_x, is_moving) -> w``.  The moving flag is computed by the
 game engine from exact action equality and passed in; adversaries never
 re-derive it.  One instance serves one game.
+
+The id "stopping" is the one-coordinate product adversary (n = 1 only).
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ class SignAdversary(Adversary):
         return np.array([w])
 
 
-class StoppingAdversary(Adversary):
-    """1-d lower-bound adversary with a stopping condition.
+class StoppingCore:
+    """1-d lower-bound adversary with a stopping condition, one coordinate.
 
     Let W_t be the sum of its previous emissions.  Once |W_t| >= T/sqrt(K)
     it latches and plays 0 forever, freezing the accumulated regret.
@@ -77,31 +79,6 @@ class StoppingAdversary(Adversary):
     and -1 otherwise.  Forces regret >= T/(2 sqrt(K)) against any feasible
     player.
     """
-
-    def __init__(self, config: GameConfig):
-        if config.dimension_n != 1:
-            raise UnsupportedConfigError(
-                "stopping adversary is one-dimensional; use ProductAdversary for n>1")
-        self._core = StoppingCore(config.horizon_T, config.budget_K)
-
-    @property
-    def running_W(self) -> float:
-        return self._core.running_W
-
-    @property
-    def threshold(self) -> float:
-        return self._core.threshold
-
-    @property
-    def stopped(self) -> bool:
-        return self._core.stopped
-
-    def respond(self, player_x, is_moving):
-        return np.array([self._core.step(float(player_x[0]))])
-
-
-class StoppingCore:
-    """Scalar engine behind the stopping adversary, reusable per coordinate."""
 
     def __init__(self, horizon_T: int, budget_K: int):
         self.threshold = horizon_T / math.sqrt(budget_K)
@@ -167,14 +144,12 @@ class OrthogonalAdversary(Adversary):
         self._n = config.dimension_n
         self.running_W = np.zeros(self._n)
         self.last_w: np.ndarray | None = None
-        self.last_player_x: np.ndarray | None = None
 
     def respond(self, player_x, is_moving):
         if is_moving or self.last_w is None:
             w = _orthogonal_unit(np.asarray(player_x, dtype=float), self.running_W)
             w.setflags(write=False)
             self.last_w = w
-        self.last_player_x = np.asarray(player_x, dtype=float)
         self.running_W = self.running_W + self.last_w
         return self.last_w
 
@@ -237,13 +212,13 @@ def make_adversary(adversary_id: str, config: GameConfig, params: dict | None = 
     params = dict(params or {})
     if adversary_id == "orthogonal":
         return OrthogonalAdversary(config)
-    if adversary_id == "stopping":
-        return StoppingAdversary(config)
+    if adversary_id in ("stopping", "product"):
+        if adversary_id == "stopping" and config.dimension_n != 1:
+            raise UnsupportedConfigError("the stopping adversary is 1-d; use product for n > 1")
+        return ProductAdversary(config)
     if adversary_id == "sign":
         return SignAdversary(config, variant=params.get("variant", "bias"),
                              bias_Z=params.get("bias_Z", 0.0))
-    if adversary_id == "product":
-        return ProductAdversary(config)
     if adversary_id == "constant":
         return ConstantAdversary(config, w=params.get("w"))
     if adversary_id == "zero":

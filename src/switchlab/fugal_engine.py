@@ -58,17 +58,10 @@ DENOM_CLAMP = 1e-9
 #: bisection tolerance in x for the outer infimum of a pointwise witness
 X_TOL = 1e-10
 
-_grid_cache: dict[int, np.ndarray] = {}
-
 
 def make_grid(resolution: int) -> np.ndarray:
-    """Nodes z_j = -1 + 2j/N, j = 0..N (shared read-only array)."""
-    g = _grid_cache.get(resolution)
-    if g is None:
-        g = np.linspace(-1.0, 1.0, resolution + 1)
-        g.setflags(write=False)
-        _grid_cache[resolution] = g
-    return g
+    """Nodes z_j = -1 + 2j/N, j = 0..N."""
+    return np.linspace(-1.0, 1.0, resolution + 1)
 
 
 @dataclass(frozen=True)
@@ -389,7 +382,7 @@ class OperatorWitness:
     z_next: dict[int, float]      # inner minimizer per adversary sign
 
 
-def _witnesses(f: GridFunction, z: np.ndarray, x_tol: float = X_TOL):
+def _witnesses(f: GridFunction, z: np.ndarray):
     """Operator witnesses at every bias in z (all |z| < 1), in one batch:
     the arrays (x, value, z_plus, z_minus) of outer minimizers, operator
     values and inner minimizers per adversary sign (see module notes)."""
@@ -417,13 +410,13 @@ def _witnesses(f: GridFunction, z: np.ndarray, x_tol: float = X_TOL):
     lo, hi = np.full(z.shape, -1.0), np.ones(z.shape)
     if np.any((h(lo) > 1e-9) & (h(hi) < -1e-9)):
         raise NumericStructureError("crossing function not monotone at this point")
-    for _ in range(int(math.ceil(math.log2(2.0 / x_tol)))):
+    for _ in range(int(math.ceil(math.log2(2.0 / X_TOL)))):
         mid = 0.5 * (lo + hi)
         up = h(mid) >= 0.0
         hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
     x = 0.5 * (lo + hi)
     # symmetric tie: prefer the smallest-magnitude action
-    x[(np.abs(x) < 8.0 * x_tol) & (np.abs(h(np.zeros(z.shape))) < 1e-13)] = 0.0
+    x[(np.abs(x) < 8.0 * X_TOL) & (np.abs(h(np.zeros(z.shape))) < 1e-13)] = 0.0
 
     def inner(w, first, last):
         """Inner minimum and minimizer at x over z and the nodes first..last."""
@@ -447,12 +440,12 @@ def _witnesses(f: GridFunction, z: np.ndarray, x_tol: float = X_TOL):
     return x, np.maximum(vp, vm), zp, zm
 
 
-def operator_witness(f: GridFunction, z: float, x_tol: float = X_TOL) -> OperatorWitness:
+def operator_witness(f: GridFunction, z: float) -> OperatorWitness:
     """Operator value at one point with its minimizing action and the inner
     minimizer for each adversary sign (used to read off block fractions)."""
     if abs(z) >= 1.0:
         raise ValueError("witness queries need |z| < 1")
-    x, value, zp, zm = _witnesses(f, np.array([float(z)]), x_tol)
+    x, value, zp, zm = _witnesses(f, np.array([float(z)]))
     return OperatorWitness(x=float(x[0]), value=float(value[0]),
                            z_next={+1: float(zp[0]), -1: float(zm[0])})
 
@@ -567,7 +560,7 @@ def solve_tables(budget_K: int, resolution: int = DEFAULT_RESOLUTION) -> list[Gr
     tables = list(cached or [GridFunction(resolution, np.ones(resolution + 1), k_index=1)])
     while len(tables) < budget_K:
         tables.append(fugal_apply(tables[-1]))
-    if len(tables) > len(cached):   # publish whole: sweep threads share the cache
+    if len(tables) > len(cached):   # publish whole: no caller sees a half-extended list
         _table_cache[resolution] = tables
     return tables[:budget_K]
 

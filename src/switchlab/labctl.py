@@ -27,7 +27,7 @@ from . import fugal_engine as fe
 from . import minimax_oracle as mo
 from .adversaries import ADVERSARY_IDS, make_adversary
 from .errors import BudgetViolationError
-from .game_core import INF, GameConfig, play_game
+from .game_core import GameConfig, play_game
 from .players import PLAYER_IDS, make_player
 from .verify import run_checks, worst_case_sign_regret
 
@@ -46,6 +46,27 @@ MODE_KEYS = {
     "fugal": {"sweep.K", "resolution", "seed", "out"},
     "oracle": {"sweep.T", "sweep.K", "sweep.Z", "x_grid", "out"},
     "verify": {"only", "out"},
+}
+
+
+def _integer(key: str, v) -> int:
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _integers(key: str, vs) -> list[int]:
+    return [_integer(key, v) for v in vs]
+
+
+#: how ``from_dict`` converts each config key it does not take as given; a
+#: key the spec does not set keeps its dataclass default
+_PARSE = {
+    "sweep.T": _integers, "sweep.K": _integers, "sweep.n": _integers,
+    "sweep.Z": lambda key, vs: [float(z) for z in vs],
+    "player_params": lambda key, v: v or {}, "adversary_params": lambda key, v: v or {},
+    "player_norm": lambda key, v: float(v),
+    "repetitions": _integer, "seed": _integer, "resolution": _integer, "x_grid": _integer,
 }
 
 
@@ -76,29 +97,13 @@ class ExperimentSpec:
         if mode not in MODE_KEYS:
             raise ValueError(f"unknown mode {mode!r}")
         sweep = d.pop("sweep", {})
-        unused = sorted((set(d) | {f"sweep.{k}" for k in sweep}) - MODE_KEYS[mode])
+        given = {**d, **{f"sweep.{k}": v for k, v in sweep.items()}}
+        unused = sorted(set(given) - MODE_KEYS[mode])
         if unused:
             raise ValueError(f"{mode} does not use {unused}")
-        norm = d.pop("player_norm", 2)
-        spec = cls(
-            mode=mode,
-            sweep_T=[int(t) for t in sweep.get("T", [])],
-            sweep_K=[int(k) for k in sweep.get("K", [])],
-            sweep_n=[int(n) for n in sweep.get("n", [1])],
-            sweep_Z=[float(z) for z in sweep.get("Z", [0.0])],
-            player_id=d.pop("player_id", "constant"),
-            player_params=d.pop("player_params", {}) or {},
-            adversary_id=d.pop("adversary_id", "zero"),
-            adversary_params=d.pop("adversary_params", {}) or {},
-            player_norm=INF if str(norm) in ("inf", "Infinity") else float(norm),
-            repetitions=int(d.pop("repetitions", 1)),
-            seed=int(d.pop("seed", 0)),
-            resolution=int(d.pop("resolution", fe.DEFAULT_RESOLUTION)),
-            x_grid=int(d.pop("x_grid", 41)),
-            out=d.pop("out", None),
-            format=d.pop("format", "csv"),
-            only=d.pop("only", None),
-        )
+        fields = {key.replace(".", "_"): _PARSE[key](key, v) if key in _PARSE else v
+                  for key, v in given.items()}
+        spec = cls(mode=mode, **fields)
         spec.validate()
         return spec
 

@@ -157,8 +157,8 @@ def unconstrained_regret_closed_form(K: int) -> float:
     if K < 1:
         raise ValueError("K must be a positive integer")
     if K % 2 == 0:
-        return K * math.comb(K, K // 2) / float(2 ** K)
-    return K * math.comb(K - 1, (K - 1) // 2) / float(2 ** (K - 1))
+        return K * math.comb(K, K // 2) / 2 ** K
+    return K * math.comb(K - 1, (K - 1) // 2) / 2 ** (K - 1)
 
 
 def tk_inequality_check(T: int, K: int) -> bool:

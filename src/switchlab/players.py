@@ -81,10 +81,6 @@ class MinibatchPlayer(Player):
         self.accumulated_gradient = np.zeros(config.dimension_n)
         self._rounds_seen = 0
 
-    @property
-    def current_epoch(self) -> int:
-        return self._rounds_seen // self.epoch_length
-
     def decide(self):
         return self.current_point
 
@@ -112,7 +108,6 @@ class HalfSplitPlayer(Player):
         if config.budget_K != 2 or config.dimension_n != 1:
             raise UnsupportedConfigError("half-split player requires K=2, n=1")
         T = config.horizon_T
-        self._T = T
         self._zero_until = T // 2 if T % 2 == 0 else (T + 1) // 2
         self._skip_first = T % 2 == 1
         self._denom = T // 2 if T % 2 == 0 else (T - 1) // 2

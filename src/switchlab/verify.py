@@ -191,37 +191,39 @@ def check_operator_closed_form():
 # criterion 4: high-dimensional lower bound
 # ----------------------------------------------------------------------
 
-def _player_specs_for_lb(seed_count: int = 3):
-    specs = [("constant", None, {}), ("minibatch", None, {})]
-    for s in range(seed_count):
-        specs.append(("random_switch", s, {"seed": s}))
-    return specs
+def _forced_regret(adversary_id: str, cells, p: float, tol: float):
+    """Play the constant, minibatch and three random-switch players (game
+    seed = player seed) against one adversary on every (n, T, K, bound)
+    cell.  Returns the least regret - bound, the trajectories, and a
+    failure for each regret below bound - tol."""
+    min_margin = math.inf
+    trajectories, failures = [], []
+    for n, T, K, bound in cells:
+        for pid, pparams in (("constant", {}), ("minibatch", {}),
+                             *(("random_switch", {"seed": s}) for s in range(3))):
+            traj = _run(pid, adversary_id, T, K, n=n, p=p,
+                        seed=pparams.get("seed", 0), player_params=pparams)
+            min_margin = min(min_margin, traj.regret - bound)
+            if traj.regret < bound - tol:
+                failures.append(f"{adversary_id} vs {pid}: regret {traj.regret} < "
+                                f"{bound} at n={n} T={T} K={K}")
+            trajectories.append(traj)
+    return min_margin, trajectories, failures
+
 
 def check_highd_lower():
-    failures = []
-    min_margin = math.inf
+    cells = [(n, T, K, T / math.sqrt(K))
+             for n in (2, 3, 5) for T in (100, 1000) for K in (1, 4, 16)]
+    min_margin, trajectories, failures = _forced_regret("orthogonal", cells, 2.0, 1e-6)
     max_identity_rel = 0.0
-    for n in (2, 3, 5):
-        for T in (100, 1000):
-            for K in (1, 4, 16):
-                for pid, seed, pparams in _player_specs_for_lb():
-                    traj = _run(pid, "orthogonal", T, K, n=n, p=2.0,
-                                seed=seed or 0, player_params=pparams)
-                    bound = T / math.sqrt(K)
-                    min_margin = min(min_margin, traj.regret - bound)
-                    if traj.regret < bound - 1e-6:
-                        failures.append(
-                            f"orthogonal vs {pid}: regret {traj.regret} < T/sqrt(K) "
-                            f"at n={n} T={T} K={K}")
-                    M = np.array(traj.block_lengths(), dtype=float)
-                    lhs = float(np.dot(traj.cumulative_W, traj.cumulative_W))
-                    rhs = float(np.sum(M * M))
-                    rel = abs(lhs - rhs) / max(rhs, 1.0)
-                    max_identity_rel = max(max_identity_rel, rel)
-                    if rel > 1e-9:
-                        failures.append(
-                            f"||W_T||^2 vs sum M_i^2 mismatch rel={rel} "
-                            f"({pid}, n={n}, T={T}, K={K})")
+    for traj in trajectories:
+        M = np.array(traj.block_lengths(), dtype=float)
+        lhs = float(np.dot(traj.cumulative_W, traj.cumulative_W))
+        rhs = float(np.sum(M * M))
+        rel = abs(lhs - rhs) / max(rhs, 1.0)
+        max_identity_rel = max(max_identity_rel, rel)
+        if rel > 1e-9:
+            failures.append(f"||W_T||^2 vs sum M_i^2 mismatch rel={rel} at {traj.config}")
     measured = {"min_regret_margin": min_margin, "max_identity_rel_err": max_identity_rel}
     expected = {"min_regret_margin": ">= -1e-6", "max_identity_rel_err": "<= 1e-9"}
     tol = {"regret": 1e-6, "identity_rel": 1e-9}
@@ -233,19 +235,9 @@ def check_highd_lower():
 # ----------------------------------------------------------------------
 
 def check_onedim_lower():
-    failures = []
-    min_margin = math.inf
-    for T in (100, 1000, 10_000):
-        for K in (1, 2, 4, 16, 100):
-            for pid, seed, pparams in _player_specs_for_lb():
-                traj = _run(pid, "stopping", T, K, n=1, seed=seed or 0,
-                            player_params=pparams)
-                bound = T / (2.0 * math.sqrt(K))
-                min_margin = min(min_margin, traj.regret - bound)
-                if traj.regret < bound - 1e-9:
-                    failures.append(
-                        f"stopping vs {pid}: regret {traj.regret} < T/(2 sqrt(K)) "
-                        f"at T={T} K={K}")
+    cells = [(1, T, K, T / (2.0 * math.sqrt(K)))
+             for T in (100, 1000, 10_000) for K in (1, 2, 4, 16, 100)]
+    min_margin, _, failures = _forced_regret("stopping", cells, 2.0, 1e-9)
     measured = {"min_regret_margin": min_margin}
     expected = {"min_regret_margin": ">= 0 (float allowance 1e-9)"}
     tol = {"regret": 1e-9}
@@ -431,19 +423,9 @@ def check_unconstrained_closed_form():
 # ----------------------------------------------------------------------
 
 def check_linf_decomposition():
-    failures = []
-    min_margin = math.inf
     T = 1000
-    for n in (2, 3):
-        for K in (4, 16):
-            for pid, seed, pparams in _player_specs_for_lb():
-                traj = _run(pid, "product", T, K, n=n, p=INF, seed=seed or 0,
-                            player_params=pparams)
-                bound = n * T / (2.0 * math.sqrt(K))
-                min_margin = min(min_margin, traj.regret - bound)
-                if traj.regret < bound - 1e-9:
-                    failures.append(f"product vs {pid}: regret {traj.regret} < "
-                                    f"n*T/(2 sqrt(K)) at n={n} K={K}")
+    cells = [(n, T, K, n * T / (2.0 * math.sqrt(K))) for n in (2, 3) for K in (4, 16)]
+    min_margin, _, failures = _forced_regret("product", cells, INF, 1e-9)
     tk_ok = True
     for T_ in range(1, 1001):
         Ks = np.arange(1, T_ + 1)

@@ -19,6 +19,17 @@ CRITERIA = [
     ("module invariants", "core.invariants"),
 ]
 
+# measured values of the bounds checks, to the bit: the same games must be
+# played, so any change to a player, an adversary or the sweeps shows here
+PINNED = {
+    "bounds.highd_lower": {"min_regret_margin": -2.717115421546623e-11,
+                           "max_identity_rel_err": 5.4249539971351623e-14},
+    "bounds.onedim_lower": {"min_regret_margin": 4.9999999999999964},
+    "bounds.upper_minibatch_halfsplit": {"max_minibatch_regret_ratio": 0.6213905189840889,
+                                         "halfsplit_worst_excess_over_cap": 0.0},
+    "bounds.linf_decomposition": {"min_regret_margin": 250.0, "tk_inequality_all": True},
+}
+
 
 @pytest.mark.parametrize("label,check_name", CRITERIA, ids=[c[1] for c in CRITERIA])
 def test_acceptance(label, check_name):
@@ -27,3 +38,5 @@ def test_acceptance(label, check_name):
     print(f"[acceptance {label}] {status} in {result.elapsed_s:.1f}s "
           f"measured={result.measured}")
     assert result.status == "pass", "\n".join(result.failures)
+    if check_name in PINNED:
+        assert result.measured == PINNED[check_name]

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from switchlab.adversaries import (ConstantAdversary, OrthogonalAdversary,
-                                   ProductAdversary, SignAdversary,
-                                   StoppingAdversary, make_adversary)
+                                   ProductAdversary, SignAdversary, make_adversary)
 from switchlab.errors import UnsupportedConfigError
 from switchlab.game_core import GameConfig, play_game
 from switchlab.players import ConstantPlayer, MinibatchPlayer, RandomSwitchPlayer
@@ -81,36 +80,42 @@ def test_orthogonal_vs_minibatch_and_constant():
 
 # ---------------------------------------------------------------- stopping
 
+def _stopping(T, K, n=1, **kw):
+    return make_adversary("stopping", GameConfig(T, K, n, **kw))
+
+
 def test_stopping_tie_goes_positive():
-    adv = StoppingAdversary(GameConfig(100, 4, 1))
+    adv = _stopping(100, 4)
     assert adv.respond(np.array([0.0]), True)[0] == 1.0
 
 
 def test_stopping_negative_side():
-    adv = StoppingAdversary(GameConfig(100, 4, 1))
-    adv._core.running_W = 2.0
+    adv = _stopping(100, 4)
+    adv._cores[0].running_W = 2.0
     assert adv.respond(np.array([-0.5]), False)[0] == -1.0
 
 
 def test_stopping_latch():
-    adv = StoppingAdversary(GameConfig(100, 4, 1))
-    adv._core.running_W = 50.0
+    adv = _stopping(100, 4)
+    adv._cores[0].running_W = 50.0
     assert adv.respond(np.array([0.0]), False)[0] == 0.0
-    assert adv.stopped
+    assert adv._cores[0].stopped
     assert adv.respond(np.array([-1.0]), False)[0] == 0.0
 
 
 def test_stopping_running_sum_stays_bounded():
     cfg = GameConfig(200, 4, 1, seed=0)
-    adv = StoppingAdversary(cfg)
+    adv = make_adversary("stopping", cfg)
     traj = play_game(RandomSwitchPlayer(cfg), adv, cfg)
-    assert abs(adv.running_W) <= adv.threshold + 1.0
+    core = adv._cores[0]
+    assert abs(core.running_W) <= core.threshold + 1.0
     assert traj.regret >= 200 / (2 * math.sqrt(4)) - 1e-9
 
 
 def test_stopping_rejects_multidim():
-    with pytest.raises(UnsupportedConfigError):
-        StoppingAdversary(GameConfig(10, 2, 2))
+    for p in (2.0, math.inf):
+        with pytest.raises(UnsupportedConfigError):
+            _stopping(10, 2, 2, player_norm_p=p)
 
 
 def test_stopping_forced_regret_small_sweep():
@@ -118,7 +123,7 @@ def test_stopping_forced_regret_small_sweep():
         for K in (1, 2, 4, 16):
             for seed in range(20):
                 cfg = GameConfig(T, K, 1, seed=seed)
-                traj = play_game(RandomSwitchPlayer(cfg), StoppingAdversary(cfg), cfg)
+                traj = play_game(RandomSwitchPlayer(cfg), make_adversary("stopping", cfg), cfg)
                 assert traj.regret >= T / (2 * math.sqrt(K)) - 1e-9
 
 
@@ -159,10 +164,10 @@ def test_product_coordinates_independent():
 
 
 def test_product_n1_equals_stopping():
-    cfg = GameConfig(50, 4, 1, seed=3)
-    t1 = play_game(RandomSwitchPlayer(cfg), ProductAdversary(cfg), cfg)
-    t2 = play_game(RandomSwitchPlayer(cfg), StoppingAdversary(cfg), cfg)
-    assert t1.regret == pytest.approx(t2.regret)
+    # "stopping" is the id of the one-coordinate product adversary
+    for p in (2.0, math.inf):
+        adv = _stopping(50, 4, player_norm_p=p)
+        assert type(adv) is ProductAdversary and len(adv._cores) == 1
 
 
 def test_product_requires_linf_pairing_beyond_1d():
@@ -187,7 +192,7 @@ def test_all_emissions_respect_ball_exactly():
     cases = [
         (OrthogonalAdversary(cfg2), cfg2),
         (ProductAdversary(cfginf), cfginf),
-        (StoppingAdversary(cfg1), cfg1),
+        (make_adversary("stopping", cfg1), cfg1),
         (SignAdversary(cfg1), cfg1),
         (ConstantAdversary(cfg2, [0.6, 0.8]), cfg2),
     ]

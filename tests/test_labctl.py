@@ -36,6 +36,28 @@ def test_spec_validation_rejects_bad_input():
         _spec(format="xml")
 
 
+def test_integer_keys_reject_non_integers():
+    # these used to be truncated silently (10.5 -> 10, true -> 1)
+    simulate = {"mode": "simulate", "sweep": {"T": [20], "K": [2], "n": [1]}}
+    fugal = {"mode": "fugal", "sweep": {"K": [3]}}
+    oracle = {"mode": "oracle", "sweep": {"T": [4], "K": [2]}}
+    cases = [(simulate, "sweep", {"T": [20, 10.5], "K": [2], "n": [1]}, "sweep.T"),
+             (simulate, "sweep", {"T": [20], "K": [2.9], "n": [1]}, "sweep.K"),
+             (simulate, "sweep", {"T": [20], "K": [2], "n": [True]}, "sweep.n"),
+             (simulate, "seed", 1.7, "seed"),
+             (simulate, "repetitions", 2.2, "repetitions"),
+             (simulate, "repetitions", "2", "repetitions"),
+             (fugal, "resolution", 2000.9, "resolution"),
+             (fugal, "seed", False, "seed"),
+             (oracle, "x_grid", 41.5, "x_grid"),
+             (oracle, "x_grid", None, "x_grid")]
+    for base, key, value, name in cases:
+        with pytest.raises(ValueError, match=name):
+            ExperimentSpec.from_dict(dict(base, **{key: value}))
+    spec = ExperimentSpec.from_dict(dict(simulate, seed=3.0, repetitions=2))
+    assert (spec.seed, spec.repetitions) == (3, 2) and type(spec.seed) is int
+
+
 def test_simulate_rejects_resolution():
     with pytest.raises(ValueError, match="resolution"):
         _spec(resolution=7)

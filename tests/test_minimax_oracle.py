@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -81,6 +82,19 @@ def test_closed_form_regret_values():
     assert abs(R(3) / SQRT3 - SQRT3 / 2.0) <= 1e-12
     with pytest.raises(ValueError):
         R(0)
+
+
+def test_closed_form_regret_exact_and_finite_at_large_K():
+    # exact rational R(K), correctly rounded once; the float conversion of
+    # 2**K used to overflow from K = 1020 on
+    R = mo.unconstrained_regret_closed_form
+    for K in (1, 2, 7, 64, 255, 500, 1001, 1018, 1019):
+        m = K if K % 2 == 0 else K - 1
+        exact = Fraction(K * math.comb(m, m // 2), 2 ** m)
+        assert R(K) == float(exact)
+    for K in (1020, 1024, 2048):
+        assert math.isfinite(R(K))
+        assert R(K) <= math.sqrt(2.0 * K / math.pi)
 
 
 def test_tk_inequality_examples():

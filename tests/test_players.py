@@ -5,7 +5,7 @@ import pytest
 
 from switchlab import fugal_engine as fe
 from switchlab.adversaries import (Adversary, ConstantAdversary, SignAdversary,
-                                   StoppingAdversary)
+                                   make_adversary)
 from switchlab.errors import PolicyMissingError, UnsupportedConfigError
 from switchlab.game_core import GameConfig, play_game
 from switchlab.players import (ConstantPlayer, FugalPlayer, HalfSplitPlayer,
@@ -71,7 +71,7 @@ def test_minibatch_bound_against_adaptive_adversaries():
     for T, K in ((100, 4), (100, 10), (60, 60)):
         cfg = GameConfig(T, K, 1)
         bound = 2.0 * math.ceil(T / K) * math.sqrt(K)
-        for adv in (StoppingAdversary(cfg), SignAdversary(cfg, variant="action"),
+        for adv in (make_adversary("stopping", cfg), SignAdversary(cfg, variant="action"),
                     SignAdversary(cfg, variant="bias")):
             traj = play_game(MinibatchPlayer(cfg), adv, cfg)
             assert traj.regret <= bound + 1e-9
