@@ -147,18 +147,6 @@ class ResultRow:
         return {c: getattr(self, c) for c in RESULT_COLUMNS}
 
 
-def minimax_bounds(T: int, K: int, n: int, player_norm: float) -> tuple[float, float]:
-    """Minimax sandwich for the sweep cell: 1-d uses the sqrt(2K) constant,
-    the L2 ball uses sqrt(K), and the Linf box scales the 1-d pair by n."""
-    one_d_upper = math.ceil(T / K) * min(math.sqrt(2.0 * (K + 1) / math.pi),
-                                         math.sqrt(K))
-    if n == 1:
-        return T / math.sqrt(2.0 * K), one_d_upper
-    if player_norm == 2:
-        return T / math.sqrt(K), math.ceil(T / K) * math.sqrt(K)
-    return n * T / math.sqrt(2.0 * K), n * one_d_upper
-
-
 def _simulate_cell(spec: ExperimentSpec, T: int, K: int, n: int, rep: int) -> ResultRow:
     seed = spec.seed + rep
     cfg = GameConfig(horizon_T=T, budget_K=K, dimension_n=n,
@@ -177,7 +165,7 @@ def _simulate_cell(spec: ExperimentSpec, T: int, K: int, n: int, rep: int) -> Re
         except BudgetViolationError:
             regret = math.nan
             switches = K
-    lower, upper = minimax_bounds(T, K, n, spec.player_norm)
+    lower, upper = mo.minimax_sandwich(T, K, n, spec.player_norm)
     normalized = regret * math.sqrt(K) / T
     within = bool(lower <= regret <= upper) if math.isfinite(regret) else False
     return ResultRow(T=T, K=K, n=n, player_id=spec.player_id,
@@ -290,19 +278,12 @@ def main(argv: list[str] | None = None) -> int:
     vp.add_argument("--only", default=None)
     args = parser.parse_args(argv)
 
-    if args.mode == "verify":
-        only, out = args.only, args.out
-        if args.config:
-            spec = _load_spec(args.config)
-            only = only or spec.only
-            out = out or spec.out
-        return run_verify(only=only, out=out)
-
-    spec = _load_spec(args.config)
-    if args.out:
-        spec.out = args.out
+    spec = _load_spec(args.config) if args.config else ExperimentSpec(mode="verify")
     if spec.mode != args.mode:
         raise ValueError(f"config mode {spec.mode!r} does not match command {args.mode!r}")
+    spec.out = args.out or spec.out
+    if args.mode == "verify":
+        return run_verify(only=args.only or spec.only, out=spec.out)
     if args.mode == "simulate":
         rows = run_simulate(spec)
         out = spec.out or "simulate_rows.csv"

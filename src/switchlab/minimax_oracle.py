@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
+from .fugal_engine import quadratic_floor
 
 MAX_HORIZON = 12
 MAX_STATES = 10 ** 8
@@ -75,14 +76,24 @@ class OracleReport:
         return self.config.grid_slack
 
 
-def minimax_sandwich(T: int, K: int, Z: float = 0.0) -> tuple[float, float]:
-    """Bias-aware sandwich: T*a_K(0) <= R_K(T, 0) <= ceil(T/K) R(K), where
-    a_K(0) is the quadratic-floor value at the origin (1 for K=1, 1/sqrt(2K)
-    beyond); max(., |Z|) below and +|Z| above extend it to nonzero bias."""
-    from .fugal_engine import quadratic_floor
+def minimax_sandwich(T: int, K: int, n: int = 1, p: float = 2.0,
+                     Z: float = 0.0) -> tuple[float, float]:
+    """Sandwich on the minimax regret V of T rounds with fewer than K
+    switches, for the player's L_p ball in n dimensions:
+
+        1-d:         max(T a_K(0), |Z|) <= V <= |Z| + ceil(T/K) R(K),
+        L2, n >= 2:  T/sqrt(K)          <= V <= ceil(T/K) sqrt(K),
+        Linf box:    n times the 1-d pair (the coordinates decouple),
+
+    where a_K(0) is the quadratic-floor value at the origin (1 for K=1,
+    1/sqrt(2K) beyond) and Z is the initial bias of each coordinate."""
+    if n > 1 and p == 2:
+        if Z:
+            raise ValueError("the L2 sandwich has no bias term")
+        return T / math.sqrt(K), math.ceil(T / K) * math.sqrt(K)
     lower = max(T * quadratic_floor(K, 0.0), abs(Z))
     upper = abs(Z) + math.ceil(T / K) * unconstrained_regret_closed_form(K)
-    return lower, upper
+    return n * lower, n * upper
 
 
 def _root_values(T: int, K: int, X: np.ndarray, Z: float, denom: int,
@@ -128,7 +139,8 @@ def exact_minimax_1d(cfg: OracleConfig) -> OracleReport:
     X = np.linspace(-1.0, 1.0, cfg.x_grid)
     root = _root_values(cfg.horizon_T, cfg.budget_K, X, cfg.initial_bias_Z, 1, (-1, 1))
     idx = int(np.argmin(root))
-    lower, upper = minimax_sandwich(cfg.horizon_T, cfg.budget_K, cfg.initial_bias_Z)
+    lower, upper = minimax_sandwich(cfg.horizon_T, cfg.budget_K,
+                                    Z=cfg.initial_bias_Z)
     return OracleReport(value=float(root[idx]), config=cfg,
                         witness_first_action=float(X[idx]),
                         bound_lower=lower, bound_upper=upper)
@@ -161,11 +173,13 @@ def unconstrained_regret_closed_form(K: int) -> float:
     return K * math.comb(K - 1, (K - 1) // 2) / 2 ** (K - 1)
 
 
-def tk_inequality_check(T: int, K: int) -> bool:
-    """Whether ceil(T/K) <= 2T / sqrt(K(K+1)) (true for all 1 <= K <= T)."""
-    if not 1 <= K <= T:
+def tk_inequality_check(T: int, K: int | np.ndarray) -> bool:
+    """Whether ceil(T/K) <= 2T / sqrt(K(K+1)) for K an int or an integer
+    array (true for all 1 <= K <= T)."""
+    K = np.asarray(K)
+    if np.any(K < 1) or np.any(K > T):
         raise ValueError("need 1 <= K <= T")
-    return -(-T // K) <= 2.0 * T / math.sqrt(K * (K + 1.0))
+    return bool(np.all(-(-T // K) <= 2.0 * T / np.sqrt(K * (K + 1.0))))
 
 
 def write_oracle_csv(reports: list[OracleReport], path: str) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from . import fugal_engine as fe
 from . import minimax_oracle as mo
 from .adversaries import Adversary, ConstantAdversary, make_adversary
-from .errors import CapacityError
+from .errors import CapacityError, UnsupportedConfigError
 from .game_core import INF, GameConfig, Trajectory, dual_norm, play_game
 from .players import HalfSplitPlayer, FugalPlayer, make_player
 
@@ -40,10 +40,6 @@ class CheckResult:
     tolerance: dict
     elapsed_s: float
     failures: list[str] = field(default_factory=list)
-
-    @property
-    def tag(self) -> str:
-        return self.check_name.split(".", 1)[0]
 
     def to_report_dict(self) -> dict:
         return {
@@ -75,8 +71,10 @@ def _all_sign_sequences(T: int) -> np.ndarray:
 
 
 def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, Trajectory]:
-    """Max regret of a player over every +-1 loss sequence (T <= 16)."""
+    """Max regret of a player over every +-1 loss sequence (n = 1, T <= 16)."""
     T = config.horizon_T
+    if config.dimension_n != 1:
+        raise UnsupportedConfigError("exhaustive sign sweep is one-dimensional")
     if T > 16:
         raise CapacityError("exhaustive sign sweep supports T <= 16")
     worst = -math.inf
@@ -426,14 +424,10 @@ def check_linf_decomposition():
     T = 1000
     cells = [(n, T, K, n * T / (2.0 * math.sqrt(K))) for n in (2, 3) for K in (4, 16)]
     min_margin, _, failures = _forced_regret("product", cells, INF, 1e-9)
-    tk_ok = True
-    for T_ in range(1, 1001):
-        Ks = np.arange(1, T_ + 1)
-        ceils = -(-T_ // Ks)
-        if not np.all(ceils <= 2.0 * T_ / np.sqrt(Ks * (Ks + 1.0))):
-            tk_ok = False
-            failures.append(f"ceil(T/K) bound fails at T={T_}")
-    measured = {"min_regret_margin": min_margin, "tk_inequality_all": tk_ok}
+    bad_T = [T_ for T_ in range(1, 1001)
+             if not mo.tk_inequality_check(T_, np.arange(1, T_ + 1))]
+    failures += [f"ceil(T/K) bound fails at T={T_}" for T_ in bad_T]
+    measured = {"min_regret_margin": min_margin, "tk_inequality_all": not bad_T}
     expected = {"min_regret_margin": ">= 0", "tk_inequality_all": True}
     tol = {"regret": 1e-9}
     return measured, expected, tol, failures

@@ -5,7 +5,12 @@ import math
 import pytest
 
 from switchlab import labctl, verify
-from switchlab.labctl import ExperimentSpec, run_simulate, minimax_bounds, write_rows
+from switchlab import fugal_engine as fe
+from switchlab import minimax_oracle as mo
+from switchlab.errors import UnsupportedConfigError
+from switchlab.game_core import GameConfig
+from switchlab.labctl import ExperimentSpec, run_simulate, write_rows
+from switchlab.players import make_player
 
 
 def _spec(**over):
@@ -110,14 +115,38 @@ def test_simulate_rejects_only():
 
 
 def test_minimax_bounds_cases():
-    lo, hi = minimax_bounds(100, 4, 1, 2.0)
-    assert lo == pytest.approx(100 / math.sqrt(8))
-    assert hi == pytest.approx(25 * min(math.sqrt(10 / math.pi), 2.0))
-    lo, hi = minimax_bounds(100, 4, 3, 2.0)
-    assert lo == pytest.approx(50.0)
-    assert hi == pytest.approx(50.0)
-    lo, hi = minimax_bounds(100, 4, 3, math.inf)
-    assert lo == pytest.approx(3 * 100 / math.sqrt(8))
+    T, K = 100, 4
+    one_d = (100 * fe.quadratic_floor(4, 0.0), 25 * mo.unconstrained_regret_closed_form(4))
+    assert one_d[1] == 37.5
+    assert mo.minimax_sandwich(T, K) == one_d
+    assert mo.minimax_sandwich(T, K, 3, 2.0) == (50.0, 50.0)
+    assert mo.minimax_sandwich(T, K, 3, math.inf) == (3 * one_d[0], 3 * one_d[1])
+    assert mo.minimax_sandwich(T, 1) == (T, T)
+    with pytest.raises(ValueError):
+        mo.minimax_sandwich(T, K, 3, 2.0, Z=1.0)
+
+
+def test_simulate_rows_carry_the_oracle_sandwich():
+    # simulate rows and the oracle read one formula, so their bounds agree
+    # bit for bit on every 1-d cell the oracle can solve
+    for T in range(1, 13):
+        for norm in ("2", "inf"):
+            spec = _spec(player_id="constant", adversary_id="zero", repetitions=1,
+                         sweep={"T": [T], "K": list(range(1, T + 1)), "n": [1]},
+                         player_norm=norm)
+            for r in run_simulate(spec):
+                rep = mo.exact_minimax_1d(mo.OracleConfig(T, r.K, x_grid=3))
+                assert (r.bound_lower, r.bound_upper) == (rep.bound_lower, rep.bound_upper)
+
+
+def test_exhaustive_sign_rejects_multidim():
+    spec = _spec(player_id="minibatch", adversary_id="exhaustive_sign",
+                 sweep={"T": [6], "K": [2], "n": [2]}, repetitions=1)
+    with pytest.raises(UnsupportedConfigError):
+        run_simulate(spec)
+    cfg = GameConfig(horizon_T=6, budget_K=2, dimension_n=3)
+    with pytest.raises(UnsupportedConfigError):
+        verify.worst_case_sign_regret(lambda: make_player("constant", cfg), cfg)
 
 
 def test_rows_are_consistent_and_sorted():
@@ -141,9 +170,11 @@ def test_simulate_reproducible_csv(tmp_path):
 
 
 def test_simulate_csv_bytes_are_pinned(tmp_path):
-    # sha256 of the CSV these sweeps wrote before the trajectory moved to
-    # columns: any change in how regret is summed (einsum, a fused
-    # multiply-add, another order) moves a last bit and fails here
+    # sha256 of the CSV these sweeps write: any change in how regret is
+    # summed (einsum, a fused multiply-add, another order) moves a last bit
+    # and fails here.  Re-pinned when the rows moved to the oracle's
+    # sandwich, which changed only the bound_lower, bound_upper and
+    # within_bounds columns
     base = {"mode": "simulate", "repetitions": 2, "seed": 11}
     specs = [
         dict(base, sweep={"T": [37, 200], "K": [3, 8], "n": [1, 2, 3, 5]},
@@ -160,7 +191,7 @@ def test_simulate_csv_bytes_are_pinned(tmp_path):
     write_rows(rows, str(out), "csv")
     assert len(rows) == 59
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "51ad2708da2afe562aba43d275eb1e733ebcd98d8e8dd3e7b3e905daf4a993b2")
+        "b5c7e224561508b6f9f73c3b2faef271b03d17637cfe2a3a050e60da522f9620")
 
 
 def test_minibatch_vs_stopping_normalized_in_band():
@@ -228,6 +259,20 @@ def test_cli_main_end_to_end(tmp_path):
     }))
     assert labctl.main(["simulate", "--config", str(cfg)]) == 0
     assert (tmp_path / "rows.csv").exists()
+
+
+def test_verify_rejects_a_simulate_config(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "CHECKS", (("stub.ok", lambda: ran.append(1) or ({}, {}, {}, []),
+                                            None),))
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({
+        "mode": "simulate", "sweep": {"T": [10], "K": [2], "n": [1]},
+        "out": str(tmp_path / "rows2.csv"),
+    }))
+    with pytest.raises(ValueError, match="does not match"):
+        labctl.main(["verify", "--config", str(cfg)])
+    assert not ran and sorted(p.name for p in tmp_path.iterdir()) == ["sim.json"]
 
 
 def test_verify_reporting_shape():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from switchlab import minimax_oracle as mo
@@ -104,6 +105,14 @@ def test_tk_inequality_examples():
         assert mo.tk_inequality_check(T, T)
     with pytest.raises(ValueError):
         mo.tk_inequality_check(3, 4)
+
+
+def test_tk_inequality_over_arrays_of_K():
+    for T in range(1, 201):
+        assert mo.tk_inequality_check(T, np.arange(1, T + 1))
+        for bad in (np.arange(0, T + 1), np.arange(1, T + 2)):
+            with pytest.raises(ValueError):
+                mo.tk_inequality_check(T, bad)
 
 
 def test_capacity_and_config_validation():
