@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import UnsupportedConfigError
-from .game_core import GameConfig, norm_of
+from .game_core import BALL_SLACK, GameConfig, norm_of
 
 _ZERO_TOL = 1e-12
 
@@ -30,10 +30,8 @@ class ConstantAdversary(Adversary):
 
     def __init__(self, config: GameConfig, w: np.ndarray | float | None = None):
         n = config.dimension_n
-        if w is None:
-            w = np.zeros(n)
-        self._w = np.asarray(w, dtype=float).reshape(n) + 0.0
-        if norm_of(self._w, config.adversary_norm_q) > 1.0 + 1e-12:
+        self._w = np.zeros(n) if w is None else np.asarray(w, dtype=float).reshape(n) + 0.0
+        if norm_of(self._w, config.adversary_norm_q) > 1.0 + BALL_SLACK:
             raise ValueError("constant loss leaves the adversary ball")
         self._w.setflags(write=False)
 
@@ -42,13 +40,13 @@ class ConstantAdversary(Adversary):
 
 
 class SignAdversary(Adversary):
-    """1-d sign plays.
+    """1-d sign plays, +1 at zero.
 
-    variant="bias":   w_t = sign(Z + W_t) with +1 at zero, where W_t is the
-                      running sum of its own previous emissions; with a
-                      constant bias Z != 0 this reduces to always playing
-                      sign(Z).
-    variant="action": w_t = sign(x_t) with +1 at zero.
+    variant="bias":   w_t = sign(Z + W_t), where W_t is the running sum of
+                      its own previous emissions.  Each emission moves W_t
+                      away from zero towards sign(Z) (+1 at Z = 0), so Z + W_t
+                      never changes sign and the play is always sign(Z).
+    variant="action": w_t = sign(x_t).
     """
 
     def __init__(self, config: GameConfig, variant: str = "bias", bias_Z: float = 0.0):
@@ -58,16 +56,10 @@ class SignAdversary(Adversary):
             raise ValueError(f"unknown sign variant {variant!r}")
         self.variant = variant
         self.bias_Z = float(bias_Z)
-        self.running_W = 0.0
 
     def respond(self, player_x, is_moving):
-        if self.variant == "bias":
-            s = self.bias_Z + self.running_W
-        else:
-            s = float(player_x[0])
-        w = 1.0 if s >= 0 else -1.0
-        self.running_W += w
-        return np.array([w])
+        s = self.bias_Z if self.variant == "bias" else float(player_x[0])
+        return np.array([1.0 if s >= 0 else -1.0])
 
 
 class StoppingCore:
@@ -205,22 +197,23 @@ def _orthogonal_unit(x: np.ndarray, W: np.ndarray) -> np.ndarray:
     raise RuntimeError("no orthogonal direction found (unreachable for n > 2)")
 
 
-ADVERSARY_IDS = ("orthogonal", "stopping", "sign", "product", "constant", "zero")
+def stopping(config: GameConfig) -> ProductAdversary:
+    if config.dimension_n != 1:
+        raise UnsupportedConfigError("the stopping adversary is 1-d; use product for n > 1")
+    return ProductAdversary(config)
+
+
+def zero(config: GameConfig) -> ConstantAdversary:
+    return ConstantAdversary(config)
+
+
+#: each adversary id's constructor; its keyword arguments are the id's params
+ADVERSARIES = {"orthogonal": OrthogonalAdversary, "stopping": stopping, "sign": SignAdversary,
+               "product": ProductAdversary, "constant": ConstantAdversary, "zero": zero}
+ADVERSARY_IDS = tuple(ADVERSARIES)
 
 
 def make_adversary(adversary_id: str, config: GameConfig, params: dict | None = None) -> Adversary:
-    params = dict(params or {})
-    if adversary_id == "orthogonal":
-        return OrthogonalAdversary(config)
-    if adversary_id in ("stopping", "product"):
-        if adversary_id == "stopping" and config.dimension_n != 1:
-            raise UnsupportedConfigError("the stopping adversary is 1-d; use product for n > 1")
-        return ProductAdversary(config)
-    if adversary_id == "sign":
-        return SignAdversary(config, variant=params.get("variant", "bias"),
-                             bias_Z=params.get("bias_Z", 0.0))
-    if adversary_id == "constant":
-        return ConstantAdversary(config, w=params.get("w"))
-    if adversary_id == "zero":
-        return ConstantAdversary(config, w=None)
-    raise ValueError(f"unknown adversary id {adversary_id!r}")
+    if adversary_id not in ADVERSARIES:
+        raise ValueError(f"unknown adversary id {adversary_id!r}")
+    return ADVERSARIES[adversary_id](config, **(params or {}))

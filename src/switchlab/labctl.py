@@ -85,7 +85,7 @@ class ExperimentSpec:
     repetitions: int = 1
     seed: int = 0
     resolution: int = fe.DEFAULT_RESOLUTION
-    x_grid: int = 41
+    x_grid: int = mo.OracleConfig.x_grid
     out: str | None = None
     format: str = "csv"
     only: str | None = None
@@ -120,8 +120,12 @@ class ExperimentSpec:
             known = ADVERSARY_IDS + _PSEUDO_ADVERSARIES
             if self.adversary_id not in known:
                 raise ValueError(f"unknown adversary id {self.adversary_id!r}")
+            if self.adversary_id in _PSEUDO_ADVERSARIES and self.adversary_params:
+                raise ValueError(f"{self.adversary_id} takes no adversary_params")
         if self.mode == "oracle" and (not self.sweep_T or not self.sweep_K):
             raise ValueError("oracle needs sweep.T and sweep.K")
+        if self.mode == "fugal" and not self.sweep_K:
+            raise ValueError("fugal needs sweep.K")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
         if self.repetitions < 1:
@@ -203,7 +207,7 @@ def write_rows(rows: list[ResultRow], path: str, fmt: str) -> None:
 
 
 def run_fugal(spec: ExperimentSpec) -> tuple[str, str]:
-    K = max(spec.sweep_K) if spec.sweep_K else 4
+    K = max(spec.sweep_K)
     tables, policy = fe.u_k_solve(K, spec.resolution)
     out = spec.out or f"fugal_grid_K{K}_N{spec.resolution}.csv"
     policy_out = os.path.splitext(out)[0] + "_policy.json"

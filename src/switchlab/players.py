@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .errors import PolicyMissingError, UnsupportedConfigError
-from .game_core import INF, GameConfig, norm_of
+from .fugal_engine import DEFAULT_RESOLUTION, u_k_solve
+from .game_core import BALL_SLACK, INF, GameConfig, norm_of
 
 #: ball diameter / gradient bound behind the default mini-batch step size
 BALL_DIAMETER = 2.0
@@ -37,7 +38,7 @@ class ConstantPlayer(Player):
         if pt.ndim == 0:
             pt = np.full(n, float(pt))
         self._point = pt.reshape(n) + 0.0
-        if norm_of(self._point, config.player_norm_p) > 1.0 + 1e-12:
+        if norm_of(self._point, config.player_norm_p) > 1.0 + BALL_SLACK:
             raise ValueError("constant point lies outside the unit ball")
         self._point.setflags(write=False)
 
@@ -193,12 +194,12 @@ class RandomSwitchPlayer(Player):
     """Baseline that switches at uniformly drawn rounds to random in-ball points.
 
     Draws min(K-1, T-1) distinct switch rounds from {2..T} and one point per
-    segment, all from a generator seeded at construction, so trajectories
-    are reproducible.
+    segment, all from a generator seeded with ``config.seed``, so
+    trajectories are reproducible.
     """
 
-    def __init__(self, config: GameConfig, seed: int | None = None):
-        rng = np.random.default_rng(config.seed if seed is None else seed)
+    def __init__(self, config: GameConfig):
+        rng = np.random.default_rng(config.seed)
         T, K, n = config.horizon_T, config.budget_K, config.dimension_n
         n_switches = min(K - 1, T - 1)
         if n_switches > 0:
@@ -233,24 +234,20 @@ class RandomSwitchPlayer(Player):
         self._rounds_seen += 1
 
 
-PLAYER_IDS = ("constant", "minibatch", "halfsplit", "fugal", "random_switch")
+def fugal(config: GameConfig, policy=None, resolution: int = DEFAULT_RESOLUTION) -> FugalPlayer:
+    """Fugal player; solves the K-switch policy at ``resolution`` when none is given."""
+    if policy is None:
+        _, policy = u_k_solve(config.budget_K, int(resolution))
+    return FugalPlayer(config, policy)
+
+
+#: each player id's constructor; its keyword arguments are the id's params
+PLAYERS = {"constant": ConstantPlayer, "minibatch": MinibatchPlayer, "halfsplit": HalfSplitPlayer,
+           "fugal": fugal, "random_switch": RandomSwitchPlayer}
+PLAYER_IDS = tuple(PLAYERS)
 
 
 def make_player(player_id: str, config: GameConfig, params: dict | None = None) -> Player:
-    params = dict(params or {})
-    if player_id == "constant":
-        return ConstantPlayer(config, point=params.get("point", 0.0))
-    if player_id == "minibatch":
-        return MinibatchPlayer(config, step_size=params.get("step_size"))
-    if player_id == "halfsplit":
-        return HalfSplitPlayer(config)
-    if player_id == "random_switch":
-        return RandomSwitchPlayer(config, seed=params.get("seed"))
-    if player_id == "fugal":
-        policy = params.get("policy")
-        if policy is None:
-            from . import fugal_engine
-            resolution = int(params.get("resolution", fugal_engine.DEFAULT_RESOLUTION))
-            _, policy = fugal_engine.u_k_solve(config.budget_K, resolution)
-        return FugalPlayer(config, policy)
-    raise ValueError(f"unknown player id {player_id!r}")
+    if player_id not in PLAYERS:
+        raise ValueError(f"unknown player id {player_id!r}")
+    return PLAYERS[player_id](config, **(params or {}))

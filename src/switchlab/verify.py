@@ -87,13 +87,10 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
     return worst, worst_traj
 
 
-def _run(player_id: str, adversary_id: str, T: int, K: int, n: int = 1,
-         p: float = 2.0, seed: int = 0, player_params: dict | None = None,
+def _run(player_id: str, adversary_id: str, cfg: GameConfig,
          adversary_params: dict | None = None) -> Trajectory:
-    cfg = GameConfig(horizon_T=T, budget_K=K, dimension_n=n, player_norm_p=p, seed=seed)
-    player = make_player(player_id, cfg, player_params)
-    adversary = make_adversary(adversary_id, cfg, adversary_params)
-    return play_game(player, adversary, cfg)
+    return play_game(make_player(player_id, cfg),
+                     make_adversary(adversary_id, cfg, adversary_params), cfg)
 
 
 # ----------------------------------------------------------------------
@@ -191,16 +188,15 @@ def check_operator_closed_form():
 
 def _forced_regret(adversary_id: str, cells, p: float, tol: float):
     """Play the constant, minibatch and three random-switch players (game
-    seed = player seed) against one adversary on every (n, T, K, bound)
-    cell.  Returns the least regret - bound, the trajectories, and a
-    failure for each regret below bound - tol."""
+    seeds 0, 1, 2) against one adversary on every (n, T, K, bound) cell.
+    Returns the least regret - bound, the trajectories, and a failure for
+    each regret below bound - tol."""
     min_margin = math.inf
     trajectories, failures = [], []
     for n, T, K, bound in cells:
-        for pid, pparams in (("constant", {}), ("minibatch", {}),
-                             *(("random_switch", {"seed": s}) for s in range(3))):
-            traj = _run(pid, adversary_id, T, K, n=n, p=p,
-                        seed=pparams.get("seed", 0), player_params=pparams)
+        for pid, seed in (("constant", 0), ("minibatch", 0),
+                          *(("random_switch", s) for s in range(3))):
+            traj = _run(pid, adversary_id, GameConfig(T, K, n, p, seed))
             min_margin = min(min_margin, traj.regret - bound)
             if traj.regret < bound - tol:
                 failures.append(f"{adversary_id} vs {pid}: regret {traj.regret} < "
@@ -280,7 +276,7 @@ def check_upper_bounds():
                 # Linf box: coordinates decouple, per-coordinate OGD bound scales by n
                 cells.append((n, INF, "product", {}, float(n)))
             for n, p, aid, aparams, scale in cells:
-                traj = _run("minibatch", aid, T, K, n=n, p=p, adversary_params=aparams)
+                traj = _run("minibatch", aid, GameConfig(T, K, n, p), aparams)
                 bound = scale * 2.0 * math.ceil(T / K) * math.sqrt(K)
                 max_ratio = max(max_ratio, traj.regret / bound)
                 if traj.regret > bound + 1e-9:
@@ -458,8 +454,7 @@ def check_core_invariants():
     # leaves the regret unchanged
     for seed in range(10):
         T, K, n = 30, 4, 2
-        traj = _run("random_switch", "orthogonal", T, K, n=n, seed=seed,
-                    player_params={"seed": seed})
+        traj = _run("random_switch", "orthogonal", GameConfig(T, K, n, seed=seed))
         X, L = traj.rounds["action_x"], traj.rounds["loss_w"]
         recomputed = float(np.sum(L * X)) + dual_norm(L.sum(axis=0), 2.0)
         if abs(recomputed - traj.regret) > 1e-12:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from switchlab.adversaries import (ConstantAdversary, OrthogonalAdversary,
+from switchlab.adversaries import (ADVERSARIES, ConstantAdversary, OrthogonalAdversary,
                                    ProductAdversary, SignAdversary, make_adversary)
 from switchlab.errors import UnsupportedConfigError
 from switchlab.game_core import GameConfig, play_game
@@ -216,3 +216,10 @@ def test_make_adversary_ids():
         assert make_adversary(aid, cfg) is not None
     with pytest.raises(ValueError):
         make_adversary("nope", cfg)
+
+
+@pytest.mark.parametrize("aid, key", [*((aid, "varient") for aid in ADVERSARIES), ("zero", "w")])
+def test_make_adversary_rejects_unknown_params(aid, key):
+    # a misspelt param, or one the id does not read, is an error
+    with pytest.raises(TypeError, match=f"'{key}'"):
+        make_adversary(aid, GameConfig(6, 2, 1), {key: 1.0})

@@ -90,6 +90,29 @@ def test_fugal_rejects_fields_it_does_not_read():
             ExperimentSpec.from_dict(dict(base, sweep={"K": [3], key: [4]}))
 
 
+def test_fugal_needs_sweep_k():
+    with pytest.raises(ValueError, match="sweep.K"):
+        ExperimentSpec.from_dict({"mode": "fugal", "resolution": 500})
+
+
+def test_exhaustive_sign_takes_no_adversary_params():
+    with pytest.raises(ValueError, match="adversary_params"):
+        _spec(adversary_id="exhaustive_sign", sweep={"T": [6], "K": [2], "n": [1]},
+              adversary_params={"w": 0.3, "anything": 1})
+
+
+def test_simulate_rejects_unknown_player_params(tmp_path):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({
+        "mode": "simulate", "sweep": {"T": [10], "K": [2], "n": [1]},
+        "player_id": "minibatch", "player_params": {"stepsize": 0.5},
+        "adversary_id": "sign", "out": str(tmp_path / "rows.csv"),
+    }))
+    with pytest.raises(TypeError, match="'stepsize'"):
+        labctl.main(["simulate", "--config", str(cfg)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.json"]
+
+
 def test_oracle_rejects_fields_it_does_not_read():
     base = {"mode": "oracle", "sweep": {"T": [4], "K": [2], "Z": [0.0]}, "x_grid": 21}
     ExperimentSpec.from_dict(base)

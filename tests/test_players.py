@@ -8,7 +8,7 @@ from switchlab.adversaries import (Adversary, ConstantAdversary, SignAdversary,
                                    make_adversary)
 from switchlab.errors import PolicyMissingError, UnsupportedConfigError
 from switchlab.game_core import GameConfig, play_game
-from switchlab.players import (ConstantPlayer, FugalPlayer, HalfSplitPlayer,
+from switchlab.players import (PLAYERS, ConstantPlayer, FugalPlayer, HalfSplitPlayer,
                                MinibatchPlayer, RandomSwitchPlayer, make_player)
 
 
@@ -221,7 +221,7 @@ def test_switch_budget_invariant_randomized_adversaries():
         lambda: MinibatchPlayer(cfg2),
         lambda: HalfSplitPlayer(cfg2),
         lambda: FugalPlayer(cfg2, policy),
-        lambda: RandomSwitchPlayer(cfg2, seed=int(rng.integers(2 ** 31))),
+        lambda: RandomSwitchPlayer(GameConfig(T, 2, 1, seed=int(rng.integers(2 ** 31)))),
     ]
     for build in builders:
         for _ in range(1000):
@@ -236,3 +236,10 @@ def test_make_player_ids():
         assert make_player(pid, cfg) is not None
     with pytest.raises(ValueError):
         make_player("nope", cfg)
+
+
+@pytest.mark.parametrize("pid", list(PLAYERS))
+def test_make_player_rejects_unknown_params(pid):
+    # a misspelt param must not fall back to the default strategy
+    with pytest.raises(TypeError, match="'stepsize'"):
+        make_player(pid, GameConfig(6, 2, 1), {"stepsize": 0.5})
