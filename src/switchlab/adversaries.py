@@ -20,6 +20,12 @@ from .game_core import BALL_SLACK, GameConfig, norm_of
 _ZERO_TOL = 1e-12
 
 
+#: the 1-d losses -1 and +1, read-only; index ``s >= 0`` gives sign(s), +1 at 0
+SIGN_LOSSES = (np.array([-1.0]), np.array([1.0]))
+for _w in SIGN_LOSSES:
+    _w.setflags(write=False)
+
+
 class Adversary:
     def respond(self, player_x: np.ndarray, is_moving: bool) -> np.ndarray:
         raise NotImplementedError
@@ -42,11 +48,16 @@ class ConstantAdversary(Adversary):
 class SignAdversary(Adversary):
     """1-d sign plays, +1 at zero.
 
-    variant="bias":   w_t = sign(Z + W_t), where W_t is the running sum of
-                      its own previous emissions.  Each emission moves W_t
-                      away from zero towards sign(Z) (+1 at Z = 0), so Z + W_t
-                      never changes sign and the play is always sign(Z).
+    variant="bias":   the constant adversary with w = sign(bias_Z) (+1 at
+                      Z = 0), whatever the player does.  It stands for
+                      w_t = sign(Z + W_t) with W_t the running sum of its own
+                      emissions: each emission moves W_t towards sign(Z), so
+                      Z + W_t never changes sign.
     variant="action": w_t = sign(x_t).
+
+    Both variants answer from a pair of read-only losses fixed at
+    construction, ``(w if x_t < 0, w if x_t >= 0)``; the bias pair holds
+    one loss twice.
     """
 
     def __init__(self, config: GameConfig, variant: str = "bias", bias_Z: float = 0.0):
@@ -56,10 +67,13 @@ class SignAdversary(Adversary):
             raise ValueError(f"unknown sign variant {variant!r}")
         self.variant = variant
         self.bias_Z = float(bias_Z)
+        if variant == "bias":
+            self._by_sign = (SIGN_LOSSES[self.bias_Z >= 0],) * 2
+        else:
+            self._by_sign = SIGN_LOSSES
 
     def respond(self, player_x, is_moving):
-        s = self.bias_Z if self.variant == "bias" else float(player_x[0])
-        return np.array([1.0 if s >= 0 else -1.0])
+        return self._by_sign[float(player_x[0]) >= 0]
 
 
 class StoppingCore:

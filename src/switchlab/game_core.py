@@ -167,6 +167,21 @@ def count_switches(actions) -> int:
     return int(np.count_nonzero(_moving_mask(X))) - 1
 
 
+def decide_in_ball(player, n: int, p: float, t: int) -> np.ndarray:
+    """The player's round-t action as an n-vector; ``ValueError`` if it
+    leaves the unit p-ball."""
+    x = np.asarray(player.decide(), dtype=float).reshape(n)
+    if norm_of(x, p) > 1.0 + BALL_SLACK:
+        raise ValueError(f"round {t}: player action leaves the unit {p}-ball")
+    return x
+
+
+def budget_violation(t: int, switches: int, budget_K: int) -> BudgetViolationError:
+    """The error for a round-t move that is switch number ``switches``."""
+    return BudgetViolationError(f"round {t}: switch number {switches} with budget "
+                                f"K={budget_K}", round_index=t)
+
+
 def play_game(player, adversary, config: GameConfig) -> Trajectory:
     """Run the adaptive protocol for T rounds and return the trajectory.
 
@@ -187,16 +202,12 @@ def play_game(player, adversary, config: GameConfig) -> Trajectory:
 
     for i in range(config.horizon_T):
         t = i + 1
-        x = np.asarray(player.decide(), dtype=float).reshape(n)
-        if norm_of(x, p) > 1.0 + BALL_SLACK:
-            raise ValueError(f"round {t}: player action leaves the unit {p}-ball")
+        x = decide_in_ball(player, n, p, t)
         is_moving = i == 0 or bool((x != X[i - 1]).any())
         if is_moving and i > 0:
             switches += 1
             if switches >= config.budget_K:
-                raise BudgetViolationError(
-                    f"round {t}: switch number {switches} with budget "
-                    f"K={config.budget_K}", round_index=t)
+                raise budget_violation(t, switches, config.budget_K)
         X[i] = x
         w = np.asarray(adversary.respond(x, is_moving), dtype=float).reshape(n)
         if norm_of(w, q) > 1.0 + BALL_SLACK:

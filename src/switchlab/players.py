@@ -22,6 +22,13 @@ GRAD_BOUND = 1.0
 
 
 class Player:
+    """A player's state changes only by rebinding its attributes, never by
+    mutating their values in place, so ``copy.copy`` forks it: the copy
+    and the original go on independently from the same history, and
+    read-only data such as ``FugalPlayer.policy`` is shared.  The
+    exhaustive sign walk (``verify.worst_case_sign_regret``) relies on it.
+    """
+
     def decide(self) -> np.ndarray:
         raise NotImplementedError
 

@@ -9,6 +9,7 @@ are ``tag.short_name``; a ``--only TAG`` filter matches the tag prefix.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -17,9 +18,10 @@ import numpy as np
 
 from . import fugal_engine as fe
 from . import minimax_oracle as mo
-from .adversaries import Adversary, ConstantAdversary, make_adversary
+from .adversaries import SIGN_LOSSES, Adversary, ConstantAdversary, make_adversary
 from .errors import CapacityError, UnsupportedConfigError
-from .game_core import INF, GameConfig, Trajectory, dual_norm, play_game
+from .game_core import (INF, GameConfig, Trajectory, budget_violation, decide_in_ball,
+                        dual_norm, play_game)
 from .players import HalfSplitPlayer, FugalPlayer, make_player
 
 SQRT2 = math.sqrt(2.0)
@@ -71,20 +73,69 @@ def _all_sign_sequences(T: int) -> np.ndarray:
 
 
 def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, Trajectory]:
-    """Max regret of a player over every +-1 loss sequence (n = 1, T <= 16)."""
+    """Max regret of a player over every +-1 loss sequence (n = 1, T <= 16).
+
+    A depth-first walk of the sign tree.  Each node plays one round with
+    the checks of ``play_game`` (ball, exact-``!=`` moving flag, switch
+    budget), and the player is forked with ``copy.copy`` for the w = -1
+    child (the ``Player`` contract), so a shared prefix is played once:
+    about 2^(T+1) rounds in place of T*2^T.  The result is that of playing
+    the 2^T sequences one by one in code order, where sequence c has
+    round t's loss at bit t-1 (set for +1): among equal regrets the
+    smallest code wins, and when sequences raise, the error of the
+    smallest such code is raised.
+    """
     T = config.horizon_T
     if config.dimension_n != 1:
         raise UnsupportedConfigError("exhaustive sign sweep is one-dimensional")
     if T > 16:
         raise CapacityError("exhaustive sign sweep supports T <= 16")
-    worst = -math.inf
-    worst_traj = None
-    for seq in _all_sign_sequences(T):
-        traj = play_game(player_factory(), _ReplayAdversary(seq), config)
-        if traj.regret > worst:
-            worst = traj.regret
-            worst_traj = traj
-    return worst, worst_traj
+    K, p = config.budget_K, config.player_norm_p
+    actions = [0.0] * T
+    worst = [-math.inf, 0, None]  # regret, code and actions of the worst sequence
+    error = [math.inf, None]      # code and exception of the first failing sequence
+
+    def fail(code, exc):
+        # deferred, never dropped: the branch is cut and the error of the
+        # smallest failing code is raised once the walk ends
+        if code < error[0]:
+            error[:] = code, exc
+
+    def walk(player, i, code, payoff, W, switches):
+        t = i + 1
+        try:
+            x = float(decide_in_ball(player, 1, p, t)[0])
+            if i > 0 and x != actions[i - 1]:
+                switches += 1
+                if switches >= K:
+                    raise budget_violation(t, switches, K)
+        except Exception as exc:
+            return fail(code, exc)
+        actions[i] = x
+        for w, loss in zip((-1.0, 1.0), SIGN_LOSSES):
+            child, c = (copy.copy(player), code) if w < 0 else (player, code | 1 << i)
+            try:
+                child.observe(loss)
+            except Exception as exc:
+                fail(c, exc)
+                continue
+            # np.dot of one +-1 entry is the exact product, so this is the
+            # sequential sum of Trajectory.from_columns, bit for bit
+            s = payoff + w * x
+            if t < T:
+                walk(child, t, c, s, W + w, switches)
+                continue
+            regret = s + abs(W + w)  # |W| is either dual norm of an integer W
+            if regret > worst[0] or regret == worst[0] and c < worst[1]:
+                worst[:] = regret, c, list(actions)
+
+    walk(player_factory(), 0, 0, 0.0, 0.0, 0)
+    if error[1] is not None:
+        raise error[1]
+    code = worst[1]
+    traj = Trajectory.from_columns(config, worst[2],
+                                   [1.0 if code >> i & 1 else -1.0 for i in range(T)])
+    return traj.regret, traj
 
 
 def _run(player_id: str, adversary_id: str, cfg: GameConfig,

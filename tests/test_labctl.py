@@ -2,15 +2,16 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from switchlab import labctl, verify
 from switchlab import fugal_engine as fe
 from switchlab import minimax_oracle as mo
-from switchlab.errors import UnsupportedConfigError
-from switchlab.game_core import GameConfig
+from switchlab.errors import BudgetViolationError, CapacityError, UnsupportedConfigError
+from switchlab.game_core import GameConfig, play_game
 from switchlab.labctl import ExperimentSpec, run_simulate, write_rows
-from switchlab.players import make_player
+from switchlab.players import PLAYERS, Player, make_player
 
 
 def _spec(**over):
@@ -335,3 +336,132 @@ def test_verify_cli_writes_report(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert report[0]["check_name"] == "stub.ok"
     assert report[0]["status"] == "pass"
+
+
+# ------------------------------------------------- exhaustive sign walk
+
+def _reference_worst_sign_regret(player_factory, config):
+    """The replay the sign-tree walk replaced: every +-1 sequence, in code
+    order (round t at bit t-1), played from round 1 through play_game by a
+    fresh player; the first maximum wins."""
+    worst, worst_traj = -math.inf, None
+    for seq in verify._all_sign_sequences(config.horizon_T):
+        traj = play_game(player_factory(), verify._ReplayAdversary(seq), config)
+        if traj.regret > worst:
+            worst, worst_traj = traj.regret, traj
+    return worst, worst_traj
+
+
+def _factory(player_id, cfg):
+    params = {"resolution": 300} if player_id == "fugal" else None
+    return lambda: make_player(player_id, cfg, params)
+
+
+def _parity_cases(player_id):
+    """Every T <= 9 with every K <= 4 the player supports and both norms;
+    then the sweep's T = 10 and 12 at the largest such K, in the L2 ball
+    and, for the random player (whose draws depend on the norm), the Linf
+    box too.  Every T <= 12 at every K and norm takes ~75 s on a 2-core
+    host."""
+    Ks = [2] if player_id == "halfsplit" else [1, 2, 3, 4]
+    for T in (*range(1, 11), 12):
+        for K in (k for k in Ks if k <= T):
+            for p in (2.0, math.inf):
+                if T <= 9 or K == Ks[-1] and (p == 2.0 or player_id == "random_switch"):
+                    yield GameConfig(T, K, 1, p, seed=T + K)
+
+
+@pytest.mark.parametrize("player_id", PLAYERS)
+def test_sign_walk_equals_the_replay(player_id):
+    # constant (point 0: every sequence with the same |W| ties) and halfsplit
+    # are tie-heavy, and a fork that shared mutable state would move the
+    # stateful and random players off the replay
+    for cfg in _parity_cases(player_id):
+        regret, traj = verify.worst_case_sign_regret(_factory(player_id, cfg), cfg)
+        ref_regret, ref = _reference_worst_sign_regret(_factory(player_id, cfg), cfg)
+        where = (cfg.horizon_T, cfg.budget_K, cfg.player_norm_p)
+        assert regret == ref_regret, where
+        assert np.array_equal(traj.rounds["loss_w"], ref.rounds["loss_w"]), where
+        assert traj.switch_count == ref.switch_count, where
+        assert np.array_equal(traj.rounds["action_x"], ref.rounds["action_x"]), where
+
+
+class _MovesAfter(Player):
+    """Plays 0, and moves by ``step`` in the round after each loss equal to
+    ``sign``; state is rebound only, so copy.copy forks it."""
+
+    def __init__(self, sign: float, step: float, calls: list | None = None):
+        self._sign, self._step, self._x = sign, step, 0.0
+        self.calls = calls  # shared by every fork, to count rounds
+
+    def decide(self):
+        if self.calls is not None:
+            self.calls[0] += 1
+        return np.array([self._x])
+
+    def observe(self, loss_w):
+        if self.calls is not None:
+            self.calls[1] += 1
+        if float(loss_w[0]) == self._sign:
+            self._x = self._x + self._step
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as err:
+        fn(*args)
+    return err.value
+
+
+def test_sign_walk_raises_the_replays_budget_violation():
+    # moving after a +1 first fails, in walk order, on the prefix (-1, +1)
+    # at round 3, but the replay's first failing sequence, code 1, fails at
+    # round 2; moving after a -1 fails first on the all -1 branch
+    for sign in (-1.0, 1.0):
+        for T in range(4, 8):
+            for K in (1, 2, 3):
+                cfg = GameConfig(T, K, 1)
+                factory = lambda: _MovesAfter(sign, 0.25)
+                walk = _raised(verify.worst_case_sign_regret, factory, cfg)
+                ref = _raised(_reference_worst_sign_regret, factory, cfg)
+                assert type(walk) is type(ref) is BudgetViolationError
+                assert (walk.round_index, str(walk)) == (ref.round_index, str(ref))
+    cfg = GameConfig(3, 1, 1)
+    assert _raised(verify.worst_case_sign_regret, lambda: _MovesAfter(1.0, 0.25),
+                   cfg).round_index == 2
+
+
+def test_sign_walk_raises_the_replays_ball_error():
+    # the second point, 2.0, leaves the ball; only branches holding a loss
+    # equal to ``sign`` before the last round reach it
+    for sign in (-1.0, 1.0):
+        for T in range(2, 8):
+            for p in (2.0, math.inf):
+                cfg = GameConfig(T, T, 1, p)
+                factory = lambda: _MovesAfter(sign, 2.0)
+                walk = _raised(verify.worst_case_sign_regret, factory, cfg)
+                ref = _raised(_reference_worst_sign_regret, factory, cfg)
+                assert type(walk) is type(ref) is ValueError
+                assert str(walk) == str(ref)
+                assert "leaves the unit" in str(walk)
+
+
+def test_sign_walk_caps_the_horizon():
+    cfg = GameConfig(17, 2, 1)
+    with pytest.raises(CapacityError):
+        verify.worst_case_sign_regret(lambda: make_player("constant", cfg), cfg)
+    with pytest.raises(CapacityError):
+        run_simulate(_spec(player_id="minibatch", adversary_id="exhaustive_sign",
+                           sweep={"T": [17], "K": [2], "n": [1]}, repetitions=1))
+
+
+def test_sign_walk_plays_each_prefix_once():
+    # one player from the factory; 2^T - 1 decides (one per inner node of
+    # the sign tree) and 2^(T+1) - 2 observes (one per edge)
+    T = 10
+    cfg = GameConfig(T, 3, 1)
+    calls, made = [0, 0], []
+    regret, traj = verify.worst_case_sign_regret(
+        lambda: made.append(1) or _MovesAfter(1.0, 0.0, calls), cfg)
+    assert made == [1]
+    assert calls == [2 ** T - 1, 2 ** (T + 1) - 2]
+    assert regret == traj.regret == T
