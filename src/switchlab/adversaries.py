@@ -1,11 +1,14 @@
 """Adversary strategies that realize the regret lower bounds.
 
-Every adversary is a self-contained state machine with one method,
-``respond(player_x, is_moving) -> w``.  The moving flag is computed by the
-game engine from exact action equality and passed in; adversaries never
-re-derive it.  One instance serves one game.
+Every adversary has one method, ``respond(player_x, is_moving, W) -> w``.
+The game engine (``game_core.play_game``) derives the moving flag from
+exact action equality and keeps W, the read-only sum of the losses before
+this round; adversaries never re-derive either.  One instance serves one
+game.
 
 The id "stopping" is the one-coordinate product adversary (n = 1 only).
+The exhaustive sign search over every +-1 sequence is not an adversary
+here: it is ``game_core.worst_case_sign_regret``.
 """
 
 from __future__ import annotations
@@ -15,19 +18,13 @@ import math
 import numpy as np
 
 from .errors import UnsupportedConfigError
-from .game_core import BALL_SLACK, GameConfig, norm_of
+from .game_core import BALL_SLACK, SIGN_LOSSES, GameConfig, norm_of
 
 _ZERO_TOL = 1e-12
 
 
-#: the 1-d losses -1 and +1, read-only; index ``s >= 0`` gives sign(s), +1 at 0
-SIGN_LOSSES = (np.array([-1.0]), np.array([1.0]))
-for _w in SIGN_LOSSES:
-    _w.setflags(write=False)
-
-
 class Adversary:
-    def respond(self, player_x: np.ndarray, is_moving: bool) -> np.ndarray:
+    def respond(self, player_x: np.ndarray, is_moving: bool, W: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -41,7 +38,7 @@ class ConstantAdversary(Adversary):
             raise ValueError("constant loss leaves the adversary ball")
         self._w.setflags(write=False)
 
-    def respond(self, player_x, is_moving):
+    def respond(self, player_x, is_moving, W):
         return self._w
 
 
@@ -50,9 +47,9 @@ class SignAdversary(Adversary):
 
     variant="bias":   the constant adversary with w = sign(bias_Z) (+1 at
                       Z = 0), whatever the player does.  It stands for
-                      w_t = sign(Z + W_t) with W_t the running sum of its own
-                      emissions: each emission moves W_t towards sign(Z), so
-                      Z + W_t never changes sign.
+                      w_t = sign(Z + W_t) with W_t the loss sum before round
+                      t: each emission moves W_t towards sign(Z), so Z + W_t
+                      never changes sign.
     variant="action": w_t = sign(x_t).
 
     Both variants answer from a pair of read-only losses fixed at
@@ -72,67 +69,46 @@ class SignAdversary(Adversary):
         else:
             self._by_sign = SIGN_LOSSES
 
-    def respond(self, player_x, is_moving):
+    def respond(self, player_x, is_moving, W):
         return self._by_sign[float(player_x[0]) >= 0]
 
 
-class StoppingCore:
-    """1-d lower-bound adversary with a stopping condition, one coordinate.
-
-    Let W_t be the sum of its previous emissions.  Once |W_t| >= T/sqrt(K)
-    it latches and plays 0 forever, freezing the accumulated regret.
-    Before that it plays +1 when x_t >= -W_t*sqrt(K)/T (ties resolve to +1)
-    and -1 otherwise.  Forces regret >= T/(2 sqrt(K)) against any feasible
-    player.
-    """
-
-    def __init__(self, horizon_T: int, budget_K: int):
-        self.threshold = horizon_T / math.sqrt(budget_K)
-        self._slope = math.sqrt(budget_K) / horizon_T
-        self.running_W = 0.0
-        self.stopped = False
-
-    def step(self, x: float) -> float:
-        if self.stopped or abs(self.running_W) >= self.threshold:
-            self.stopped = True
-            return 0.0
-        w = 1.0 if x >= -self.running_W * self._slope else -1.0
-        self.running_W += w
-        return w
-
-
 class ProductAdversary(Adversary):
-    """Coordinate-product adversary for the Linf pairing.
+    """Lower-bound adversary with a stopping condition, one per coordinate.
 
-    Runs one independent stopping core per coordinate; coordinate j of the
-    emission is the 1-d response to player_x[j].  Since the Linf game's
-    regret decomposes coordinatewise (L1 dual norm), it forces regret
-    >= n*T/(2 sqrt(K)).
+    In coordinate j, once |W_j| >= T/sqrt(K) it plays 0, so W_j and the
+    accumulated regret freeze there.  Before that it plays +1 when
+    x_j >= -W_j*sqrt(K)/T (ties resolve to +1) and -1 otherwise.  In one
+    dimension (the id "stopping") this forces regret >= T/(2 sqrt(K))
+    against any feasible player.  Since the Linf game's regret decomposes
+    coordinatewise (L1 dual norm), n coordinates force >= n*T/(2 sqrt(K)).
     """
 
     def __init__(self, config: GameConfig):
         if config.dimension_n > 1 and config.adversary_norm_q != math.inf:
             raise UnsupportedConfigError(
                 "product adversary needs the Linf pairing for n > 1")
-        self._cores = [StoppingCore(config.horizon_T, config.budget_K)
-                       for _ in range(config.dimension_n)]
+        self._threshold = config.horizon_T / math.sqrt(config.budget_K)
+        self._slope = math.sqrt(config.budget_K) / config.horizon_T
 
-    def respond(self, player_x, is_moving):
-        return np.array([core.step(float(player_x[j]))
-                         for j, core in enumerate(self._cores)])
+    def respond(self, player_x, is_moving, W):
+        threshold, slope = self._threshold, self._slope
+        return np.array([0.0 if abs(Wj) >= threshold else 1.0 if x >= -Wj * slope else -1.0
+                         for x, Wj in zip(player_x.tolist(), W.tolist())])
 
 
 class OrthogonalAdversary(Adversary):
     """Unit-L2 adversary that copies the player's switching pattern (n >= 2).
 
     On a moving round it emits a unit vector w with w.player_x >= 0 and
-    w.running_W >= 0, built so both inner products are exactly 0:
+    w.W >= 0 (W the loss sum before this round), built so both inner
+    products are exactly 0:
 
       * n > 2: Gram-Schmidt a unit vector orthogonal to both player_x and
-        the running loss sum (first standard basis vector with a nonzero
-        residual; sign fixed so the last nonzero coordinate is positive);
-      * n = 2: the +90-degree rotation of the running sum, normalized, with
-        the sign flipped if needed so w.player_x >= 0;
+        W (first standard basis vector with a nonzero residual; sign fixed
+        so the last nonzero coordinate is positive);
+      * n = 2: the +90-degree rotation of W, normalized, with the sign
+        flipped if needed so w.player_x >= 0;
       * degenerate: both vectors zero -> e1; exactly one zero -> a unit
         vector orthogonal to the nonzero one, same tie-breaks.
 
@@ -147,16 +123,13 @@ class OrthogonalAdversary(Adversary):
             raise UnsupportedConfigError("orthogonal adversary needs n >= 2")
         if config.player_norm_p != 2:
             raise UnsupportedConfigError("orthogonal adversary plays in the L2 pairing")
-        self._n = config.dimension_n
-        self.running_W = np.zeros(self._n)
         self.last_w: np.ndarray | None = None
 
-    def respond(self, player_x, is_moving):
+    def respond(self, player_x, is_moving, W):
         if is_moving or self.last_w is None:
-            w = _orthogonal_unit(np.asarray(player_x, dtype=float), self.running_W)
+            w = _orthogonal_unit(np.asarray(player_x, dtype=float), W)
             w.setflags(write=False)
             self.last_w = w
-        self.running_W = self.running_W + self.last_w
         return self.last_w
 
 

@@ -11,19 +11,24 @@ where the dual norm is L2 for p=2 and L1 for p=inf.  The action sequence
 must contain strictly fewer than ``budget_K`` switches; a switch is an
 exact-inequality change between consecutive emitted actions.
 
-A game is stored as columns: the (T, n) actions and losses, and the
-moving flags derived from the actions.  ``Trajectory.from_columns`` is the
-one place that derives switch count, loss sum, feasibility and regret.
+This module owns a game's state and its round rules.  ``play_game`` keeps
+the running loss sum W and hands it to the adversary each round, so
+adversaries hold no copy of it; ``worst_case_sign_regret`` walks every
++-1 loss sequence with the same round step.  A finished game is stored as
+columns: the (T, n) actions and losses, and the moving flags derived from
+the actions.  ``Trajectory.from_columns`` is the one place that derives
+switch count, loss sum, feasibility and regret.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetViolationError
+from .errors import BudgetViolationError, CapacityError, UnsupportedConfigError
 
 INF = math.inf
 
@@ -167,52 +172,129 @@ def count_switches(actions) -> int:
     return int(np.count_nonzero(_moving_mask(X))) - 1
 
 
-def decide_in_ball(player, n: int, p: float, t: int) -> np.ndarray:
-    """The player's round-t action as an n-vector; ``ValueError`` if it
-    leaves the unit p-ball."""
+def _round_step(player, prev, switches: int, t: int, n: int, p: float, budget_K: int):
+    """Round t's action as an n-vector and as a list, whether it moves, and
+    the switch count after it.  ``prev`` is the previous action's list
+    (``None`` at round 1, which always moves); list equality of floats is
+    the exact ``!=`` of ``Trajectory.from_columns`` (-0.0 equals 0.0, and
+    a fresh NaN never equals another).  ``ValueError`` if the action leaves
+    the unit p-ball, ``BudgetViolationError`` if the move is switch number K."""
     x = np.asarray(player.decide(), dtype=float).reshape(n)
     if norm_of(x, p) > 1.0 + BALL_SLACK:
         raise ValueError(f"round {t}: player action leaves the unit {p}-ball")
-    return x
-
-
-def budget_violation(t: int, switches: int, budget_K: int) -> BudgetViolationError:
-    """The error for a round-t move that is switch number ``switches``."""
-    return BudgetViolationError(f"round {t}: switch number {switches} with budget "
-                                f"K={budget_K}", round_index=t)
+    key = x.tolist()
+    if prev is None:
+        return x, key, True, switches
+    if key == prev:
+        return x, key, False, switches
+    switches += 1
+    if switches >= budget_K:
+        raise BudgetViolationError(f"round {t}: switch number {switches} with budget "
+                                   f"K={budget_K}", round_index=t)
+    return x, key, True, switches
 
 
 def play_game(player, adversary, config: GameConfig) -> Trajectory:
     """Run the adaptive protocol for T rounds and return the trajectory.
 
     Per round: the player decides x_t from its own state, the adversary
-    observes x_t (plus the moving flag, by the same exact inequality that
-    :meth:`Trajectory.from_columns` uses) and decides w_t, then the player
-    observes w_t.  A player that would exceed the switch budget aborts the
-    game with an error naming the offending round.
+    answers ``respond(x_t, is_moving, W)`` with w_t, then the player
+    observes w_t.  ``is_moving`` is the exact inequality, and ``W`` the
+    read-only sum of the earlier losses (zeros at t = 1) in round order,
+    that :meth:`Trajectory.from_columns` uses.  A player that would exceed
+    the switch budget aborts the game with an error naming the round.
 
     Both strategies must be freshly initialized for ``config``.
     """
     n = config.dimension_n
     p = config.player_norm_p
     q = config.adversary_norm_q
+    K = config.budget_K
+    respond = adversary.respond
     X = np.empty((config.horizon_T, n))
     L = np.empty((config.horizon_T, n))
-    switches = 0
+    W = np.zeros(n)
+    prev, switches = None, 0
 
     for i in range(config.horizon_T):
         t = i + 1
-        x = decide_in_ball(player, n, p, t)
-        is_moving = i == 0 or bool((x != X[i - 1]).any())
-        if is_moving and i > 0:
-            switches += 1
-            if switches >= config.budget_K:
-                raise budget_violation(t, switches, config.budget_K)
+        x, prev, is_moving, switches = _round_step(player, prev, switches, t, n, p, K)
         X[i] = x
-        w = np.asarray(adversary.respond(x, is_moving), dtype=float).reshape(n)
+        W.setflags(write=False)
+        w = np.asarray(respond(x, is_moving, W), dtype=float).reshape(n)
         if norm_of(w, q) > 1.0 + BALL_SLACK:
             raise ValueError(f"round {t}: adversary loss leaves the unit {q}-ball")
         L[i] = w
+        W = W + w
         player.observe(w)
 
     return Trajectory.from_columns(config, X, L)
+
+
+#: the 1-d losses -1 and +1, read-only; index ``s >= 0`` gives sign(s), +1 at 0
+SIGN_LOSSES = (np.array([-1.0]), np.array([1.0]))
+for _w in SIGN_LOSSES:
+    _w.setflags(write=False)
+
+
+def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, Trajectory]:
+    """Max regret of a player over every +-1 loss sequence (n = 1, T <= 16).
+
+    A depth-first walk of the sign tree.  Each node plays one round step of
+    ``play_game`` (ball, exact-``!=`` moving flag, switch budget), and the
+    player is forked with ``copy.copy`` for the w = -1 child (the
+    ``Player`` contract), so a shared prefix is played once: about
+    2^(T+1) rounds in place of T*2^T.  The result is that of playing the
+    2^T sequences one by one in code order, where sequence c has round t's
+    loss at bit t-1 (set for +1): among equal regrets the smallest code
+    wins, and when sequences raise, the error of the smallest such code is
+    raised.
+    """
+    T = config.horizon_T
+    if config.dimension_n != 1:
+        raise UnsupportedConfigError("exhaustive sign sweep is one-dimensional")
+    if T > 16:
+        raise CapacityError("exhaustive sign sweep supports T <= 16")
+    K, p = config.budget_K, config.player_norm_p
+    actions = [None] * T
+    worst = [-math.inf, 0, None]  # regret, code and actions of the worst sequence
+    error = [math.inf, None]      # code and exception of the first failing sequence
+
+    def fail(code, exc):
+        # deferred, never dropped: the branch is cut and the error of the
+        # smallest failing code is raised once the walk ends
+        if code < error[0]:
+            error[:] = code, exc
+
+    def walk(player, i, code, payoff, W, switches):
+        t = i + 1
+        try:
+            _, actions[i], _, switches = _round_step(player, actions[i - 1] if i else None,
+                                                     switches, t, 1, p, K)
+        except Exception as exc:
+            return fail(code, exc)
+        x = actions[i][0]
+        for w, loss in zip((-1.0, 1.0), SIGN_LOSSES):
+            child, c = (copy.copy(player), code) if w < 0 else (player, code | 1 << i)
+            try:
+                child.observe(loss)
+            except Exception as exc:
+                fail(c, exc)
+                continue
+            # np.dot of one +-1 entry is the exact product, so this is the
+            # sequential sum of Trajectory.from_columns, bit for bit
+            s = payoff + w * x
+            if t < T:
+                walk(child, t, c, s, W + w, switches)
+                continue
+            regret = s + abs(W + w)  # |W| is either dual norm of an integer W
+            if regret > worst[0] or regret == worst[0] and c < worst[1]:
+                worst[:] = regret, c, list(actions)
+
+    walk(player_factory(), 0, 0, 0.0, 0.0, 0)
+    if error[1] is not None:
+        raise error[1]
+    code = worst[1]
+    traj = Trajectory.from_columns(config, worst[2],
+                                   [1.0 if code >> i & 1 else -1.0 for i in range(T)])
+    return traj.regret, traj

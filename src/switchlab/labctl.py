@@ -27,9 +27,9 @@ from . import fugal_engine as fe
 from . import minimax_oracle as mo
 from .adversaries import ADVERSARY_IDS, make_adversary
 from .errors import BudgetViolationError
-from .game_core import GameConfig, play_game
+from .game_core import GameConfig, play_game, worst_case_sign_regret
 from .players import PLAYER_IDS, make_player
-from .verify import run_checks, worst_case_sign_regret
+from .verify import run_checks
 
 RESULT_COLUMNS = ("T", "K", "n", "player_id", "adversary_id", "seed", "regret",
                   "switch_count", "normalized", "bound_lower", "bound_upper",
@@ -92,11 +92,17 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"a config is a JSON object, got {type(d).__name__}")
         d = dict(d)
+        if "mode" not in d:
+            raise ValueError(f"config needs a 'mode' key, one of {sorted(MODE_KEYS)}")
         mode = d.pop("mode")
         if mode not in MODE_KEYS:
             raise ValueError(f"unknown mode {mode!r}")
         sweep = d.pop("sweep", {})
+        if not isinstance(sweep, dict) or not all(isinstance(v, list) for v in sweep.values()):
+            raise ValueError(f"'sweep' must map T, K, n or Z to lists, got {sweep!r}")
         given = {**d, **{f"sweep.{k}": v for k, v in sweep.items()}}
         unused = sorted(set(given) - MODE_KEYS[mode])
         if unused:

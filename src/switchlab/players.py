@@ -26,7 +26,7 @@ class Player:
     mutating their values in place, so ``copy.copy`` forks it: the copy
     and the original go on independently from the same history, and
     read-only data such as ``FugalPlayer.policy`` is shared.  The
-    exhaustive sign walk (``verify.worst_case_sign_regret``) relies on it.
+    exhaustive sign walk (``game_core.worst_case_sign_regret``) relies on it.
     """
 
     def decide(self) -> np.ndarray:

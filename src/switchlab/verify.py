@@ -9,7 +9,6 @@ are ``tag.short_name``; a ``--only TAG`` filter matches the tag prefix.
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -18,10 +17,11 @@ import numpy as np
 
 from . import fugal_engine as fe
 from . import minimax_oracle as mo
-from .adversaries import SIGN_LOSSES, Adversary, ConstantAdversary, make_adversary
-from .errors import CapacityError, UnsupportedConfigError
-from .game_core import (INF, GameConfig, Trajectory, budget_violation, decide_in_ball,
-                        dual_norm, play_game)
+from .adversaries import Adversary, ConstantAdversary, make_adversary
+# worst_case_sign_regret is unused here: it is bound under this module's
+# name too, which the benchmark's tracer and its binding test read
+from .game_core import (INF, GameConfig, Trajectory, dual_norm, play_game,  # noqa: F401
+                        worst_case_sign_regret)
 from .players import HalfSplitPlayer, FugalPlayer, make_player
 
 SQRT2 = math.sqrt(2.0)
@@ -60,7 +60,7 @@ class _ReplayAdversary(Adversary):
         self._seq = [np.array([float(s)]) for s in seq]
         self._t = 0
 
-    def respond(self, player_x, is_moving):
+    def respond(self, player_x, is_moving, W):
         w = self._seq[self._t]
         self._t += 1
         return w
@@ -70,72 +70,6 @@ def _all_sign_sequences(T: int) -> np.ndarray:
     codes = np.arange(2 ** T, dtype=np.int64)[:, None]
     bits = (codes >> np.arange(T)[None, :]) & 1
     return (2 * bits - 1).astype(float)
-
-
-def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, Trajectory]:
-    """Max regret of a player over every +-1 loss sequence (n = 1, T <= 16).
-
-    A depth-first walk of the sign tree.  Each node plays one round with
-    the checks of ``play_game`` (ball, exact-``!=`` moving flag, switch
-    budget), and the player is forked with ``copy.copy`` for the w = -1
-    child (the ``Player`` contract), so a shared prefix is played once:
-    about 2^(T+1) rounds in place of T*2^T.  The result is that of playing
-    the 2^T sequences one by one in code order, where sequence c has
-    round t's loss at bit t-1 (set for +1): among equal regrets the
-    smallest code wins, and when sequences raise, the error of the
-    smallest such code is raised.
-    """
-    T = config.horizon_T
-    if config.dimension_n != 1:
-        raise UnsupportedConfigError("exhaustive sign sweep is one-dimensional")
-    if T > 16:
-        raise CapacityError("exhaustive sign sweep supports T <= 16")
-    K, p = config.budget_K, config.player_norm_p
-    actions = [0.0] * T
-    worst = [-math.inf, 0, None]  # regret, code and actions of the worst sequence
-    error = [math.inf, None]      # code and exception of the first failing sequence
-
-    def fail(code, exc):
-        # deferred, never dropped: the branch is cut and the error of the
-        # smallest failing code is raised once the walk ends
-        if code < error[0]:
-            error[:] = code, exc
-
-    def walk(player, i, code, payoff, W, switches):
-        t = i + 1
-        try:
-            x = float(decide_in_ball(player, 1, p, t)[0])
-            if i > 0 and x != actions[i - 1]:
-                switches += 1
-                if switches >= K:
-                    raise budget_violation(t, switches, K)
-        except Exception as exc:
-            return fail(code, exc)
-        actions[i] = x
-        for w, loss in zip((-1.0, 1.0), SIGN_LOSSES):
-            child, c = (copy.copy(player), code) if w < 0 else (player, code | 1 << i)
-            try:
-                child.observe(loss)
-            except Exception as exc:
-                fail(c, exc)
-                continue
-            # np.dot of one +-1 entry is the exact product, so this is the
-            # sequential sum of Trajectory.from_columns, bit for bit
-            s = payoff + w * x
-            if t < T:
-                walk(child, t, c, s, W + w, switches)
-                continue
-            regret = s + abs(W + w)  # |W| is either dual norm of an integer W
-            if regret > worst[0] or regret == worst[0] and c < worst[1]:
-                worst[:] = regret, c, list(actions)
-
-    walk(player_factory(), 0, 0, 0.0, 0.0, 0)
-    if error[1] is not None:
-        raise error[1]
-    code = worst[1]
-    traj = Trajectory.from_columns(config, worst[2],
-                                   [1.0 if code >> i & 1 else -1.0 for i in range(T)])
-    return traj.regret, traj
 
 
 def _run(player_id: str, adversary_id: str, cfg: GameConfig,
@@ -158,7 +92,7 @@ def check_constants_exact():
     expected = {"u2_zero": U2_ZERO, "u3_zero": U3_ZERO, "u4_zero": U4_ZERO,
                 "u4_closed_form": U4_ZERO, "z0": Z0_REF}
     tol = {"u2_zero": 2e-3, "u3_zero": 2e-3, "u4_zero": 2e-3,
-           "u4_closed_form": 1e-6, "z0": 1e-6, "runtime_s": 60.0}
+           "u4_closed_form": 1e-6, "z0": 1e-6}
     failures = []
     for key in ("u2_zero", "u3_zero", "u4_zero", "u4_closed_form", "z0"):
         if abs(measured[key] - expected[key]) > tol[key]:
@@ -198,7 +132,7 @@ def check_quadratic_sandwich():
                 "min_monotone_gap": worst_mono}
     expected = {"min_floor_margin": ">= 0", "min_cap_margin": ">= 0",
                 "min_monotone_gap": ">= -1e-6"}
-    tol = {"floor": 2e-3, "cap": 2e-3, "monotone": 1e-6, "runtime_s": 300.0}
+    tol = {"floor": 2e-3, "cap": 2e-3, "monotone": 1e-6}
     return measured, expected, tol, failures
 
 
@@ -399,7 +333,7 @@ def check_oracle_sandwich():
     measured = {"min_lower_margin": min_lower_margin,
                 "min_upper_margin": min_upper_margin, "points": points}
     expected = {"points": {"T4_K2": 2.0, "T2_K2": 1.0}, "margins": ">= 0"}
-    tol = {"sandwich": "grid slack 2T/(x_grid-1)", "bias": 1e-9, "runtime_s": 600.0}
+    tol = {"sandwich": "grid slack 2T/(x_grid-1)", "bias": 1e-9}
     return measured, expected, tol, failures
 
 
@@ -585,8 +519,10 @@ def _execute(name: str, fn, budget: float | None) -> CheckResult:
     start = time.perf_counter()
     measured, expected, tol, failures = fn()
     elapsed = time.perf_counter() - start
-    if budget is not None and elapsed > budget:
-        failures = list(failures) + [f"runtime {elapsed:.1f}s exceeds budget {budget}s"]
+    if budget is not None:
+        tol = {**tol, "runtime_s": budget}
+        if elapsed > budget:
+            failures = list(failures) + [f"runtime {elapsed:.1f}s exceeds budget {budget}s"]
     status = "pass" if not failures else "fail"
     return CheckResult(check_name=name, status=status, measured=measured,
                        expected=expected, tolerance=tol, elapsed_s=elapsed,

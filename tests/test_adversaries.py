@@ -14,21 +14,20 @@ from switchlab.players import ConstantPlayer, MinibatchPlayer, RandomSwitchPlaye
 
 def test_orthogonal_first_round_n2():
     adv = OrthogonalAdversary(GameConfig(5, 2, 2))
-    w = adv.respond(np.array([1.0, 0.0]), True)
+    w = adv.respond(np.array([1.0, 0.0]), True, np.zeros(2))
     assert np.allclose(w, [0.0, 1.0])
 
 
 def test_orthogonal_gram_schmidt_n3():
     adv = OrthogonalAdversary(GameConfig(5, 2, 3))
-    adv.running_W = np.array([0.0, 1.0, 0.0])
-    w = adv.respond(np.array([1.0, 0.0, 0.0]), True)
+    w = adv.respond(np.array([1.0, 0.0, 0.0]), True, np.array([0.0, 1.0, 0.0]))
     assert np.allclose(w, [0.0, 0.0, 1.0])
 
 
 def test_orthogonal_stationary_repeats_identically():
     adv = OrthogonalAdversary(GameConfig(5, 2, 2))
-    w1 = adv.respond(np.array([1.0, 0.0]), True)
-    w2 = adv.respond(np.array([1.0, 0.0]), False)
+    w1 = adv.respond(np.array([1.0, 0.0]), True, np.zeros(2))
+    w2 = adv.respond(np.array([1.0, 0.0]), False, w1)
     assert w2 is w1
 
 
@@ -44,13 +43,13 @@ def test_orthogonal_moving_emissions_are_unit_and_orthogonal():
         adv = OrthogonalAdversary(cfg)
         x = rng.normal(size=n)
         x /= np.linalg.norm(x)
-        prev_W = adv.running_W.copy()
+        prev_W = np.zeros(n)
         for t in range(40):
             moving = t % 5 == 0
             if moving:
                 x = rng.normal(size=n)
                 x /= np.linalg.norm(x)
-            w = adv.respond(x, moving)
+            w = adv.respond(x, moving, prev_W)
             assert abs(float(np.linalg.norm(w)) - 1.0) <= 1e-12
             if moving:
                 assert float(np.dot(w, x)) >= -1e-9
@@ -86,29 +85,29 @@ def _stopping(T, K, n=1, **kw):
 
 def test_stopping_tie_goes_positive():
     adv = _stopping(100, 4)
-    assert adv.respond(np.array([0.0]), True)[0] == 1.0
+    assert adv.respond(np.array([0.0]), True, np.zeros(1))[0] == 1.0
 
 
 def test_stopping_negative_side():
+    # W = 2 moves the tie point to x = -W*sqrt(K)/T = -0.04
     adv = _stopping(100, 4)
-    adv._cores[0].running_W = 2.0
-    assert adv.respond(np.array([-0.5]), False)[0] == -1.0
+    assert adv.respond(np.array([-0.5]), False, np.array([2.0]))[0] == -1.0
+    assert adv.respond(np.array([-0.04]), False, np.array([2.0]))[0] == 1.0
 
 
 def test_stopping_latch():
+    # |W| >= T/sqrt(K) = 50 stops the adversary: it plays 0, so W stays put
     adv = _stopping(100, 4)
-    adv._cores[0].running_W = 50.0
-    assert adv.respond(np.array([0.0]), False)[0] == 0.0
-    assert adv._cores[0].stopped
-    assert adv.respond(np.array([-1.0]), False)[0] == 0.0
+    for W in (50.0, -50.0, 60.0):
+        for x in (0.0, -1.0, 1.0):
+            assert adv.respond(np.array([x]), False, np.array([W]))[0] == 0.0
 
 
 def test_stopping_running_sum_stays_bounded():
     cfg = GameConfig(200, 4, 1, seed=0)
     adv = make_adversary("stopping", cfg)
     traj = play_game(RandomSwitchPlayer(cfg), adv, cfg)
-    core = adv._cores[0]
-    assert abs(core.running_W) <= core.threshold + 1.0
+    assert abs(traj.cumulative_W[0]) <= 200 / math.sqrt(4) + 1.0
     assert traj.regret >= 200 / (2 * math.sqrt(4)) - 1e-9
 
 
@@ -132,13 +131,13 @@ def test_stopping_forced_regret_small_sweep():
 def test_sign_bias_variant_follows_bias():
     adv = SignAdversary(GameConfig(5, 2, 1), variant="bias", bias_Z=-3.0)
     for x in (0.9, -0.9, 0.0):
-        assert adv.respond(np.array([x]), True)[0] == -1.0
+        assert adv.respond(np.array([x]), True, np.array([-x]))[0] == -1.0
 
 
 def test_sign_action_variant():
     adv = SignAdversary(GameConfig(5, 2, 1), variant="action")
-    assert adv.respond(np.array([0.0]), True)[0] == 1.0
-    assert adv.respond(np.array([-0.7]), False)[0] == -1.0
+    assert adv.respond(np.array([0.0]), True, np.zeros(1))[0] == 1.0
+    assert adv.respond(np.array([-0.7]), False, np.array([1.0]))[0] == -1.0
 
 
 def test_sign_rejects_unknown_variant_and_dim():
@@ -152,22 +151,25 @@ def test_sign_rejects_unknown_variant_and_dim():
 
 def test_product_fresh_coordinates():
     adv = ProductAdversary(GameConfig(100, 4, 2, player_norm_p=math.inf))
-    w = adv.respond(np.array([0.0, 0.0]), True)
+    w = adv.respond(np.array([0.0, 0.0]), True, np.zeros(2))
     assert np.array_equal(w, [1.0, 1.0])
 
 
 def test_product_coordinates_independent():
     adv = ProductAdversary(GameConfig(100, 4, 2, player_norm_p=math.inf))
-    adv._cores[0].running_W = 60.0  # beyond threshold 50
-    w = adv.respond(np.array([0.0, 0.0]), True)
-    assert w[0] == 0.0 and w[1] in (-1.0, 1.0)
+    # coordinate 0 is beyond the threshold 50, coordinate 1 is not
+    w = adv.respond(np.array([0.0, 0.0]), True, np.array([60.0, 0.0]))
+    assert w[0] == 0.0 and w[1] == 1.0
+    w = adv.respond(np.array([0.0, -0.5]), True, np.array([60.0, 2.0]))
+    assert w[0] == 0.0 and w[1] == -1.0
 
 
 def test_product_n1_equals_stopping():
     # "stopping" is the id of the one-coordinate product adversary
     for p in (2.0, math.inf):
         adv = _stopping(50, 4, player_norm_p=p)
-        assert type(adv) is ProductAdversary and len(adv._cores) == 1
+        assert type(adv) is ProductAdversary
+        assert adv.respond(np.array([0.0]), True, np.zeros(1)).shape == (1,)
 
 
 def test_product_requires_linf_pairing_beyond_1d():

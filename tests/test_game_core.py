@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from switchlab.adversaries import ConstantAdversary, SignAdversary, make_adversary
+from switchlab.adversaries import Adversary, ConstantAdversary, SignAdversary, make_adversary
 from switchlab.errors import BudgetViolationError
 from switchlab.game_core import GameConfig, Trajectory, count_switches, dual_norm, play_game
 from switchlab.players import ConstantPlayer, HalfSplitPlayer, Player, make_player
@@ -99,6 +99,53 @@ def test_play_game_zero_adversary_zero_regret():
     cfg = GameConfig(6, 3, 2)
     traj = play_game(ConstantPlayer(cfg, [0.6, 0.0]), ConstantAdversary(cfg), cfg)
     assert traj.regret == pytest.approx(0.0)
+
+
+class _RecordsW(Adversary):
+    """Plays random losses in the unit ball and records the W and the
+    moving flag it is given."""
+
+    def __init__(self, n, seed):
+        self._rng = np.random.default_rng(seed)
+        self._n = n
+        self.seen = []
+
+    def respond(self, player_x, is_moving, W):
+        self.seen.append((W.copy(), W.flags.writeable, is_moving))
+        with pytest.raises(ValueError):
+            W[0] = 1.0
+        w = self._rng.uniform(-1.0, 1.0, self._n)
+        return w / max(1.0, float(np.linalg.norm(w)))
+
+
+class _Scripted(Player):
+    def __init__(self, xs):
+        self._xs = iter(xs)
+
+    def decide(self):
+        return np.array([next(self._xs)])
+
+
+def test_play_game_hands_the_adversary_the_loss_sum():
+    # at round t the adversary gets the sum of rounds 1..t-1, bit for bit
+    # the sequential sum the trajectory stores, and cannot write to it; its
+    # moving flag is the trajectory's (-0.0 equals 0.0, one ulp moves)
+    up = float(np.nextafter(0.5, 1.0))
+    signed = [0.0, -0.0, 0.0, 0.5, up, up, -0.0]
+    for n, T, K, player in ((1, 1, 1, "random_switch"), (1, 30, 4, "random_switch"),
+                            (3, 40, 4, "random_switch"), (1, 7, 4, signed)):
+        cfg = GameConfig(T, K, n, seed=n)
+        adversary = _RecordsW(n, seed=T)
+        player = _Scripted(player) if isinstance(player, list) else make_player(player, cfg)
+        traj = play_game(player, adversary, cfg)
+        sums = np.cumsum(traj.rounds["loss_w"], axis=0)
+        assert len(adversary.seen) == T
+        for t, (W, writeable, _) in enumerate(adversary.seen, start=1):
+            assert not writeable
+            assert np.array_equal(W, sums[t - 2] if t > 1 else np.zeros(n)), t
+        assert np.array_equal(sums[-1], traj.cumulative_W)
+        assert [m for _, _, m in adversary.seen] == traj.rounds["is_moving"].tolist()
+    assert traj.rounds["is_moving"].tolist() == [True, False, False, True, True, False, True]
 
 
 class _Alternator(Player):

@@ -42,6 +42,18 @@ def test_spec_validation_rejects_bad_input():
         _spec(format="xml")
 
 
+def test_malformed_configs_name_the_key():
+    # these used to raise a bare KeyError / AttributeError / TypeError
+    with pytest.raises(ValueError, match="JSON object"):
+        ExperimentSpec.from_dict([["mode", "verify"]])
+    with pytest.raises(ValueError, match="'mode'"):
+        ExperimentSpec.from_dict({})
+    with pytest.raises(ValueError, match="'sweep'"):
+        ExperimentSpec.from_dict({"mode": "simulate", "sweep": [1]})
+    with pytest.raises(ValueError, match="'sweep'"):
+        ExperimentSpec.from_dict({"mode": "simulate", "sweep": {"T": 5, "K": [1]}})
+
+
 def test_integer_keys_reject_non_integers():
     # these used to be truncated silently (10.5 -> 10, true -> 1)
     simulate = {"mode": "simulate", "sweep": {"T": [20], "K": [2], "n": [1]}}
@@ -319,6 +331,15 @@ def test_verify_budget_enforced():
     res = verify._execute("stub.slow", slow, 0.01)
     assert res.status == "fail"
     assert any("budget" in f for f in res.failures)
+
+
+def test_verify_budget_is_reported_as_a_tolerance():
+    # the budget is written once, in CHECKS, and reported as runtime_s
+    res = verify._execute("stub.budget", lambda: ({}, {}, {"v": 0.5}, []), 5.0)
+    assert res.status == "pass"
+    assert res.tolerance == {"v": 0.5, "runtime_s": 5.0}
+    assert "runtime_s" not in verify._execute("stub.none", lambda: ({}, {}, {}, []),
+                                              None).tolerance
 
 
 def test_verify_only_filter():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from switchlab import verify
+from switchlab import game_core, verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,3 +40,9 @@ def test_traced_methods_exist(monkeypatch):
 def test_verify_check_names_match(monkeypatch):
     checks = _load("checks", monkeypatch)
     assert tuple(name for name, _, _ in verify.CHECKS) == checks.VERIFY_CHECKS
+
+
+def test_verify_binds_the_walk_itself():
+    # the tracer counts walk games under verify.worst_case_sign_regret; a
+    # wrapper left there would leave the traced count at 0 without an error
+    assert verify.worst_case_sign_regret is game_core.worst_case_sign_regret

@@ -17,7 +17,7 @@ class ReplayAdversary(Adversary):
         self._seq = [np.atleast_1d(np.asarray(s, dtype=float)) for s in seq]
         self._t = 0
 
-    def respond(self, player_x, is_moving):
+    def respond(self, player_x, is_moving, W):
         w = self._seq[self._t]
         self._t += 1
         return w
