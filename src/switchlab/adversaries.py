@@ -6,7 +6,8 @@ exact action equality and keeps W, the read-only sum of the losses before
 this round; adversaries never re-derive either.  One instance serves one
 game.
 
-The id "stopping" is the one-coordinate product adversary (n = 1 only).
+The id "stopping" is the one-coordinate product adversary (n = 1 only),
+and "sign" answers sign(x_t); a sign fixed in advance is "constant".
 The exhaustive sign search over every +-1 sequence is not an adversary
 here: it is ``game_core.worst_case_sign_regret``.
 """
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import UnsupportedConfigError
-from .game_core import BALL_SLACK, SIGN_LOSSES, GameConfig, norm_of
+from .game_core import SIGN_LOSSES, GameConfig, outside_ball
 
 _ZERO_TOL = 1e-12
 
@@ -34,7 +35,7 @@ class ConstantAdversary(Adversary):
     def __init__(self, config: GameConfig, w: np.ndarray | float | None = None):
         n = config.dimension_n
         self._w = np.zeros(n) if w is None else np.asarray(w, dtype=float).reshape(n) + 0.0
-        if norm_of(self._w, config.adversary_norm_q) > 1.0 + BALL_SLACK:
+        if outside_ball(self._w, config.adversary_norm_q):
             raise ValueError("constant loss leaves the adversary ball")
         self._w.setflags(write=False)
 
@@ -43,34 +44,16 @@ class ConstantAdversary(Adversary):
 
 
 class SignAdversary(Adversary):
-    """1-d sign plays, +1 at zero.
+    """1-d w_t = sign(x_t), +1 at zero, from the read-only pair
+    ``SIGN_LOSSES``.  (A fixed sign, whatever the player does, is the
+    constant adversary.)"""
 
-    variant="bias":   the constant adversary with w = sign(bias_Z) (+1 at
-                      Z = 0), whatever the player does.  It stands for
-                      w_t = sign(Z + W_t) with W_t the loss sum before round
-                      t: each emission moves W_t towards sign(Z), so Z + W_t
-                      never changes sign.
-    variant="action": w_t = sign(x_t).
-
-    Both variants answer from a pair of read-only losses fixed at
-    construction, ``(w if x_t < 0, w if x_t >= 0)``; the bias pair holds
-    one loss twice.
-    """
-
-    def __init__(self, config: GameConfig, variant: str = "bias", bias_Z: float = 0.0):
+    def __init__(self, config: GameConfig):
         if config.dimension_n != 1:
             raise UnsupportedConfigError("sign adversary is one-dimensional")
-        if variant not in ("bias", "action"):
-            raise ValueError(f"unknown sign variant {variant!r}")
-        self.variant = variant
-        self.bias_Z = float(bias_Z)
-        if variant == "bias":
-            self._by_sign = (SIGN_LOSSES[self.bias_Z >= 0],) * 2
-        else:
-            self._by_sign = SIGN_LOSSES
 
     def respond(self, player_x, is_moving, W):
-        return self._by_sign[float(player_x[0]) >= 0]
+        return SIGN_LOSSES[float(player_x[0]) >= 0]
 
 
 class ProductAdversary(Adversary):

@@ -90,10 +90,9 @@ class GridFunction:
         return float(np.interp(z, self.grid, self.values))
 
 
-def grid_of(fn, resolution: int, k_index: int | None = None) -> GridFunction:
+def grid_of(fn, resolution: int) -> GridFunction:
     """Sample a scalar function onto the standard grid."""
-    g = make_grid(resolution)
-    return GridFunction(resolution, np.array([fn(z) for z in g]), k_index=k_index)
+    return GridFunction(resolution, np.array([fn(z) for z in make_grid(resolution)]))
 
 
 # ----------------------------------------------------------------------
@@ -497,15 +496,6 @@ class FugalPolicy:
                       for p, n in sorted(self.nodes.items(), key=lambda kv: (len(kv[0]), kv[0]))},
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FugalPolicy":
-        nodes = {}
-        for key, nd in d["nodes"].items():
-            prefix = tuple(1 if ch == "+" else -1 for ch in key)
-            nodes[prefix] = PolicyNode(x=float(nd["x"]), m_plus=float(nd["m_plus"]),
-                                       m_minus=float(nd["m_minus"]))
-        return cls(budget_K=int(d["budget_K"]), resolution=int(d["resolution"]), nodes=nodes)
-
 
 def extract_policy(tables: list[GridFunction], budget_K: int,
                    resolution: int) -> FugalPolicy:
@@ -595,8 +585,3 @@ def write_policy_json(policy: FugalPolicy, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(policy.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_policy_json(path: str) -> FugalPolicy:
-    with open(path, "r", encoding="utf-8") as fh:
-        return FugalPolicy.from_json_dict(json.load(fh))

@@ -36,13 +36,12 @@ INF = math.inf
 BALL_SLACK = 1e-12
 
 
-def norm_of(x: np.ndarray, p: float) -> float:
-    """Primal p-norm restricted to the two cases the lab uses (2 and inf)."""
-    if p == 2:
-        return float(np.linalg.norm(x))
-    if p == INF:
-        return float(np.max(np.abs(x))) if x.size else 0.0
-    raise ValueError(f"unsupported norm p={p!r}; expected 2 or inf")
+def outside_ball(v: np.ndarray, p: float) -> bool:
+    """Whether the vector v leaves the unit p-ball, p = 2 or inf as a
+    ``GameConfig`` holds it, by more than ``BALL_SLACK``.  ``not norm <=
+    bound`` puts a NaN entry outside.  The L2 norm is np.linalg.norm's."""
+    norm = math.sqrt(float(v.dot(v))) if p == 2 else float(np.abs(v).max())
+    return not norm <= 1.0 + BALL_SLACK
 
 
 def dual_norm(w: np.ndarray, player_norm_p: float) -> float:
@@ -176,11 +175,11 @@ def _round_step(player, prev, switches: int, t: int, n: int, p: float, budget_K:
     """Round t's action as an n-vector and as a list, whether it moves, and
     the switch count after it.  ``prev`` is the previous action's list
     (``None`` at round 1, which always moves); list equality of floats is
-    the exact ``!=`` of ``Trajectory.from_columns`` (-0.0 equals 0.0, and
-    a fresh NaN never equals another).  ``ValueError`` if the action leaves
-    the unit p-ball, ``BudgetViolationError`` if the move is switch number K."""
+    the exact ``!=`` of ``Trajectory.from_columns`` (-0.0 equals 0.0).
+    ``ValueError`` if the action leaves the unit p-ball or has a NaN entry,
+    ``BudgetViolationError`` if the move is switch number K."""
     x = np.asarray(player.decide(), dtype=float).reshape(n)
-    if norm_of(x, p) > 1.0 + BALL_SLACK:
+    if outside_ball(x, p):
         raise ValueError(f"round {t}: player action leaves the unit {p}-ball")
     key = x.tolist()
     if prev is None:
@@ -222,7 +221,7 @@ def play_game(player, adversary, config: GameConfig) -> Trajectory:
         X[i] = x
         W.setflags(write=False)
         w = np.asarray(respond(x, is_moving, W), dtype=float).reshape(n)
-        if norm_of(w, q) > 1.0 + BALL_SLACK:
+        if outside_ball(w, q):
             raise ValueError(f"round {t}: adversary loss leaves the unit {q}-ball")
         L[i] = w
         W = W + w

@@ -59,12 +59,18 @@ def _integers(key: str, vs) -> list[int]:
     return [_integer(key, v) for v in vs]
 
 
+def _params(key: str, v) -> dict:
+    if v is not None and not isinstance(v, dict):
+        raise ValueError(f"{key} must be an object of constructor keywords, got {v!r}")
+    return v or {}
+
+
 #: how ``from_dict`` converts each config key it does not take as given; a
 #: key the spec does not set keeps its dataclass default
 _PARSE = {
     "sweep.T": _integers, "sweep.K": _integers, "sweep.n": _integers,
     "sweep.Z": lambda key, vs: [float(z) for z in vs],
-    "player_params": lambda key, v: v or {}, "adversary_params": lambda key, v: v or {},
+    "player_params": _params, "adversary_params": _params,
     "player_norm": lambda key, v: float(v),
     "repetitions": _integer, "seed": _integer, "resolution": _integer, "x_grid": _integer,
 }

@@ -13,8 +13,9 @@ can only raise the value, so the oracle upper-bounds the continuum game
 and refining the grid brings it down monotonically.  The adversary keeps
 its exact optimum at the endpoints {-1, +1}: for any fixed continuation
 the payoff is convex in each w_t, so the per-round sup over [-1, 1] is
-attained at an endpoint; ``dense_adversary_value`` re-solves small games
-with a finer adversary grid to validate that collapse.
+attained at an endpoint.  The acceptance check ``oracle.sandwich`` checks
+that collapse: ``dense_adversary_value`` re-solves every game with T <= 3
+on a finer adversary grid, and must match the +-1 value to roundoff.
 """
 
 from __future__ import annotations
@@ -146,17 +147,13 @@ def exact_minimax_1d(cfg: OracleConfig) -> OracleReport:
                         bound_lower=lower, bound_upper=upper)
 
 
-def dense_adversary_value(T: int, K: int, x_grid: int = 21, denom: int = 5,
-                          bias_Z: float = 0.0) -> float:
-    """Same game but with the adversary on the grid {j/denom : |j| <= denom}.
-
-    Used at tiny horizons to confirm the endpoint restriction loses nothing:
-    the dense value must match the +-1 value to roundoff.
-    """
+def dense_adversary_value(T: int, K: int, x_grid: int = 21, denom: int = 5) -> float:
+    """Same game but with the adversary on the grid {j/denom : |j| <= denom}
+    (T <= 4), against which the endpoint restriction is checked."""
     if T > 4:
         raise CapacityError("dense-adversary validation is for T <= 4")
     X = np.linspace(-1.0, 1.0, x_grid)
-    return float(_root_values(T, K, X, bias_Z, denom, range(-denom, denom + 1)).min())
+    return float(_root_values(T, K, X, 0.0, denom, range(-denom, denom + 1)).min())
 
 
 def unconstrained_regret_closed_form(K: int) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import PolicyMissingError, UnsupportedConfigError
 from .fugal_engine import DEFAULT_RESOLUTION, u_k_solve
-from .game_core import BALL_SLACK, INF, GameConfig, norm_of
+from .game_core import INF, GameConfig, outside_ball
 
 #: ball diameter / gradient bound behind the default mini-batch step size
 BALL_DIAMETER = 2.0
@@ -45,7 +45,7 @@ class ConstantPlayer(Player):
         if pt.ndim == 0:
             pt = np.full(n, float(pt))
         self._point = pt.reshape(n) + 0.0
-        if norm_of(self._point, config.player_norm_p) > 1.0 + BALL_SLACK:
+        if outside_ball(self._point, config.player_norm_p):
             raise ValueError("constant point lies outside the unit ball")
         self._point.setflags(write=False)
 

@@ -44,13 +44,8 @@ class CheckResult:
     failures: list[str] = field(default_factory=list)
 
     def to_report_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "status": self.status,
-            "measured": self.measured,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-        }
+        return {key: getattr(self, key)
+                for key in ("check_name", "status", "measured", "expected", "tolerance")}
 
 
 class _ReplayAdversary(Adversary):
@@ -108,7 +103,8 @@ def check_quadratic_sandwich():
     N, K = 1000, 8
     tables = fe.solve_tables(K, N)
     grid = tables[0].grid
-    cap = (grid * grid + 1.0) / 2.0
+    # the overshoot cap (z^2+1)/2, on the interior nodes (u_k = 1 = cap at |z| = 1)
+    cap = np.array([fe.overshoot_value(1.0, z) for z in grid[1:-1]])
     worst_floor = math.inf
     worst_cap = math.inf
     worst_mono = math.inf
@@ -120,8 +116,8 @@ def check_quadratic_sandwich():
         if np.any(u < floor - 2e-3):
             failures.append(f"k={k}: u_k dips below quadratic floor by more than 2e-3")
         if k >= 2:
-            worst_cap = min(worst_cap, float(np.min(cap + 2e-3 - u)))
-            if np.any(u > cap + 2e-3):
+            worst_cap = min(worst_cap, float(np.min(cap + 2e-3 - u[1:-1])))
+            if np.any(u[1:-1] > cap + 2e-3):
                 failures.append(f"k={k}: u_k exceeds (z^2+1)/2 cap by more than 2e-3")
         if k < K:
             gap = tables[k - 1].values - tables[k].values
@@ -145,6 +141,8 @@ def check_operator_closed_form():
     grid = fe.make_grid(N)
     failures = []
     max_err = {}
+    wit_tol = {"x": 1e-6, "value": 1e-5, "z_next": 1e-5}
+    wit_err = dict.fromkeys(wit_tol, 0.0)
     for i in (2, 3, 4):
         floor = fe.grid_of(lambda z: fe.quadratic_floor(i, z), N)
         image = fe.fugal_apply(floor)
@@ -153,6 +151,18 @@ def check_operator_closed_form():
         max_err[f"i={i}"] = err
         if err > 5e-3:
             failures.append(f"operator image vs closed form, i={i}: max err {err}")
+        # pointwise witnesses inside |z| < sqrt(2/i): the crossing action, the
+        # value and the inner minimizers, each against its closed form
+        for z in (-0.4, 0.2, 0.5):
+            wit = fe.operator_witness(floor, z)
+            z_plus, z_minus = fe.branch_cutoffs(i, wit.x)
+            for key, e in (("x", abs(wit.x - fe.crossing_action(i, z))),
+                           ("value", abs(wit.value - fe.quadratic_floor_image(i, z))),
+                           ("z_next", max(abs(wit.z_next[1] - z_plus),
+                                          abs(wit.z_next[-1] - z_minus)))):
+                wit_err[key] = max(wit_err[key], e)
+                if e > wit_tol[key]:
+                    failures.append(f"witness {key} vs closed form, i={i} z={z}: err {e}")
     zs = np.linspace(-1.0, 1.0, 10_000)
     min_margin = math.inf
     for i in range(2, 13):
@@ -161,9 +171,11 @@ def check_operator_closed_form():
         min_margin = min(min_margin, float(np.min(img - nxt)))
     if min_margin < -1e-12:
         failures.append(f"interlacing violated: min(T a_i - a_(i+1)) = {min_margin}")
-    measured = {"max_image_error": max_err, "min_interlace_margin": min_margin}
-    expected = {"max_image_error": "<= 5e-3 each", "min_interlace_margin": ">= -1e-12"}
-    tol = {"image": 5e-3, "interlace": 1e-12}
+    measured = {"max_image_error": max_err, "min_interlace_margin": min_margin,
+                "max_witness_error": wit_err}
+    expected = {"max_image_error": "<= 5e-3 each", "min_interlace_margin": ">= -1e-12",
+                "max_witness_error": "<= witness tolerance each"}
+    tol = {"image": 5e-3, "interlace": 1e-12, "witness": wit_tol}
     return measured, expected, tol, failures
 
 
@@ -249,8 +261,7 @@ def check_upper_bounds():
         for K in (1, 4, 16, 100):
             if K > T:
                 continue
-            for aid, aparams in (("stopping", {}), ("sign", {"variant": "bias"}),
-                                 ("sign", {"variant": "action"}),
+            for aid, aparams in (("stopping", {}), ("sign", {}),
                                  ("constant", {"w": 1.0}), ("zero", {})):
                 cells.append((1, 2.0, aid, aparams, 1.0))
             for n in (2, 3, 5):
@@ -296,16 +307,22 @@ def check_upper_bounds():
 
 
 # ----------------------------------------------------------------------
-# criterion 7: oracle sandwich and bias behavior
+# criterion 7: oracle sandwich, bias, one block and the +-1 adversary
 # ----------------------------------------------------------------------
 
 def check_oracle_sandwich():
     failures = []
     min_lower_margin = math.inf
     min_upper_margin = math.inf
+    reports = []
+
+    def solve(T, K, Z=0.0):
+        reports.append(mo.exact_minimax_1d(mo.OracleConfig(T, K, 41, float(Z))))
+        return reports[-1]
+
     for T in range(1, 11):
         for K in range(1, T + 1):
-            rep = mo.exact_minimax_1d(mo.OracleConfig(T, K, x_grid=41))
+            rep = solve(T, K)
             slack = rep.grid_slack
             min_lower_margin = min(min_lower_margin, rep.value - (rep.bound_lower - slack))
             min_upper_margin = min(min_upper_margin, (rep.bound_upper + slack) - rep.value)
@@ -314,26 +331,41 @@ def check_oracle_sandwich():
                                 f"[{rep.bound_lower}, {rep.bound_upper}], slack={slack}")
     points = {}
     for (T, K, target) in ((4, 2, 2.0), (2, 2, 1.0)):
-        rep = mo.exact_minimax_1d(mo.OracleConfig(T, K, x_grid=41))
+        rep = solve(T, K)
         points[f"T{T}_K{K}"] = rep.value
         if abs(rep.value - target) > rep.grid_slack:
             failures.append(f"point check T={T} K={K}: value {rep.value} vs {target}")
     for T in range(1, 7):
         for K in sorted({1, (T + 1) // 2, T}):
             for Z in (T, -T, 2 * T, -2 * T):
-                rep = mo.exact_minimax_1d(mo.OracleConfig(T, K, x_grid=41,
-                                                          initial_bias_Z=float(Z)))
+                rep = solve(T, K, Z)
                 if abs(rep.value - abs(Z)) > 1e-9:
                     failures.append(f"bias pin-down T={T} K={K} Z={Z}: {rep.value}")
             for Z in (0.0, 0.5, -0.5):
-                rep = mo.exact_minimax_1d(mo.OracleConfig(T, K, x_grid=41,
-                                                          initial_bias_Z=Z))
-                if rep.value < abs(Z) - 1e-12:
+                if solve(T, K, Z).value < abs(Z) - 1e-12:
                     failures.append(f"value below |Z| at T={T} K={K} Z={Z}")
+    # at K = 1 the oracle plays the one-block game: its player grid can only
+    # raise the value r_1(T, Z), by at most the grid slack
+    one_block = [(r.value - fe.one_block_value(r.config.horizon_T, r.config.initial_bias_Z),
+                  r.grid_slack, r.config) for r in reports if r.config.budget_K == 1]
+    failures += [f"oracle {gap} above the one-block value at {c}"
+                 for gap, slack, c in one_block if not -1e-12 <= gap <= slack]
+    # the adversary loses nothing by playing only +-1: a finer adversary grid
+    # gives the same value
+    dense_gap = max(abs(mo.dense_adversary_value(T, K, x_grid=21)
+                        - mo.exact_minimax_1d(mo.OracleConfig(T, K, x_grid=21)).value)
+                    for T in (1, 2, 3) for K in range(1, T + 1))
+    if dense_gap > 1e-12:
+        failures.append(f"a dense adversary grid moves the value by {dense_gap}")
     measured = {"min_lower_margin": min_lower_margin,
-                "min_upper_margin": min_upper_margin, "points": points}
-    expected = {"points": {"T4_K2": 2.0, "T2_K2": 1.0}, "margins": ">= 0"}
-    tol = {"sandwich": "grid slack 2T/(x_grid-1)", "bias": 1e-9}
+                "min_upper_margin": min_upper_margin, "points": points,
+                "min_one_block_lower_margin": min(gap for gap, _, _ in one_block),
+                "min_one_block_upper_margin": min(slack - gap for gap, slack, _ in one_block),
+                "max_dense_adversary_gap": dense_gap}
+    expected = {"points": {"T4_K2": 2.0, "T2_K2": 1.0}, "margins": ">= 0",
+                "max_dense_adversary_gap": "<= 1e-12"}
+    tol = {"sandwich": "grid slack 2T/(x_grid-1)", "bias": 1e-9,
+           "one_block": "[-1e-12, grid slack]", "dense_adversary": 1e-12}
     return measured, expected, tol, failures
 
 
@@ -506,13 +538,6 @@ CHECKS = (
     ("bounds.linf_decomposition", check_linf_decomposition, None),
     ("core.invariants", check_core_invariants, None),
 )
-
-
-def run_check(name: str) -> CheckResult:
-    for cname, fn, budget in CHECKS:
-        if cname == name:
-            return _execute(cname, fn, budget)
-    raise KeyError(f"unknown check {name!r}")
 
 
 def _execute(name: str, fn, budget: float | None) -> CheckResult:

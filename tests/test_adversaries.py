@@ -128,21 +128,18 @@ def test_stopping_forced_regret_small_sweep():
 
 # ---------------------------------------------------------------- sign
 
-def test_sign_bias_variant_follows_bias():
-    adv = SignAdversary(GameConfig(5, 2, 1), variant="bias", bias_Z=-3.0)
-    for x in (0.9, -0.9, 0.0):
-        assert adv.respond(np.array([x]), True, np.array([-x]))[0] == -1.0
-
-
 def test_sign_action_variant():
-    adv = SignAdversary(GameConfig(5, 2, 1), variant="action")
+    adv = SignAdversary(GameConfig(5, 2, 1))
     assert adv.respond(np.array([0.0]), True, np.zeros(1))[0] == 1.0
     assert adv.respond(np.array([-0.7]), False, np.array([1.0]))[0] == -1.0
+    assert adv.respond(np.array([0.3]), False, np.array([-5.0]))[0] == 1.0
 
 
 def test_sign_rejects_unknown_variant_and_dim():
-    with pytest.raises(ValueError):
-        SignAdversary(GameConfig(5, 2, 1), variant="?")
+    # sign(x_t) is the only variant; a fixed sign is the constant adversary
+    for params in ({"variant": "bias"}, {"variant": "action"}, {"bias_Z": 0.5}):
+        with pytest.raises(TypeError):
+            make_adversary("sign", GameConfig(5, 2, 1), params)
     with pytest.raises(UnsupportedConfigError):
         SignAdversary(GameConfig(5, 2, 2))
 

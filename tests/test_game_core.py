@@ -177,6 +177,35 @@ def test_play_game_out_of_ball_action_message():
         play_game(Big(), ConstantAdversary(cfg), cfg)
 
 
+def test_nan_action_leaves_the_ball_at_round_one():
+    # a NaN norm is not <= 1, so the ball check rejects the first NaN action,
+    # before it can count as a move (NaN never equals NaN)
+    for K in (2, 3):
+        cfg = GameConfig(3, K, 1)
+        with pytest.raises(ValueError, match="round 1: player action leaves"):
+            play_game(_Scripted([math.nan] * 3), ConstantAdversary(cfg, w=1.0), cfg)
+
+
+def test_nan_loss_leaves_the_ball():
+    class NaNLoss(Adversary):
+        def respond(self, player_x, is_moving, W):
+            return np.array([0.0, math.nan])
+
+    for p in (2.0, math.inf):
+        cfg = GameConfig(3, 2, 2, p)
+        with pytest.raises(ValueError, match="round 1: adversary loss leaves"):
+            play_game(ConstantPlayer(cfg), NaNLoss(), cfg)
+
+
+def test_nan_constant_strategies_are_rejected():
+    for n, p in ((1, 2.0), (2, 2.0), (2, math.inf)):
+        cfg = GameConfig(3, 2, n, p)
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            ConstantPlayer(cfg, [math.nan] * n)
+        with pytest.raises(ValueError, match="leaves the adversary ball"):
+            ConstantAdversary(cfg, w=[math.nan] + [0.0] * (n - 1))
+
+
 def test_trajectory_regret_recompute_and_moving_flags():
     cfg = GameConfig(20, 4, 1, seed=3)
     rng = np.random.default_rng(5)

@@ -114,6 +114,14 @@ def test_exhaustive_sign_takes_no_adversary_params():
               adversary_params={"w": 0.3, "anything": 1})
 
 
+def test_params_must_be_objects():
+    for key in ("player_params", "adversary_params"):
+        for value in ([1], "x"):
+            with pytest.raises(ValueError, match=key):
+                _spec(**{key: value})
+        assert getattr(_spec(**{key: None}), key) == {}
+
+
 def test_simulate_rejects_unknown_player_params(tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({

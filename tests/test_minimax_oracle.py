@@ -58,14 +58,6 @@ def test_player_grid_refinement_decreases_value():
     assert vals[1] >= vals[2] - 1e-12
 
 
-def test_dense_adversary_grid_changes_nothing():
-    for T in (1, 2, 3):
-        for K in range(1, T + 1):
-            pm = _value(T, K, x_grid=21)
-            dense = mo.dense_adversary_value(T, K, x_grid=21, denom=5)
-            assert dense == pytest.approx(pm, abs=1e-12)
-
-
 def test_unconstrained_matches_closed_form():
     for K in range(1, 9):
         rep = mo.exact_minimax_1d(mo.OracleConfig(K, K, x_grid=41))

@@ -71,8 +71,8 @@ def test_minibatch_bound_against_adaptive_adversaries():
     for T, K in ((100, 4), (100, 10), (60, 60)):
         cfg = GameConfig(T, K, 1)
         bound = 2.0 * math.ceil(T / K) * math.sqrt(K)
-        for adv in (make_adversary("stopping", cfg), SignAdversary(cfg, variant="action"),
-                    SignAdversary(cfg, variant="bias")):
+        for adv in (make_adversary("stopping", cfg), SignAdversary(cfg),
+                    ConstantAdversary(cfg, w=1.0)):
             traj = play_game(MinibatchPlayer(cfg), adv, cfg)
             assert traj.regret <= bound + 1e-9
 
