@@ -24,20 +24,20 @@ that drives the fugal player.
 Numerics.  For a piecewise-linear f the inner objective restricted to one
 grid cell is a ratio of two affine functions of z', hence monotone there,
 so its infimum over the half-interval is attained at a grid node, where it
-is a line in x: g_plus (the w=+1 branch value) is a lower envelope of lines
-over the nodes right of z and g_minus over those left of it.  One
-convex-hull sweep per branch stores all these envelopes as root paths of a
-tree, searched by binary lifting.  g_plus is nondecreasing in x and g_minus
-nonincreasing, so h = g_plus - g_minus is monotone and piecewise linear;
-the outer infimum is its root, found exactly by Newton steps on the active
-line pair inside a bisection bracket.  Policy witnesses run on the same
-envelopes, one sign-tree level per batch (every bias of a level queries the
-same u_{k-1}): h is bisected to X_TOL for all biases at once, and the
-active line at the root is the argmin node.  Because the objective is
-monotone per cell, no search between nodes can beat that node; a
-three-point parabola through it and its neighbours still sharpens the
-minimizer, as the node alone is only O(grid step) accurate, too coarse for
-the switch-round tolerances the policy has to meet.
+is a line in x, or at z' = z, where it is the constant f(z): g_plus (the
+w=+1 branch value) is a lower envelope of lines over the nodes right of z
+and g_minus over those left of it.  One convex-hull sweep per branch stores
+all these envelopes as root paths of a tree, searched by binary lifting.
+g_plus is nondecreasing in x and g_minus nonincreasing, so h = g_plus -
+g_minus is monotone and piecewise linear; the outer infimum is its root,
+found exactly by Newton steps on the active line pair inside a bisection
+bracket, by one routine for the grid nodes of fugal_apply and for the
+policy witnesses (one sign-tree level per batch: every bias of a level
+queries the same u_{k-1}).  The active line at the root is the argmin
+node.  Because the objective is monotone per cell, no search between nodes
+can beat that node; a three-point parabola through it and its neighbours
+still sharpens the minimizer, as the node alone is only O(grid step)
+accurate, too coarse for the switch-round tolerances the policy has to meet.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ DEFAULT_RESOLUTION = 2000
 
 #: lower clamp for the operator denominators 1 + z'w near z' = -w
 DENOM_CLAMP = 1e-9
-
-#: bisection tolerance in x for the outer infimum of a pointwise witness
-X_TOL = 1e-10
 
 
 def make_grid(resolution: int) -> np.ndarray:
@@ -111,7 +108,7 @@ def quadratic_floor(k: int, z: float) -> float:
     if k < 1:
         raise ValueError("k must be a positive integer")
     z = float(z)
-    if abs(z) > 1.0 + 1e-12:
+    if not abs(z) <= 1.0 + 1e-12:
         raise ValueError("quadratic_floor domain is [-1, 1]")
     if k == 1:
         return 1.0
@@ -132,7 +129,7 @@ def quadratic_floor_image(i: int, z: float) -> float:
     if i < 2:
         raise ValueError("closed-form image needs i >= 2")
     z = float(z)
-    if abs(z) > 1.0 + 1e-12:
+    if not abs(z) <= 1.0 + 1e-12:
         raise ValueError("quadratic_floor_image domain is [-1, 1]")
     cut = math.sqrt(2.0 / i)
     if abs(z) <= cut:
@@ -152,6 +149,8 @@ def branch_cutoffs(i: int, x: float) -> tuple[float, float]:
     """
     if i < 2:
         raise ValueError("branch cutoffs need i >= 2")
+    if not abs(x) <= 1.0 + 1e-12:
+        raise ValueError("branch cutoffs need an action x in [-1, 1]")
     s = math.sqrt(2.0 / i)
     z_plus = math.sqrt(max(1.0 + 2.0 / i - 2.0 * s * x, 0.0)) - 1.0
     z_minus = 1.0 - math.sqrt(max(1.0 + 2.0 / i + 2.0 * s * x, 0.0))
@@ -168,6 +167,8 @@ def crossing_action(i: int, z: float) -> float:
     if i < 2:
         raise ValueError("crossing action needs i >= 2")
     z = float(z)
+    if not abs(z) <= 1.0 + 1e-12:
+        raise ValueError("crossing_action domain is [-1, 1]")
     if abs(z) <= math.sqrt(2.0 / i):
         x = -z * math.sqrt(max(-i * z * z + i + 2.0, 0.0)) / math.sqrt(2.0)
         return min(max(x, -1.0), 1.0)
@@ -179,8 +180,8 @@ def one_block_value(horizon_T: float, bias_Z: float) -> float:
 
         r_1(T, Z) = (|Z - T| + |Z + T|) / 2.
     """
-    if horizon_T <= 0:
-        raise ValueError("horizon must be positive")
+    if not (horizon_T > 0 and math.isfinite(bias_Z)):
+        raise ValueError("horizon must be positive and the bias finite")
     return (abs(bias_Z - horizon_T) + abs(bias_Z + horizon_T)) / 2.0
 
 
@@ -189,7 +190,7 @@ def overshoot_value(horizon_T: float, bias_Z: float) -> float:
     reachable range: (Z^2 + T^2) / (2T), valid for |Z| < T.  Its normalized
     form (z^2 + 1)/2 caps the recursion.
     """
-    if abs(bias_Z) >= horizon_T:
+    if not abs(bias_Z) < horizon_T:
         raise ValueError("overshoot value requires |Z| < T")
     return (bias_Z * bias_Z + horizon_T * horizon_T) / (2.0 * horizon_T)
 
@@ -284,33 +285,40 @@ def _envelopes(f: GridFunction):
             _hull_tree(fp, inv_p, range(N, 0, -1)), _hull_tree(fm, inv_m, range(N)))
 
 
-def fugal_apply(f: GridFunction) -> GridFunction:
-    """Apply the one-step minimax operator to a grid function.
-
-    Endpoints are pinned to 1 (= |z| there); interior nodes run the
-    inf-max-inf exactly on the envelopes of lines (see module notes).  A
-    sign pattern at x = -1 and x = 1 that contradicts the monotonicity of h
-    raises :class:`NumericStructureError` (grid too coarse for the
-    interpolant to retain the structure the method needs).
+def _crossing_root(env, z: np.ndarray, j0: np.ndarray, j1: np.ndarray, fz=None):
+    """The outer infimum of the operator at each bias z[r] (|z| < 1), exact
+    on f's envelopes ``env``: the root x of h = g_plus - g_minus on [-1, 1],
+    the value max(g_plus, g_minus) there and the active line pair (jp, jm),
+    over the node lines j >= j0[r] for g_plus and j <= j1[r] for g_minus.
+    Where fz is given and fz[r] is not nan (a bias between nodes), z' = z,
+    worth fz[r] for every x (slope term 1, intercept fz[r]), joins both
+    branches and wins ties; jp or jm is -1 where it is active.  Raises
+    :class:`NumericStructureError` where the signs of h at x = -1 and 1
+    contradict its monotonicity (grid too coarse for the method).
     """
-    N = f.resolution
-    z = f.grid
-    v = f.values
-    if np.any(v < np.abs(z) - 1e-9):
-        raise ValueError("operator input must dominate |z| pointwise")
+    fp, fm, inv_p, inv_m, (b_p, up_p), (b_m, up_m) = env
+    one_plus, one_minus = 1.0 + z, 1.0 - z
 
-    fp, fm, inv_p, inv_m, (b_p, up_p), (b_m, up_m) = _envelopes(f)
-    nodes = np.arange(1, N)
-    one_plus, one_minus = 1.0 + z[nodes], 1.0 - z[nodes]
+    def g(r, x, jp, jm):   # the branch values at x on the node lines jp, jm
+        return (x + one_plus[r] * (fp[jp] - x * inv_p[jp]),
+                -x + one_minus[r] * (fm[jm] + x * inv_m[jm]))
 
     def pair(r, x):
-        return (_active_line(b_p, up_p, nodes[r], x),
-                _active_line(b_m, up_m, nodes[r], -x))
+        jp = _active_line(b_p, up_p, j0[r], x)
+        jm = _active_line(b_m, up_m, j1[r], -x)
+        if fz is None:
+            return jp, jm
+        gp, gm = g(r, x, jp, jm)
+        return np.where(fz[r] <= gp, -1, jp), np.where(fz[r] <= gm, -1, jm)
 
     def h_line(r, jp, jm):
         """(slope, intercept) of h in x while the lines jp, jm are active."""
-        return (2.0 - one_plus[r] * inv_p[jp] - one_minus[r] * inv_m[jm],
-                one_plus[r] * fp[jp] - one_minus[r] * fm[jm])
+        sp, sm = one_plus[r] * inv_p[jp], one_minus[r] * inv_m[jm]
+        cp, cm = one_plus[r] * fp[jp], one_minus[r] * fm[jm]
+        if fz is not None:
+            sp, cp = np.where(jp < 0, 1.0, sp), np.where(jp < 0, fz[r], cp)
+            sm, cm = np.where(jm < 0, 1.0, sm), np.where(jm < 0, fz[r], cm)
+        return 2.0 - sp - sm, cp - cm
 
     def h_at(r, x, jp, jm):
         slope, icpt = h_line(r, jp, jm)
@@ -320,15 +328,15 @@ def fugal_apply(f: GridFunction) -> GridFunction:
         slope, icpt = h_line(r, jp, jm)
         return np.divide(-icpt, slope, out=np.full_like(slope, np.nan), where=slope > 0)
 
-    rows = np.arange(N - 1)
-    lo, hi = np.full(N - 1, -1.0), np.ones(N - 1)
+    rows = np.arange(z.size)
+    lo, hi = np.full(z.size, -1.0), np.ones(z.size)
     lo_p, lo_m = pair(rows, lo)
     hi_p, hi_m = pair(rows, hi)
     h_lo, h_hi = h_at(rows, lo, lo_p, lo_m), h_at(rows, hi, hi_p, hi_m)
     if np.any((h_lo > 1e-9) & (h_hi < -1e-9)):
         raise NumericStructureError(
             "crossing function not monotone at grid resolution "
-            f"N={N}; refine the grid")
+            f"N={fp.size - 1}; refine the grid")
     # Where h keeps one sign on [-1, 1] the bracket collapses onto that end;
     # elsewhere h(lo) < 0 <= h(hi) holds from here on.
     left, right = h_lo >= 0.0, h_hi < 0.0
@@ -362,10 +370,24 @@ def fugal_apply(f: GridFunction) -> GridFunction:
         lo[live[dn]], lo_p[live[dn]], lo_m[live[dn]] = cand[dn], cp[dn], cm[dn]
 
     x = np.clip(np.nan_to_num(newton(rows, hi_p, hi_m)), lo, hi)
-    gp = x + one_plus * (fp[hi_p] - x * inv_p[hi_p])
-    gm = -x + one_minus * (fm[hi_m] + x * inv_m[hi_m])
+    gp, gm = g(rows, x, hi_p, hi_m)
+    if fz is not None:
+        gp, gm = np.where(hi_p < 0, fz, gp), np.where(hi_m < 0, fz, gm)
+    return x, np.maximum(gp, gm), hi_p, hi_m
+
+
+def fugal_apply(f: GridFunction) -> GridFunction:
+    """Apply the one-step minimax operator to a grid function.
+
+    Endpoints are pinned to 1 (= |z| there); interior nodes run the
+    inf-max-inf exactly on the envelopes of lines (see module notes).
+    """
+    N, z = f.resolution, f.grid
+    if np.any(f.values < np.abs(z) - 1e-9):
+        raise ValueError("operator input must dominate |z| pointwise")
+    nodes = np.arange(1, N)
     out = np.ones(N + 1)
-    out[nodes] = np.maximum(gp, gm)
+    _, out[nodes], _, _ = _crossing_root(_envelopes(f), z[nodes], nodes, nodes)
     k_next = None if f.k_index is None else f.k_index + 1
     return GridFunction(N, out, k_index=k_next)
 
@@ -386,63 +408,39 @@ def _witnesses(f: GridFunction, z: np.ndarray):
     the arrays (x, value, z_plus, z_minus) of outer minimizers, operator
     values and inner minimizers per adversary sign (see module notes)."""
     grid, v, N = f.grid, f.values, f.resolution
-    *_, (b_p, up_p), (b_m, up_m) = _envelopes(f)
     j0 = np.searchsorted(grid, z, side="left")        # w = +1 nodes j >= j0
     j1 = np.searchsorted(grid, z, side="right") - 1   # w = -1 nodes j <= j1
-    fz = np.interp(z, grid, v)
+    # off the grid the candidate z' = z is no node line (on it, it is node j0)
+    fz = np.where(j0 > j1, np.interp(z, grid, v), np.nan)
+    x, value, jp, jm = _crossing_root(_envelopes(f), z, j0, j1, fz)
+    x[np.abs(x) <= 1e-13] = 0.0   # tie rule: prefer the action 0
 
-    def at_node(w, j, x):   # the branch objective ((1+wz) f(z') + x (z'-z)) / (1+z'w)
+    def at_node(w, j):   # the branch objective ((1+wz) f(z') + x (z'-z)) / (1+z'w)
         return (((1.0 + w * z) * v[j] + x * (grid[j] - z))
                 / np.maximum(1.0 + w * grid[j], DENOM_CLAMP))
 
-    # the off-node candidate z' = z is worth f(z) whatever x is
-    at_z = {w: (1.0 + w * z) * fz / np.maximum(1.0 + w * z, DENOM_CLAMP) for w in (1, -1)}
-
-    def best_node(w, x):    # the active line at x is the node argmin
-        j = _active_line(b_p, up_p, j0, x) if w > 0 else _active_line(b_m, up_m, j1, -x)
-        return j, at_node(w, j, x)
-
-    def h(x):
-        return (np.minimum(at_z[1], best_node(1, x)[1])
-                - np.minimum(at_z[-1], best_node(-1, x)[1]))
-
-    lo, hi = np.full(z.shape, -1.0), np.ones(z.shape)
-    if np.any((h(lo) > 1e-9) & (h(hi) < -1e-9)):
-        raise NumericStructureError("crossing function not monotone at this point")
-    for _ in range(int(math.ceil(math.log2(2.0 / X_TOL)))):
-        mid = 0.5 * (lo + hi)
-        up = h(mid) >= 0.0
-        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
-    x = 0.5 * (lo + hi)
-    # symmetric tie: prefer the smallest-magnitude action
-    x[(np.abs(x) < 8.0 * X_TOL) & (np.abs(h(np.zeros(z.shape))) < 1e-13)] = 0.0
-
-    def inner(w, first, last):
-        """Inner minimum and minimizer at x over z and the nodes first..last."""
-        j, val = best_node(w, x)
-        take_z = at_z[w] <= val
-        # A three-point parabola through the argmin node and its neighbours
-        # sharpens the minimizer from O(step) to O(step^2).
+    def inner(w, j, first, last):
+        """Inner minimizer at x: z where the candidate is active (j = -1),
+        else the argmin node j, sharpened from O(step) to O(step^2) by a
+        three-point parabola through it and its neighbours."""
         jl, jr = np.maximum(j - 1, 0), np.minimum(j + 1, N)
         za, zb, zc = grid[jl], grid[j], grid[jr]
-        ya, yb, yc = at_node(w, jl, x), val, at_node(w, jr, x)
+        ya, yb, yc = at_node(w, jl), at_node(w, j), at_node(w, jr)
         dba, dbc = zb - za, zb - zc
         den = dba * (yb - yc) - dbc * (yb - ya)
-        fit = ~take_z & (first < j) & (j < last) & (np.abs(den) >= 1e-300)
+        fit = (first < j) & (j < last) & (np.abs(den) >= 1e-300)
         den[~fit] = 1.0
         vertex = zb - 0.5 * (dba * dba * (yb - yc) - dbc * dbc * (yb - ya)) / den
         fit &= (za < vertex) & (vertex < zc)
-        return np.minimum(at_z[w], val), np.where(take_z, z, np.where(fit, vertex, zb))
+        return np.where(j < 0, z, np.where(fit, vertex, zb))
 
-    vp, zp = inner(1, j0, N)
-    vm, zm = inner(-1, 0, j1)
-    return x, np.maximum(vp, vm), zp, zm
+    return x, value, inner(1, jp, j0, N), inner(-1, jm, 0, j1)
 
 
 def operator_witness(f: GridFunction, z: float) -> OperatorWitness:
     """Operator value at one point with its minimizing action and the inner
     minimizer for each adversary sign (used to read off block fractions)."""
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise ValueError("witness queries need |z| < 1")
     x, value, zp, zm = _witnesses(f, np.array([float(z)]))
     return OperatorWitness(x=float(x[0]), value=float(value[0]),
@@ -497,8 +495,7 @@ class FugalPolicy:
         }
 
 
-def extract_policy(tables: list[GridFunction], budget_K: int,
-                   resolution: int) -> FugalPolicy:
+def extract_policy(tables: list[GridFunction], budget_K: int) -> FugalPolicy:
     """Walk the recursion tree level by level recording argmin witnesses,
     one batched witness call per level.
 
@@ -533,7 +530,7 @@ def extract_policy(tables: list[GridFunction], budget_K: int,
         prefixes = [p + (s,) for s in (1, -1) for p in prefixes]
         z = np.concatenate((z_next[1], z_next[-1]))
         tau = np.concatenate([np.where(absorbed, 0.0, tau - frac[s]) for s in (1, -1)])
-    return FugalPolicy(budget_K=budget_K, resolution=resolution, nodes=nodes)
+    return FugalPolicy(budget_K=budget_K, resolution=tables[0].resolution, nodes=nodes)
 
 
 _table_cache: dict[int, list[GridFunction]] = {}
@@ -562,7 +559,7 @@ def u_k_solve(budget_K: int, resolution: int = DEFAULT_RESOLUTION
     key = (budget_K, resolution)
     policy = _policy_cache.get(key)
     if policy is None:
-        policy = extract_policy(tables, budget_K, resolution)
+        policy = extract_policy(tables, budget_K)
         _policy_cache[key] = policy
     return list(tables), policy
 

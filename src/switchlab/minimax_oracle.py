@@ -49,6 +49,8 @@ class OracleConfig:
             raise ValueError("budget_K must satisfy 1 <= K <= T")
         if self.x_grid < 3 or self.x_grid % 2 == 0:
             raise ValueError("x_grid must be an odd count >= 3")
+        if not math.isfinite(self.initial_bias_Z):
+            raise ValueError(f"initial_bias_Z must be finite, got {self.initial_bias_Z}")
         states = self.x_grid * (2 * self.horizon_T + 1) * self.budget_K * self.horizon_T
         if states > MAX_STATES:
             raise CapacityError(f"state space {states} exceeds {MAX_STATES}")

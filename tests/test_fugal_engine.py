@@ -28,6 +28,8 @@ def test_quadratic_floor_domain():
         fe.quadratic_floor(2, 1.5)
     with pytest.raises(ValueError):
         fe.quadratic_floor(0, 0.0)
+    with pytest.raises(ValueError):
+        fe.quadratic_floor(2, math.nan)
 
 
 def test_quadratic_floor_junction_continuous():
@@ -45,6 +47,11 @@ def test_floor_image_values():
     assert fe.quadratic_floor_image(4, cut4 - 1e-12) == pytest.approx(cut4, abs=1e-10)
     with pytest.raises(ValueError):
         fe.quadratic_floor_image(1, 0.0)
+
+
+def test_floor_image_rejects_nan():
+    with pytest.raises(ValueError):
+        fe.quadratic_floor_image(3, math.nan)
 
 
 def test_floor_image_interlaces_next_floor():
@@ -74,11 +81,22 @@ def test_branch_cutoffs():
         assert zp0 == pytest.approx(-zm0)
 
 
+def test_branch_cutoffs_reject_nan_and_actions_outside_ball():
+    for x in (math.nan, 1.5):
+        with pytest.raises(ValueError):
+            fe.branch_cutoffs(3, x)
+
+
 def test_crossing_action():
     for i in (2, 5, 9):
         assert fe.crossing_action(i, 0.0) == 0.0
     assert fe.crossing_action(2, 1.0) == pytest.approx(-1.0)
     assert fe.crossing_action(2, 0.5) == pytest.approx(-0.5 * math.sqrt(3.5) / SQRT2)
+
+
+def test_crossing_action_rejects_nan():
+    with pytest.raises(ValueError):
+        fe.crossing_action(2, math.nan)
 
 
 def test_one_block_value():
@@ -89,6 +107,12 @@ def test_one_block_value():
         fe.one_block_value(0.0, 1.0)
 
 
+def test_one_block_value_rejects_nan():
+    for T, Z in ((math.nan, 0.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            fe.one_block_value(T, Z)
+
+
 def test_overshoot_value():
     assert fe.overshoot_value(4.0, 0.0) == pytest.approx(2.0)
     assert fe.overshoot_value(4.0, 2.0) == pytest.approx(2.5)  # 5T/8
@@ -96,6 +120,11 @@ def test_overshoot_value():
     assert fe.overshoot_value(1.0, z) == pytest.approx((z * z + 1.0) / 2.0)
     with pytest.raises(ValueError):
         fe.overshoot_value(2.0, 2.0)
+
+
+def test_overshoot_value_rejects_nan():
+    with pytest.raises(ValueError):
+        fe.overshoot_value(1.0, math.nan)
 
 
 def test_u4_exact_constants():
@@ -399,59 +428,76 @@ def test_operator_witness_rejects_boundary():
         fe.operator_witness(ones, 1.0)
 
 
+def test_operator_witness_rejects_nan():
+    ones = fe.GridFunction(200, np.ones(201))
+    with pytest.raises(ValueError):
+        fe.operator_witness(ones, math.nan)
+
+
 # ------------------------------------------------------------- batched witnesses
 
-def _reference_witness(f, z, x_tol=1e-10):
-    """The pointwise witness as a node scan per adversary sign, a fixed-step
-    bisection of the crossing in x and a three-point parabola through the
-    argmin node: O(N) per scan, kept as the reference the level-batched
-    witnesses must reproduce bit for bit."""
-    grid, v = f.grid, f.values
+def _reference_witness(f, z):
+    """The pointwise witness as a node scan per adversary sign: bisect the
+    crossing in x only until the scans' argmin pair is the same at both ends
+    of the bracket, take that pair's line root (the tie rule sends a root
+    within 1e-13 of 0 to 0.0), and sharpen each argmin node by a three-point
+    parabola.  O(N) per scan and no hull trees: kept as the reference the
+    level-batched witnesses must reproduce bit for bit."""
+    grid, v, N = f.grid, f.values, f.resolution
+    j0 = int(np.searchsorted(grid, z, side="left"))        # w = +1 nodes j >= j0
+    j1 = int(np.searchsorted(grid, z, side="right")) - 1   # w = -1 nodes j <= j1
+    inv = {w: 1.0 / np.maximum(1.0 + w * grid, fe.DENOM_CLAMP) for w in (1, -1)}
+
+    def at_node(w, j, x):
+        return ((1.0 + w * z) * v[j] + x * (grid[j] - z)) / np.maximum(1.0 + w * grid[j], fe.DENOM_CLAMP)
 
     def scan(w, x):
-        if w > 0:
-            j0 = int(np.searchsorted(grid, z, side="left"))
-            zc = np.concatenate(([z], grid[j0:]))
-            fc = np.concatenate(([f.interp(z)], v[j0:]))
-        else:
-            j1 = int(np.searchsorted(grid, z, side="right"))
-            zc = np.concatenate((grid[:j1], [z]))
-            fc = np.concatenate((v[:j1], [f.interp(z)]))
-        den = np.maximum(1.0 + w * zc, fe.DENOM_CLAMP)
-        return zc, ((1.0 + w * z) * fc + x * (zc - z)) / den
+        """(argmin, min) over the nodes of sign w and, off the grid, the
+        candidate z' = z (index -1, worth f(z); it wins ties)."""
+        js = np.arange(j0, N + 1) if w > 0 else np.arange(j1 + 1)
+        vals = at_node(w, js, x)
+        i = int(np.argmin(vals))
+        if j0 > j1 and f.interp(z) <= vals[i]:
+            return -1, f.interp(z)
+        return int(js[i]), float(vals[i])
+
+    def pair(x):
+        return scan(1, x)[0], scan(-1, x)[0]
 
     def h(x):
-        return float(scan(1, x)[1].min() - scan(-1, x)[1].min())
+        return scan(1, x)[1] - scan(-1, x)[1]
 
     if h(-1.0) > 1e-9 and h(1.0) < -1e-9:
         raise fe.NumericStructureError("crossing function not monotone at this point")
-    lo, hi = -1.0, 1.0
-    for _ in range(int(math.ceil(math.log2(2.0 / x_tol)))):
+    lo, hi = (-1.0, -1.0) if h(-1.0) >= 0.0 else (1.0, 1.0) if h(1.0) < 0.0 else (-1.0, 1.0)
+    while pair(lo) != pair(hi) and hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
-        if h(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    x0 = 0.5 * (lo + hi)
-    if abs(x0) < 8.0 * x_tol and abs(h(0.0)) < 1e-13:
+        lo, hi = (lo, mid) if h(mid) >= 0.0 else (mid, hi)
+    # the root of h's line for the pair (jp, jm); the candidate's line has
+    # slope term 1 and intercept f(z)
+    jp, jm = pair(hi)
+    sp, cp = (1.0, f.interp(z)) if jp < 0 else ((1.0 + z) * inv[1][jp], (1.0 + z) * (v[jp] * inv[1][jp]))
+    sm, cm = (1.0, f.interp(z)) if jm < 0 else ((1.0 - z) * inv[-1][jm], (1.0 - z) * (v[jm] * inv[-1][jm]))
+    slope = 2.0 - sp - sm
+    x0 = min(max(-(cp - cm) / slope if slope > 0 else 0.0, lo), hi)
+    if abs(x0) <= 1e-13:
         x0 = 0.0
-    value, z_next = -math.inf, {}
-    for w in (1, -1):
-        zc, vals = scan(w, x0)
-        i = int(np.argmin(vals))
-        value, z_next[w] = max(value, float(vals[i])), zc[i]
-        # the parabola needs three nodes; z itself is first (w=+1) or last
-        if (2 <= i < zc.size - 1) if w > 0 else (1 <= i <= zc.size - 3):
-            (a, b, c), (ya, yb, yc) = zc[i - 1:i + 2], vals[i - 1:i + 2]
+    z_next = {}
+    for w, j, first, last in ((1, jp, j0, N), (-1, jm, 0, j1)):
+        z_next[w] = z if j < 0 else grid[j]
+        if first < j < last:
+            (a, b, c) = grid[j - 1:j + 2]
+            ya, yb, yc = (at_node(w, i, x0) for i in (j - 1, j, j + 1))
             den = (b - a) * (yb - yc) - (b - c) * (yb - ya)
             if abs(den) >= 1e-300:
                 vx = b - 0.5 * ((b - a) * (b - a) * (yb - yc) - (b - c) * (b - c) * (yb - ya)) / den
                 if a < vx < c:
                     z_next[w] = vx
+    value = max(scan(1, x0)[1], scan(-1, x0)[1])
     return fe.OperatorWitness(x=x0, value=value, z_next=z_next)
 
 
-def _reference_policy(tables, budget_K, resolution):
+def _reference_policy(tables, budget_K):
     """The sign tree walked depth first, one reference witness per node."""
     nodes = {}
 
@@ -474,27 +520,42 @@ def _reference_policy(tables, budget_K, resolution):
             visit(prefix + (s,), wit.z_next[s], tau - frac[s])
 
     visit((), 0.0, 1.0)
-    return fe.FugalPolicy(budget_K=budget_K, resolution=resolution, nodes=nodes)
+    return fe.FugalPolicy(budget_K=budget_K, resolution=tables[0].resolution, nodes=nodes)
 
 
 @pytest.mark.parametrize("K,N", [(2, 500), (3, 500), (4, 500), (3, 2000), (8, 500)])
 def test_extract_policy_matches_reference_bit_for_bit(K, N):
     tables = fe.solve_tables(K, N)
-    new = fe.extract_policy(tables, K, N).to_json_dict()
-    ref = _reference_policy(tables, K, N).to_json_dict()
+    new = fe.extract_policy(tables, K).to_json_dict()
+    ref = _reference_policy(tables, K).to_json_dict()
+    assert new["resolution"] == N
     # compared as JSON text, so that even the sign of a zero fraction counts
     assert json.dumps(new) == json.dumps(ref)
 
 
 def test_witness_values_match_operator_at_nodes():
-    # two code paths for the same inf-max-inf: the bisected witness at a
-    # grid node against the exact envelope root of fugal_apply
-    N = 500
-    tables = fe.solve_tables(5, N)
-    interior = fe.make_grid(N)[1:-1]
-    for f, image in zip(tables, tables[1:]):
-        _, value, _, _ = fe._witnesses(f, interior)
-        assert float(np.max(np.abs(value - image.values[1:-1]))) <= 1e-9
+    # one code path for the inf-max-inf: at a grid node the witness and
+    # fugal_apply solve the same crossing with the same root finder
+    for N in (500, 1000):
+        tables = fe.solve_tables(5, N)
+        interior = fe.make_grid(N)[1:-1]
+        for f, image in zip(tables, tables[1:]):
+            _, value, _, _ = fe._witnesses(f, interior)
+            assert float(np.max(np.abs(value - image.values[1:-1]))) <= 1e-15
+
+
+def test_witnesses_match_reference_where_z_itself_is_the_inner_minimizer():
+    # f rises steeply right of 0.1, so for biases between nodes just above
+    # it the w = +1 branch keeps z' = z: the off-node candidate is active
+    N = 200
+    grid = fe.make_grid(N)
+    f = fe.GridFunction(N, np.abs(grid) + 0.2 + 5.0 * np.maximum(grid - 0.1, 0.0))
+    zs = np.linspace(-0.05, 0.12, 37) + 1e-4
+    xs, _, z_plus, z_minus = fe._witnesses(f, zs)
+    assert np.sum(z_plus == zs) >= 3
+    for r, z in enumerate(zs):
+        wit = _reference_witness(f, float(z))
+        assert (wit.x, wit.z_next[1], wit.z_next[-1]) == (xs[r], z_plus[r], z_minus[r])
 
 
 def test_operator_witness_is_a_batch_of_one():

@@ -294,6 +294,18 @@ def test_oracle_mode_writes_table(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("Z", ["NaN", "Infinity"])
+def test_oracle_cli_rejects_a_non_finite_bias(tmp_path, Z):
+    # json reads NaN and Infinity as floats; a game with such a bias has no
+    # value, so no row may carry a finite bound for it
+    cfg = tmp_path / "oracle.json"
+    cfg.write_text('{"mode": "oracle", "sweep": {"T": [3], "K": [2], "Z": [0.0, %s]}}' % Z)
+    out = tmp_path / "oracle.csv"
+    with pytest.raises(ValueError, match="initial_bias_Z"):
+        labctl.main(["oracle", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_cli_main_end_to_end(tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({
