@@ -406,7 +406,10 @@ class OperatorWitness:
 def _witnesses(f: GridFunction, z: np.ndarray):
     """Operator witnesses at every bias in z (all |z| < 1), in one batch:
     the arrays (x, value, z_plus, z_minus) of outer minimizers, operator
-    values and inner minimizers per adversary sign (see module notes)."""
+    values and inner minimizers per adversary sign (see module notes).
+    Where the inner objective is flat over a range of z' (where T f = f at
+    the bias), every z' in it ties: which one is reported is unspecified,
+    and only its value is defined."""
     grid, v, N = f.grid, f.values, f.resolution
     j0 = np.searchsorted(grid, z, side="left")        # w = +1 nodes j >= j0
     j1 = np.searchsorted(grid, z, side="right") - 1   # w = -1 nodes j <= j1

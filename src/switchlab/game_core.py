@@ -14,10 +14,11 @@ exact-inequality change between consecutive emitted actions.
 This module owns a game's state and its round rules.  ``play_game`` keeps
 the running loss sum W and hands it to the adversary each round, so
 adversaries hold no copy of it; ``worst_case_sign_regret`` walks every
-+-1 loss sequence with the same round step.  A finished game is stored as
-columns: the (T, n) actions and losses, and the moving flags derived from
-the actions.  ``Trajectory.from_columns`` is the one place that derives
-switch count, loss sum, feasibility and regret.
++-1 loss sequence with the same round step.  Actions and losses are
+ball-checked when they change.  A finished game is stored as columns: the
+(T, n) actions and losses, and the moving flags derived from the actions.
+``Trajectory.from_columns`` is the one place that derives switch count,
+loss sum, feasibility and regret.
 """
 
 from __future__ import annotations
@@ -123,9 +124,11 @@ class Trajectory:
         """Build a trajectory from its (T, n) action and loss columns; a
         list of scalars is one column.  Everything else is derived here.
 
-        The regret is the sequential sum of ``np.dot(w_t, x_t)`` plus the
-        dual norm of the sequential loss sum: summing in any other order
-        (or with ``einsum``) moves results in the last bit.
+        The regret is the payoff plus the dual norm of the sequential loss
+        sum.  The payoff sums the rows of one stacked 1 x n @ n x 1 matmul
+        (``np.dot``'s kernel) with ``cumsum``, which is strictly sequential:
+        bit for bit the loop ``payoff += np.dot(w_t, x_t)``.  Any other
+        order (or ``einsum``) moves results in the last bit.
         """
         shape = (config.horizon_T, config.dimension_n)
         X = np.asarray(actions, dtype=float).reshape(len(actions), -1)
@@ -133,23 +136,18 @@ class Trajectory:
         if X.shape != shape or L.shape != shape:
             raise ValueError(f"actions {X.shape} and losses {L.shape} must both "
                              f"have shape (T, n) = {shape}")
-        n = config.dimension_n
-        rounds = np.empty(len(X), dtype=[("action_x", float, (n,)), ("loss_w", float, (n,)),
-                                         ("is_moving", bool)])
-        rounds["action_x"] = X
-        rounds["loss_w"] = L
+        rounds = np.empty(len(X), dtype=[("action_x", float, shape[1:]),
+                                         ("loss_w", float, shape[1:]), ("is_moving", bool)])
+        rounds["action_x"], rounds["loss_w"] = X, L
         rounds["is_moving"] = _moving_mask(X)
         rounds.setflags(write=False)
         switches = int(np.count_nonzero(rounds["is_moving"])) - 1
         W = np.cumsum(L, axis=0)[-1]
         W.setflags(write=False)
         feasible = switches < config.budget_K
-        regret = None
-        if feasible:
-            payoff = 0.0
-            for w, x in zip(L, X):
-                payoff += float(np.dot(w, x))
-            regret = payoff + dual_norm(W, config.player_norm_p)
+        payoffs = (L[:, None, :] @ X[:, :, None]).ravel()   # w_t . x_t per round
+        regret = (float(np.cumsum(payoffs, out=payoffs)[-1]) + dual_norm(W, config.player_norm_p)
+                  if feasible else None)
         return cls(config=config, rounds=rounds, switch_count=switches,
                    cumulative_W=W, regret=regret, feasible=feasible)
 
@@ -175,21 +173,22 @@ def _round_step(player, prev, switches: int, t: int, n: int, p: float, budget_K:
     """Round t's action as an n-vector and as a list, whether it moves, and
     the switch count after it.  ``prev`` is the previous action's list
     (``None`` at round 1, which always moves); list equality of floats is
-    the exact ``!=`` of ``Trajectory.from_columns`` (-0.0 equals 0.0).
-    ``ValueError`` if the action leaves the unit p-ball or has a NaN entry,
-    ``BudgetViolationError`` if the move is switch number K."""
+    the exact ``!=`` of ``Trajectory.from_columns`` (-0.0 equals 0.0, NaN
+    equals nothing).  The action is ball-checked when it changes, since a
+    repeat passed already: ``ValueError`` if it leaves the unit p-ball or
+    has a NaN entry, then ``BudgetViolationError`` if the move is switch
+    number K."""
     x = np.asarray(player.decide(), dtype=float).reshape(n)
-    if outside_ball(x, p):
-        raise ValueError(f"round {t}: player action leaves the unit {p}-ball")
     key = x.tolist()
-    if prev is None:
-        return x, key, True, switches
     if key == prev:
         return x, key, False, switches
-    switches += 1
-    if switches >= budget_K:
-        raise BudgetViolationError(f"round {t}: switch number {switches} with budget "
-                                   f"K={budget_K}", round_index=t)
+    if outside_ball(x, p):
+        raise ValueError(f"round {t}: player action leaves the unit {p}-ball")
+    if prev is not None:   # round 1 moves but is no switch
+        switches += 1
+        if switches >= budget_K:
+            raise BudgetViolationError(f"round {t}: switch number {switches} with budget "
+                                       f"K={budget_K}", round_index=t)
     return x, key, True, switches
 
 
@@ -200,20 +199,19 @@ def play_game(player, adversary, config: GameConfig) -> Trajectory:
     answers ``respond(x_t, is_moving, W)`` with w_t, then the player
     observes w_t.  ``is_moving`` is the exact inequality, and ``W`` the
     read-only sum of the earlier losses (zeros at t = 1) in round order,
-    that :meth:`Trajectory.from_columns` uses.  A player that would exceed
-    the switch budget aborts the game with an error naming the round.
+    that :meth:`Trajectory.from_columns` uses.  An action or loss is
+    ball-checked when it changes (exact ``!=``; a repeat passed already).
+    A player that would exceed the switch budget aborts the game with an
+    error naming the round.
 
     Both strategies must be freshly initialized for ``config``.
     """
-    n = config.dimension_n
-    p = config.player_norm_p
+    n, p, K = config.dimension_n, config.player_norm_p, config.budget_K
     q = config.adversary_norm_q
-    K = config.budget_K
     respond = adversary.respond
-    X = np.empty((config.horizon_T, n))
-    L = np.empty((config.horizon_T, n))
+    X, L = np.empty((2, config.horizon_T, n))   # actions, losses
     W = np.zeros(n)
-    prev, switches = None, 0
+    prev, prev_w, switches = None, None, 0
 
     for i in range(config.horizon_T):
         t = i + 1
@@ -221,8 +219,9 @@ def play_game(player, adversary, config: GameConfig) -> Trajectory:
         X[i] = x
         W.setflags(write=False)
         w = np.asarray(respond(x, is_moving, W), dtype=float).reshape(n)
-        if outside_ball(w, q):
+        if (key := w.tolist()) != prev_w and outside_ball(w, q):
             raise ValueError(f"round {t}: adversary loss leaves the unit {q}-ball")
+        prev_w = key
         L[i] = w
         W = W + w
         player.observe(w)

@@ -558,6 +558,22 @@ def test_witnesses_match_reference_where_z_itself_is_the_inner_minimizer():
         assert (wit.x, wit.z_next[1], wit.z_next[-1]) == (xs[r], z_plus[r], z_minus[r])
 
 
+def test_tied_inner_minimizers_have_the_reference_value():
+    # on |z| the inner objective is flat over a range of z' at z = 0.333
+    # (T f = f there): the reported z' may differ from the reference's, but
+    # the objective takes the same value at both
+    f = fe.grid_of(abs, 200)
+    z = 0.333
+    xs, _, z_plus, z_minus = fe._witnesses(f, np.array([z]))
+    ref = _reference_witness(f, z)
+
+    def objective(w, z_next, x):
+        return ((1.0 + w * z) * f.interp(z_next) + x * (z_next - z)) / (1.0 + w * z_next)
+
+    for w, mine in ((1, z_plus[0]), (-1, z_minus[0])):
+        assert abs(objective(w, mine, xs[0]) - objective(w, ref.z_next[w], ref.x)) <= 1e-12
+
+
 def test_operator_witness_is_a_batch_of_one():
     f = fe.solve_tables(4, 500)[3]
     zs = np.array([-0.93, -0.5, -0.2004, 0.0, 0.004, 0.31, 0.77])

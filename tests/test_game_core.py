@@ -206,6 +206,74 @@ def test_nan_constant_strategies_are_rejected():
             ConstantAdversary(cfg, w=[math.nan] + [0.0] * (n - 1))
 
 
+class _ScriptedLoss(Adversary):
+    def __init__(self, ws):
+        self._ws = iter(ws)
+
+    def respond(self, player_x, is_moving, W):
+        return np.array(next(self._ws))
+
+
+def test_repeated_action_then_leaving_the_ball_is_caught():
+    # an action is ball-checked when it changes: a repeat passed already,
+    # but the first changed action is checked at its own round
+    cfg = GameConfig(6, 3, 1)
+    with pytest.raises(ValueError, match="round 4: player action leaves"):
+        play_game(_Scripted([0.0, 0.0, 0.0, 1.5, 1.5, 1.5]), ConstantAdversary(cfg, w=1.0), cfg)
+
+
+def test_repeated_action_then_nan_is_caught():
+    # NaN equals nothing, so it is checked even right after a repeat
+    for K in (2, 3):
+        cfg = GameConfig(5, K, 1)
+        with pytest.raises(ValueError, match="round 3: player action leaves"):
+            play_game(_Scripted([0.2, 0.2, math.nan, math.nan, 0.2]),
+                      ConstantAdversary(cfg, w=1.0), cfg)
+
+
+@pytest.mark.parametrize("p,inside,outside", [(2.0, [0.6, 0.8], [0.8, 0.8]),
+                                              (math.inf, [1.0, -1.0], [1.5, 0.0])])
+def test_repeated_loss_then_leaving_the_ball_is_caught(p, inside, outside):
+    cfg = GameConfig(6, 2, 2, p)
+    with pytest.raises(ValueError, match="round 4: adversary loss leaves"):
+        play_game(ConstantPlayer(cfg), _ScriptedLoss([inside] * 3 + [outside] * 3), cfg)
+
+
+def test_signed_zero_alternation_neither_moves_nor_leaves_the_ball():
+    zeros = [0.0, -0.0] * 4
+    for n, p in ((1, 2.0), (2, 2.0), (2, math.inf)):
+        cfg = GameConfig(len(zeros), 1, n, p)
+        column = [[z] * n for z in zeros]
+        traj = play_game(_Scripted(column), _ScriptedLoss(column), cfg)
+        assert traj.switch_count == 0
+        assert traj.rounds["is_moving"].tolist() == [True] + [False] * (len(zeros) - 1)
+        assert traj.regret == 0.0
+
+
+def _loop_regret(traj):
+    """The payoff as the per-row sequential ``np.dot`` loop, plus the dual norm."""
+    payoff = 0.0
+    for w, x in zip(traj.rounds["loss_w"], traj.rounds["action_x"]):
+        payoff += float(np.dot(w, x))
+    return payoff + dual_norm(traj.cumulative_W, traj.config.player_norm_p)
+
+
+def test_batched_payoff_equals_the_sequential_dot_loop_bit_for_bit():
+    rng = np.random.default_rng(11)
+    T = 1000
+    for n in (1, 2, 3, 5):
+        for p in (2.0, math.inf):
+            cfg = GameConfig(T, T, n, p)    # K = T: every sequence is feasible
+            columns = {"random": lambda: rng.uniform(-1, 1, (T, n)) / math.sqrt(n),
+                       "sign": lambda: rng.choice([-1.0, 1.0], (T, n)),
+                       "signed zero": lambda: rng.choice([-0.0, 0.0], (T, n)),
+                       "zero": lambda: np.zeros((T, n))}
+            for x_kind, xs in columns.items():
+                for w_kind, ws in columns.items():
+                    traj = Trajectory.from_columns(cfg, xs(), ws())
+                    assert traj.regret.hex() == _loop_regret(traj).hex(), (n, p, x_kind, w_kind)
+
+
 def test_trajectory_regret_recompute_and_moving_flags():
     cfg = GameConfig(20, 4, 1, seed=3)
     rng = np.random.default_rng(5)
