@@ -9,7 +9,7 @@ game.
 The id "stopping" is the one-coordinate product adversary (n = 1 only),
 and "sign" answers sign(x_t); a sign fixed in advance is "constant".
 The exhaustive sign search over every +-1 sequence is not an adversary
-here: it is ``game_core.worst_case_sign_regret``.
+here: it is ``game_core.worst_case_sign_regret``, a memoized state search.
 """
 
 from __future__ import annotations

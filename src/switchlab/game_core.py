@@ -13,18 +13,19 @@ exact-inequality change between consecutive emitted actions.
 
 This module owns a game's state and its round rules.  ``play_game`` keeps
 the running loss sum W and hands it to the adversary each round, so
-adversaries hold no copy of it; ``worst_case_sign_regret`` walks every
-+-1 loss sequence with the same round step.  Actions and losses are
-ball-checked when they change.  A finished game is stored as columns: the
-(T, n) actions and losses, and the moving flags derived from the actions.
-``Trajectory.from_columns`` is the one place that derives switch count,
-loss sum, feasibility and regret.
+adversaries hold no copy of it; ``worst_case_sign_regret``, the lab's one
+exhaustive +-1 search, decides each distinct game state once with the same
+round step.  Actions and losses are ball-checked when they change.  A
+finished game is stored as columns: the (T, n) actions and losses, and
+the moving flags derived from the actions.  ``Trajectory.from_columns`` is
+the one place that derives switch count, loss sum, feasibility and regret.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,7 +143,7 @@ class Trajectory:
         rounds["is_moving"] = _moving_mask(X)
         rounds.setflags(write=False)
         switches = int(np.count_nonzero(rounds["is_moving"])) - 1
-        W = np.cumsum(L, axis=0)[-1]
+        W = np.cumsum(L, axis=0)[-1].copy()   # not a view, which would keep all T rows
         W.setflags(write=False)
         feasible = switches < config.budget_K
         payoffs = (L[:, None, :] @ X[:, :, None]).ravel()   # w_t . x_t per round
@@ -235,64 +236,102 @@ for _w in SIGN_LOSSES:
     _w.setflags(write=False)
 
 
-def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, Trajectory]:
-    """Max regret of a player over every +-1 loss sequence (n = 1, T <= 16).
+#: the most states the sign search stores: a 42 MiB peak (tracemalloc, minibatch)
+MAX_SIGN_STATES = 2 ** 17
 
-    A depth-first walk of the sign tree.  Each node plays one round step of
-    ``play_game`` (ball, exact-``!=`` moving flag, switch budget), and the
-    player is forked with ``copy.copy`` for the w = -1 child (the
-    ``Player`` contract), so a shared prefix is played once: about
-    2^(T+1) rounds in place of T*2^T.  The result is that of playing the
-    2^T sequences one by one in code order, where sequence c has round t's
-    loss at bit t-1 (set for +1): among equal regrets the smallest code
-    wins, and when sequences raise, the error of the smallest such code is
-    raised.
+
+def _state_key(value, alive: dict):
+    """A hashable snapshot of one player attribute: arrays by dtype, shape
+    and bytes, floats by their bits (-0.0 is not 0.0), ints by value,
+    tuples, lists and sets by content.  Anything else is keyed by identity
+    and held in ``alive``, which the search keeps for its whole length,
+    since CPython reuses the id of a freed object."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return struct.pack("d", value)
+    if isinstance(value, int):
+        return value
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(_state_key(v, alive) for v in value)
+    if isinstance(value, (set, frozenset)):
+        return frozenset(_state_key(v, alive) for v in value)
+    alive[id(value)] = value
+    return (id(value),)
+
+
+def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, Trajectory]:
+    """Max regret of a player over every +-1 loss sequence (n = 1).
+
+    A memoized search over game states, one level per round.  A state is
+    (round, W, the previous action, switches used, a snapshot of
+    ``vars(player)`` by :func:`_state_key`); by the ``Player`` fork contract
+    the attributes determine the player's future play, so sign prefixes that
+    reach one state share everything after it, and each state plays one
+    round step of ``play_game`` (ball, exact-``!=`` moving flag, switch
+    budget) once.  Its children are forked with ``copy.copy``.  The search
+    stores at most ``MAX_SIGN_STATES`` states, a 42 MiB peak for
+    ``minibatch``, and raises ``CapacityError`` beyond.
+
+    Sequence c has round t's loss at bit t-1 (set for +1).  A state's value
+    is max_w (w x + value(child)), and |W| after round T; so the worst
+    sequence maximizes the regret summed backwards, and among equal sums the
+    smallest code wins.  The reported regret is that sequence's forward sum,
+    from ``Trajectory.from_columns``.  When sequences raise, the error of
+    the smallest such code is raised.
     """
     T = config.horizon_T
     if config.dimension_n != 1:
         raise UnsupportedConfigError("exhaustive sign sweep is one-dimensional")
-    if T > 16:
-        raise CapacityError("exhaustive sign sweep supports T <= 16")
     K, p = config.budget_K, config.player_norm_p
-    actions = [None] * T
-    worst = [-math.inf, 0, None]  # regret, code and actions of the worst sequence
-    error = [math.inf, None]      # code and exception of the first failing sequence
-
-    def fail(code, exc):
-        # deferred, never dropped: the branch is cut and the error of the
-        # smallest failing code is raised once the walk ends
-        if code < error[0]:
-            error[:] = code, exc
-
-    def walk(player, i, code, payoff, W, switches):
-        t = i + 1
-        try:
-            _, actions[i], _, switches = _round_step(player, actions[i - 1] if i else None,
-                                                     switches, t, 1, p, K)
-        except Exception as exc:
-            return fail(code, exc)
-        x = actions[i][0]
-        for w, loss in zip((-1.0, 1.0), SIGN_LOSSES):
-            child, c = (copy.copy(player), code) if w < 0 else (player, code | 1 << i)
+    alive = {}      # attribute values keyed by identity
+    levels = []     # per round, each state's action and the indices of its two children
+    failures = []   # (smallest code of a failing sequence, its error); levels are then unread
+    # player, W, previous action, switches, the smallest code that reaches the state
+    frontier, stored = [[player_factory(), 0, None, 0, 0]], 1
+    for t in range(1, T + 1):
+        index, nxt, level = {}, [], []
+        for player, W, prev, switches, low in frontier:
             try:
-                child.observe(loss)
-            except Exception as exc:
-                fail(c, exc)
+                _, key, _, used = _round_step(player, prev, switches, t, 1, p, K)
+            except Exception as exc:   # deferred: the smallest failing code raises
+                failures.append((low, exc))
                 continue
-            # np.dot of one +-1 entry is the exact product, so this is the
-            # sequential sum of Trajectory.from_columns, bit for bit
-            s = payoff + w * x
-            if t < T:
-                walk(child, t, c, s, W + w, switches)
-                continue
-            regret = s + abs(W + w)  # |W| is either dual norm of an integer W
-            if regret > worst[0] or regret == worst[0] and c < worst[1]:
-                worst[:] = regret, c, list(actions)
+            children = []
+            for bit, loss in enumerate(SIGN_LOSSES):
+                child, code = (copy.copy(player) if bit == 0 else player), low | bit << (t - 1)
+                try:
+                    child.observe(loss)
+                except Exception as exc:
+                    failures.append((code, exc))
+                    continue
+                W_next = W + 2 * bit - 1
+                state = (W_next,) if t == T else (
+                    W_next, key[0], used,
+                    tuple((name, _state_key(v, alive)) for name, v in vars(child).items()))
+                j = index.setdefault(state, len(nxt))
+                if j < len(nxt):
+                    nxt[j][4] = min(nxt[j][4], code)
+                else:
+                    if stored + j >= MAX_SIGN_STATES:
+                        raise CapacityError(f"sign search needs over {MAX_SIGN_STATES} states")
+                    nxt.append([child, W_next, key, used, code])
+                children.append(j)
+            level.append((key[0], children))
+        levels.append(level)
+        frontier, stored = nxt, stored + len(nxt)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
 
-    walk(player_factory(), 0, 0, 0.0, 0.0, 0)
-    if error[1] is not None:
-        raise error[1]
-    code = worst[1]
-    traj = Trajectory.from_columns(config, worst[2],
+    best = [(abs(W), 0) for _, W, *_ in frontier]   # (value, -code) of each state
+    for level in reversed(levels):
+        best = [max(((2 * bit - 1) * x + best[j][0], 2 * best[j][1] - bit)
+                    for bit, j in enumerate(children)) for x, children in level]
+    code, j, actions = -best[0][1], 0, []
+    for i, level in enumerate(levels):
+        x, children = level[j]
+        actions.append(x)
+        j = children[code >> i & 1]
+    traj = Trajectory.from_columns(config, actions,
                                    [1.0 if code >> i & 1 else -1.0 for i in range(T)])
     return traj.regret, traj

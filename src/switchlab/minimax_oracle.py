@@ -28,8 +28,9 @@ import numpy as np
 from .errors import CapacityError
 from .fugal_engine import quadratic_floor
 
-MAX_HORIZON = 12
-MAX_STATES = 10 ** 8
+#: most floats in one value array of the solver, K x x_grid x (2T+3); its
+#: peak is about five such arrays, 40 MiB at the cap (tracemalloc)
+MAX_ORACLE_FLOATS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -43,17 +44,15 @@ class OracleConfig:
     initial_bias_Z: float = 0.0
 
     def __post_init__(self):
-        if not 1 <= self.horizon_T <= MAX_HORIZON:
-            raise CapacityError(f"oracle horizon must be in [1, {MAX_HORIZON}]")
         if not 1 <= self.budget_K <= self.horizon_T:
             raise ValueError("budget_K must satisfy 1 <= K <= T")
         if self.x_grid < 3 or self.x_grid % 2 == 0:
             raise ValueError("x_grid must be an odd count >= 3")
         if not math.isfinite(self.initial_bias_Z):
             raise ValueError(f"initial_bias_Z must be finite, got {self.initial_bias_Z}")
-        states = self.x_grid * (2 * self.horizon_T + 1) * self.budget_K * self.horizon_T
-        if states > MAX_STATES:
-            raise CapacityError(f"state space {states} exceeds {MAX_STATES}")
+        floats = self.budget_K * self.x_grid * (2 * self.horizon_T + 3)
+        if floats > MAX_ORACLE_FLOATS:
+            raise CapacityError(f"value array of {floats} floats exceeds {MAX_ORACLE_FLOATS}")
 
     @property
     def grid_slack(self) -> float:

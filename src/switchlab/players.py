@@ -25,8 +25,9 @@ class Player:
     """A player's state changes only by rebinding its attributes, never by
     mutating their values in place, so ``copy.copy`` forks it: the copy
     and the original go on independently from the same history, and
-    read-only data such as ``FugalPlayer.policy`` is shared.  The
-    exhaustive sign walk (``game_core.worst_case_sign_regret``) relies on it.
+    read-only data such as ``FugalPlayer.policy`` is shared.  Its attributes
+    determine its future play, so the exhaustive sign search
+    (``game_core.worst_case_sign_regret``) keys a state by ``vars(player)``.
     """
 
     def decide(self) -> np.ndarray:

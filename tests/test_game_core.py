@@ -301,6 +301,7 @@ def test_trajectory_is_read_only_and_blocks_cover_the_horizon():
         traj.rounds["loss_w"][0] = 0.0
     with pytest.raises(ValueError):
         traj.cumulative_W[0] = 0.0
+    assert traj.cumulative_W.base is None   # a copy, not a view of every running sum
     blocks = traj.block_lengths()
     assert sum(blocks) == 300
     assert len(blocks) == traj.switch_count + 1 == 8

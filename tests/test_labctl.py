@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from switchlab import labctl, verify
+from replay import ReplayAdversary
+from replay import replayed_worst_sign_regret as _reference_worst_sign_regret
+from switchlab import game_core, labctl, verify
 from switchlab import fugal_engine as fe
 from switchlab import minimax_oracle as mo
 from switchlab.errors import BudgetViolationError, CapacityError, UnsupportedConfigError
@@ -379,19 +381,7 @@ def test_verify_cli_writes_report(tmp_path, monkeypatch):
     assert report[0]["status"] == "pass"
 
 
-# ------------------------------------------------- exhaustive sign walk
-
-def _reference_worst_sign_regret(player_factory, config):
-    """The replay the sign-tree walk replaced: every +-1 sequence, in code
-    order (round t at bit t-1), played from round 1 through play_game by a
-    fresh player; the first maximum wins."""
-    worst, worst_traj = -math.inf, None
-    for seq in verify._all_sign_sequences(config.horizon_T):
-        traj = play_game(player_factory(), verify._ReplayAdversary(seq), config)
-        if traj.regret > worst:
-            worst, worst_traj = traj.regret, traj
-    return worst, worst_traj
-
+# ----------------------------------------------- exhaustive sign search
 
 def _factory(player_id, cfg):
     params = {"resolution": 300} if player_id == "fugal" else None
@@ -412,6 +402,13 @@ def _parity_cases(player_id):
                     yield GameConfig(T, K, 1, p, seed=T + K)
 
 
+#: cells where the search and the replay pick different sequences of equal
+#: regret: the half-split's -W1/denom is rounded, so the forward sum (the
+#: replay's) and the backward one (the search's) break a tie differently
+_TIE_CELLS = {("halfsplit", 6, 2.0), ("halfsplit", 6, math.inf), ("halfsplit", 7, 2.0),
+              ("halfsplit", 7, math.inf), ("halfsplit", 10, 2.0), ("halfsplit", 12, 2.0)}
+
+
 @pytest.mark.parametrize("player_id", PLAYERS)
 def test_sign_walk_equals_the_replay(player_id):
     # constant (point 0: every sequence with the same |W| ties) and halfsplit
@@ -422,6 +419,12 @@ def test_sign_walk_equals_the_replay(player_id):
         ref_regret, ref = _reference_worst_sign_regret(_factory(player_id, cfg), cfg)
         where = (cfg.horizon_T, cfg.budget_K, cfg.player_norm_p)
         assert regret == ref_regret, where
+        # the reported rounds are those a game against its loss column plays
+        replayed = play_game(_factory(player_id, cfg)(),
+                             ReplayAdversary(traj.rounds["loss_w"]), cfg)
+        assert traj.rounds.tobytes() == replayed.rounds.tobytes(), where
+        if (player_id, cfg.horizon_T, cfg.player_norm_p) in _TIE_CELLS:
+            continue
         assert np.array_equal(traj.rounds["loss_w"], ref.rounds["loss_w"]), where
         assert traj.switch_count == ref.switch_count, where
         assert np.array_equal(traj.rounds["action_x"], ref.rounds["action_x"]), where
@@ -431,18 +434,13 @@ class _MovesAfter(Player):
     """Plays 0, and moves by ``step`` in the round after each loss equal to
     ``sign``; state is rebound only, so copy.copy forks it."""
 
-    def __init__(self, sign: float, step: float, calls: list | None = None):
+    def __init__(self, sign: float, step: float):
         self._sign, self._step, self._x = sign, step, 0.0
-        self.calls = calls  # shared by every fork, to count rounds
 
     def decide(self):
-        if self.calls is not None:
-            self.calls[0] += 1
         return np.array([self._x])
 
     def observe(self, loss_w):
-        if self.calls is not None:
-            self.calls[1] += 1
         if float(loss_w[0]) == self._sign:
             self._x = self._x + self._step
 
@@ -486,23 +484,138 @@ def test_sign_walk_raises_the_replays_ball_error():
                 assert "leaves the unit" in str(walk)
 
 
-def test_sign_walk_caps_the_horizon():
-    cfg = GameConfig(17, 2, 1)
+class _RoundAndSum(Player):
+    """Plays 0; its state is the round and the loss sum W alone, so sign
+    prefixes with one sum merge.  It raises in decide at the (round, W)
+    pairs of ``on_decide`` and in observe at the (round, W, loss) triples of
+    ``on_observe``."""
+
+    def __init__(self, on_decide=(), on_observe=()):
+        self._on_decide, self._on_observe = on_decide, on_observe
+        self.t, self.W = 1, 0.0
+
+    def decide(self):
+        if (self.t, self.W) in self._on_decide:
+            raise ValueError(f"decide at round {self.t}, W = {self.W}")
+        return np.zeros(1)
+
+    def observe(self, loss_w):
+        if (self.t, self.W, float(loss_w[0])) in self._on_observe:
+            raise ValueError(f"observe {loss_w[0]} at round {self.t}, W = {self.W}")
+        self.t, self.W = self.t + 1, self.W + float(loss_w[0])
+
+
+def test_sign_search_raises_the_smallest_failing_code():
+    # code 1 fails at round 2, before code 0 fails at round 4; then the state
+    # W = 1 after round 3, first reached by code 5 (+, -, +) and later by code
+    # 3 (+, +, -), fails before the observe failure of code 4 (-, -, +)
+    for kwargs, message in (({"on_decide": {(2, 1.0), (4, -3.0)}}, "round 4, W = -3.0"),
+                            ({"on_decide": {(4, 1.0)}, "on_observe": {(3, -2.0, 1.0)}},
+                             "decide at round 4, W = 1.0")):
+        cfg = GameConfig(5, 5, 1)
+        search = _raised(verify.worst_case_sign_regret, lambda: _RoundAndSum(**kwargs), cfg)
+        ref = _raised(_reference_worst_sign_regret, lambda: _RoundAndSum(**kwargs), cfg)
+        assert str(search) == str(ref) and message in str(search)
+
+
+class _LastTwoLosses(Player):
+    """Plays half the product of its last two losses (0 before the second
+    round's); its state is those two losses alone."""
+
+    def __init__(self):
+        self.older, self.last = 0.0, 0.0
+
+    def decide(self):
+        return np.array([0.5 * self.older * self.last])
+
+    def observe(self, loss_w):
+        self.older, self.last = self.last, float(loss_w[0])
+
+
+def test_sign_search_keys_the_previous_action():
+    # prefixes that share W, the player's state and the switch count can
+    # differ in the last action, and so in whether the next round moves; a
+    # key without it misses switches and raises the wrong budget violation
+    for T in range(1, 8):
+        for K in range(1, T + 1):
+            cfg = GameConfig(T, K, 1)
+            try:
+                ref_regret, ref = _reference_worst_sign_regret(_LastTwoLosses, cfg)
+            except BudgetViolationError as err:
+                assert str(_raised(verify.worst_case_sign_regret, _LastTwoLosses, cfg)) == str(err)
+                continue
+            regret, traj = verify.worst_case_sign_regret(_LastTwoLosses, cfg)
+            assert regret == ref_regret and traj.switch_count == ref.switch_count, (T, K)
+
+
+def test_state_key_snapshots_by_content_bits_and_identity():
+    key = game_core._state_key
+    alive = {}
+    assert key(np.array([0.5, 1.0]), alive) == key(np.array([0.5, 1.0]), alive)
+    assert key(np.array([0.5, 1.0]), alive) != key(np.array([[0.5, 1.0]]), alive)
+    assert key(-0.0, alive) != key(0.0, alive)   # equal floats, but they play differently
+    assert key((1, [2.0], {3}), alive) == key((1, [2.0], {3}), alive)
+    assert key((1, 2.0), alive) != key([1, 2.0], alive)
+    assert alive == {}
+    obj = object()
+    assert key(obj, alive) == key(obj, alive) != key(object(), alive)
+    assert alive[id(obj)] is obj   # held, so its id is not reused during a search
+
+
+class _History(Player):
+    """Plays 0 and records every loss, so no two sign prefixes reach one state."""
+
+    def __init__(self):
+        self.history = ()
+
+    def decide(self):
+        return np.zeros(1)
+
+    def observe(self, loss_w):
+        self.history = self.history + (float(loss_w[0]),)
+
+
+def test_sign_search_caps_the_stored_states(monkeypatch):
+    # the root, 2^t states after each round t < T, and one per |W| <= T after
+    # round T: 2^T + T states at T = 6
+    cfg = GameConfig(6, 2, 1)
+    monkeypatch.setattr(game_core, "MAX_SIGN_STATES", 2 ** 6 + 6)
+    assert verify.worst_case_sign_regret(_History, cfg)[0] == 6.0
+    monkeypatch.setattr(game_core, "MAX_SIGN_STATES", 2 ** 6 + 5)
     with pytest.raises(CapacityError):
-        verify.worst_case_sign_regret(lambda: make_player("constant", cfg), cfg)
+        verify.worst_case_sign_regret(_History, cfg)
     with pytest.raises(CapacityError):
         run_simulate(_spec(player_id="minibatch", adversary_id="exhaustive_sign",
-                           sweep={"T": [17], "K": [2], "n": [1]}, repetitions=1))
+                           sweep={"T": [12], "K": [2], "n": [1]}, repetitions=1))
 
 
-def test_sign_walk_plays_each_prefix_once():
-    # one player from the factory; 2^T - 1 decides (one per inner node of
-    # the sign tree) and 2^(T+1) - 2 observes (one per edge)
+def test_sign_search_runs_past_the_old_horizon_cap():
+    cfg = GameConfig(17, 2, 1)
+    regret, traj = verify.worst_case_sign_regret(lambda: make_player("constant", cfg), cfg)
+    assert regret == 17.0 and traj.rounds["loss_w"].tolist() == [[-1.0]] * 17
+    [row] = run_simulate(_spec(player_id="minibatch", adversary_id="exhaustive_sign",
+                               sweep={"T": [17], "K": [2], "n": [1]}, repetitions=1))
+    assert row.T == 17 and row.switch_count <= 1
+
+
+def test_sign_search_decides_each_state_once():
+    # a player that never moves is in state (t, W): t states before round t,
+    # so T(T+1)/2 decides and two observes each, from one factory call
     T = 10
     cfg = GameConfig(T, 3, 1)
     calls, made = [0, 0], []
+
+    class Counted(_MovesAfter):
+        def decide(self):
+            calls[0] += 1
+            return super().decide()
+
+        def observe(self, loss_w):
+            calls[1] += 1
+            super().observe(loss_w)
+
     regret, traj = verify.worst_case_sign_regret(
-        lambda: made.append(1) or _MovesAfter(1.0, 0.0, calls), cfg)
+        lambda: made.append(1) or Counted(1.0, 0.0), cfg)
     assert made == [1]
-    assert calls == [2 ** T - 1, 2 ** (T + 1) - 2]
+    assert calls == [T * (T + 1) // 2, T * (T + 1)]
     assert regret == traj.regret == T

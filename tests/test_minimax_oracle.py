@@ -107,9 +107,24 @@ def test_tk_inequality_over_arrays_of_K():
                 mo.tk_inequality_check(T, bad)
 
 
-def test_capacity_and_config_validation():
+def test_oracle_runs_past_the_old_horizon_cap():
+    rep = mo.exact_minimax_1d(mo.OracleConfig(13, 2))
+    assert rep.bound_lower - rep.grid_slack <= rep.value <= rep.bound_upper + rep.grid_slack
+
+
+def test_oracle_caps_the_floats_it_stores(monkeypatch):
+    mo.OracleConfig(96, 4, x_grid=201)
+    with pytest.raises(CapacityError):
+        mo.OracleConfig(200, 8, x_grid=401)
+    # K x x_grid x (2T+3) floats per value array
+    monkeypatch.setattr(mo, "MAX_ORACLE_FLOATS", 2 * 41 * 29)
+    mo.OracleConfig(13, 2)
+    monkeypatch.setattr(mo, "MAX_ORACLE_FLOATS", 2 * 41 * 29 - 1)
     with pytest.raises(CapacityError):
         mo.OracleConfig(13, 2)
+
+
+def test_capacity_and_config_validation():
     with pytest.raises(ValueError):
         mo.OracleConfig(4, 5)
     with pytest.raises(ValueError):

@@ -4,23 +4,12 @@ import numpy as np
 import pytest
 
 from switchlab import fugal_engine as fe
-from switchlab.adversaries import (Adversary, ConstantAdversary, SignAdversary,
-                                   make_adversary)
+from replay import ReplayAdversary, replayed_worst_sign_regret
+from switchlab.adversaries import ConstantAdversary, SignAdversary, make_adversary
 from switchlab.errors import PolicyMissingError, UnsupportedConfigError
-from switchlab.game_core import GameConfig, play_game
+from switchlab.game_core import GameConfig, play_game, worst_case_sign_regret
 from switchlab.players import (PLAYERS, ConstantPlayer, FugalPlayer, HalfSplitPlayer,
                                MinibatchPlayer, RandomSwitchPlayer, make_player)
-
-
-class ReplayAdversary(Adversary):
-    def __init__(self, seq):
-        self._seq = [np.atleast_1d(np.asarray(s, dtype=float)) for s in seq]
-        self._t = 0
-
-    def respond(self, player_x, is_moving, W):
-        w = self._seq[self._t]
-        self._t += 1
-        return w
 
 
 def _actions(traj):
@@ -108,14 +97,16 @@ def test_halfsplit_requires_k2_n1():
 def test_halfsplit_exhaustive_small_horizons():
     for T in range(2, 11):
         cfg = GameConfig(T, 2, 1)
-        cap = math.ceil(T / 2)
-        codes = np.arange(2 ** T)[:, None]
-        seqs = 2 * ((codes >> np.arange(T)[None, :]) & 1) - 1
-        worst = -np.inf
-        for seq in seqs.astype(float):
-            traj = play_game(HalfSplitPlayer(cfg), ReplayAdversary(seq), cfg)
-            worst = max(worst, traj.regret)
-        assert worst <= cap + 1e-10
+        worst, _ = replayed_worst_sign_regret(lambda: HalfSplitPlayer(cfg), cfg)
+        assert worst <= math.ceil(T / 2) + 1e-10
+
+
+def test_halfsplit_worst_sign_regret_is_the_cap_beyond_the_replay():
+    # the search reaches horizons the 2^T replay cannot; ceil(T/2) exactly
+    for T in (17, 33):
+        cfg = GameConfig(T, 2, 1)
+        worst, traj = worst_case_sign_regret(lambda: HalfSplitPlayer(cfg), cfg)
+        assert worst == traj.regret == math.ceil(T / 2)
 
 
 # ----------------------------------------------------------------- fugal
