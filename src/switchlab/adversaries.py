@@ -1,10 +1,11 @@
 """Adversary strategies that realize the regret lower bounds.
 
-Every adversary has one method, ``respond(player_x, is_moving, W) -> w``.
-The game engine (``game_core.play_game``) derives the moving flag from
-exact action equality and keeps W, the read-only sum of the losses before
-this round; adversaries never re-derive either.  One instance serves one
-game.
+Every adversary has one method, ``respond(player_x, is_moving, W) -> w``;
+``player_x``, ``W`` and ``w`` are immutable tuples of n floats, and NumPy
+runs only on the orthogonal adversary's moving rounds.  The game engine
+(``game_core.play_game``) derives the moving flag from exact action
+equality and keeps W, the sum of the losses before this round; adversaries
+never re-derive either.  One instance serves one game.
 
 The id "stopping" is the one-coordinate product adversary (n = 1 only),
 and "sign" answers sign(x_t); a sign fixed in advance is "constant".
@@ -25,7 +26,7 @@ _ZERO_TOL = 1e-12
 
 
 class Adversary:
-    def respond(self, player_x: np.ndarray, is_moving: bool, W: np.ndarray) -> np.ndarray:
+    def respond(self, player_x: tuple, is_moving: bool, W: tuple) -> tuple:
         raise NotImplementedError
 
 
@@ -34,26 +35,25 @@ class ConstantAdversary(Adversary):
 
     def __init__(self, config: GameConfig, w: np.ndarray | float | None = None):
         n = config.dimension_n
-        self._w = np.zeros(n) if w is None else np.asarray(w, dtype=float).reshape(n) + 0.0
+        self._w = (0.0,) * n if w is None else tuple(
+            (np.asarray(w, dtype=float).reshape(n) + 0.0).tolist())
         if outside_ball(self._w, config.adversary_norm_q):
             raise ValueError("constant loss leaves the adversary ball")
-        self._w.setflags(write=False)
 
     def respond(self, player_x, is_moving, W):
         return self._w
 
 
 class SignAdversary(Adversary):
-    """1-d w_t = sign(x_t), +1 at zero, from the read-only pair
-    ``SIGN_LOSSES``.  (A fixed sign, whatever the player does, is the
-    constant adversary.)"""
+    """1-d w_t = sign(x_t), +1 at zero, from the pair ``SIGN_LOSSES``.  (A
+    fixed sign, whatever the player does, is the constant adversary.)"""
 
     def __init__(self, config: GameConfig):
         if config.dimension_n != 1:
             raise UnsupportedConfigError("sign adversary is one-dimensional")
 
     def respond(self, player_x, is_moving, W):
-        return SIGN_LOSSES[float(player_x[0]) >= 0]
+        return SIGN_LOSSES[player_x[0] >= 0]
 
 
 class ProductAdversary(Adversary):
@@ -76,8 +76,8 @@ class ProductAdversary(Adversary):
 
     def respond(self, player_x, is_moving, W):
         threshold, slope = self._threshold, self._slope
-        return np.array([0.0 if abs(Wj) >= threshold else 1.0 if x >= -Wj * slope else -1.0
-                         for x, Wj in zip(player_x.tolist(), W.tolist())])
+        return tuple([0.0 if abs(Wj) >= threshold else 1.0 if x >= -Wj * slope else -1.0
+                      for x, Wj in zip(player_x, W)])
 
 
 class OrthogonalAdversary(Adversary):
@@ -106,19 +106,13 @@ class OrthogonalAdversary(Adversary):
             raise UnsupportedConfigError("orthogonal adversary needs n >= 2")
         if config.player_norm_p != 2:
             raise UnsupportedConfigError("orthogonal adversary plays in the L2 pairing")
-        self.last_w: np.ndarray | None = None
+        self.last_w: tuple | None = None
 
     def respond(self, player_x, is_moving, W):
         if is_moving or self.last_w is None:
-            w = _orthogonal_unit(np.asarray(player_x, dtype=float), W)
-            w.setflags(write=False)
-            self.last_w = w
+            w = _orthogonal_unit(np.asarray(player_x, dtype=float), np.asarray(W, dtype=float))
+            self.last_w = tuple(w.tolist())
         return self.last_w
-
-
-def _rot90(v: np.ndarray) -> np.ndarray:
-    # counterclockwise quarter turn in the plane
-    return np.array([-v[1], v[0]])
 
 
 def _orthogonal_unit(x: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -133,7 +127,7 @@ def _orthogonal_unit(x: np.ndarray, W: np.ndarray) -> np.ndarray:
 
     if n == 2:
         base = x if w_zero else W
-        v = _rot90(base)
+        v = np.array([-base[1], base[0]])   # counterclockwise quarter turn
         v = v / np.linalg.norm(v)
         if float(np.dot(v, x)) < 0.0:
             v = -v

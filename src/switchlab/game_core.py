@@ -15,10 +15,11 @@ This module owns a game's state and its round rules.  ``play_game`` keeps
 the running loss sum W and hands it to the adversary each round, so
 adversaries hold no copy of it; ``worst_case_sign_regret``, the lab's one
 exhaustive +-1 search, decides each distinct game state once with the same
-round step.  Actions and losses are ball-checked when they change.  A
-finished game is stored as columns: the (T, n) actions and losses, and
-the moving flags derived from the actions.  ``Trajectory.from_columns`` is
-the one place that derives switch count, loss sum, feasibility and regret.
+round step.  Actions, losses and W are immutable tuples of n floats; NumPy
+runs only on a change (the ball check) and on the finished columns: the
+(T, n) actions and losses, and the moving flags derived from the actions.
+``Trajectory.from_columns`` is the one place that derives switch count,
+loss sum, feasibility and regret.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from __future__ import annotations
 import copy
 import math
 import struct
+from array import array
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
@@ -38,10 +41,11 @@ INF = math.inf
 BALL_SLACK = 1e-12
 
 
-def outside_ball(v: np.ndarray, p: float) -> bool:
+def outside_ball(v, p: float) -> bool:
     """Whether the vector v leaves the unit p-ball, p = 2 or inf as a
     ``GameConfig`` holds it, by more than ``BALL_SLACK``.  ``not norm <=
     bound`` puts a NaN entry outside.  The L2 norm is np.linalg.norm's."""
+    v = np.asarray(v, dtype=float)
     norm = math.sqrt(float(v.dot(v))) if p == 2 else float(np.abs(v).max())
     return not norm <= 1.0 + BALL_SLACK
 
@@ -171,26 +175,24 @@ def count_switches(actions) -> int:
 
 
 def _round_step(player, prev, switches: int, t: int, n: int, p: float, budget_K: int):
-    """Round t's action as an n-vector and as a list, whether it moves, and
-    the switch count after it.  ``prev`` is the previous action's list
-    (``None`` at round 1, which always moves); list equality of floats is
-    the exact ``!=`` of ``Trajectory.from_columns`` (-0.0 equals 0.0, NaN
-    equals nothing).  The action is ball-checked when it changes, since a
-    repeat passed already: ``ValueError`` if it leaves the unit p-ball or
-    has a NaN entry, then ``BudgetViolationError`` if the move is switch
-    number K."""
-    x = np.asarray(player.decide(), dtype=float).reshape(n)
-    key = x.tolist()
-    if key == prev:
-        return x, key, False, switches
-    if outside_ball(x, p):
-        raise ValueError(f"round {t}: player action leaves the unit {p}-ball")
+    """Round t's action, whether it moves, and the switch count after it.
+    ``prev`` is the previous action (``None`` at round 1, which always
+    moves); tuple equality is the exact ``!=`` of ``Trajectory.from_columns``
+    (-0.0 equals 0.0, NaN equals nothing).  A changed action is checked,
+    since a repeat passed already: ``ValueError`` if its length is not n, it
+    leaves the unit p-ball or has a NaN entry, then ``BudgetViolationError``
+    if the move is switch number K."""
+    x = player.decide()
+    if x == prev:
+        return x, False, switches
+    if len(x) != n or outside_ball(x, p):
+        raise ValueError(f"round {t}: player action leaves the unit {p}-ball in n = {n}: {x}")
     if prev is not None:   # round 1 moves but is no switch
         switches += 1
         if switches >= budget_K:
             raise BudgetViolationError(f"round {t}: switch number {switches} with budget "
                                        f"K={budget_K}", round_index=t)
-    return x, key, True, switches
+    return x, True, switches
 
 
 def play_game(player, adversary, config: GameConfig) -> Trajectory:
@@ -198,42 +200,41 @@ def play_game(player, adversary, config: GameConfig) -> Trajectory:
 
     Per round: the player decides x_t from its own state, the adversary
     answers ``respond(x_t, is_moving, W)`` with w_t, then the player
-    observes w_t.  ``is_moving`` is the exact inequality, and ``W`` the
-    read-only sum of the earlier losses (zeros at t = 1) in round order,
-    that :meth:`Trajectory.from_columns` uses.  An action or loss is
-    ball-checked when it changes (exact ``!=``; a repeat passed already).
-    A player that would exceed the switch budget aborts the game with an
-    error naming the round.
+    observes w_t; each is a tuple of n floats.  ``is_moving`` is the exact
+    inequality, and ``W`` the sum of the earlier losses (zeros at t = 1)
+    in round order, the bits :meth:`Trajectory.from_columns` gets.  An
+    action or loss is checked when it changes (exact ``!=``; a repeat passed
+    already).  A player that would exceed the switch budget aborts the game
+    with an error naming the round.
 
     Both strategies must be freshly initialized for ``config``.
     """
-    n, p, K = config.dimension_n, config.player_norm_p, config.budget_K
+    T, n, p, K = config.horizon_T, config.dimension_n, config.player_norm_p, config.budget_K
     q = config.adversary_norm_q
-    respond = adversary.respond
-    X, L = np.empty((2, config.horizon_T, n))   # actions, losses
-    W = np.zeros(n)
+    respond, observe = adversary.respond, player.observe
+    X, L = array("d"), array("d")   # actions, losses, row after row
+    W = (0.0,) * n
     prev, prev_w, switches = None, None, 0
 
-    for i in range(config.horizon_T):
-        t = i + 1
-        x, prev, is_moving, switches = _round_step(player, prev, switches, t, n, p, K)
-        X[i] = x
-        W.setflags(write=False)
-        w = np.asarray(respond(x, is_moving, W), dtype=float).reshape(n)
-        if (key := w.tolist()) != prev_w and outside_ball(w, q):
-            raise ValueError(f"round {t}: adversary loss leaves the unit {q}-ball")
-        prev_w = key
-        L[i] = w
-        W = W + w
-        player.observe(w)
+    for t in range(1, T + 1):
+        prev, is_moving, switches = _round_step(player, prev, switches, t, n, p, K)
+        w = respond(prev, is_moving, W)
+        if w != prev_w and (len(w) != n or outside_ball(w, q)):
+            raise ValueError(f"round {t}: adversary loss leaves the unit {q}-ball in n = {n}: {w}")
+        prev_w = w
+        X.extend(prev)
+        L.extend(w)
+        # built at size n; tuple(map(...)) would shrink a 10-tuple, and the old W
+        # tuples would pile up (2000 per size) on a free list it never reads
+        W = (*map(add, W, w),)
+        observe(w)
 
-    return Trajectory.from_columns(config, X, L)
+    return Trajectory.from_columns(config, np.frombuffer(X).reshape(T, n),
+                                   np.frombuffer(L).reshape(T, n))
 
 
-#: the 1-d losses -1 and +1, read-only; index ``s >= 0`` gives sign(s), +1 at 0
-SIGN_LOSSES = (np.array([-1.0]), np.array([1.0]))
-for _w in SIGN_LOSSES:
-    _w.setflags(write=False)
+#: the 1-d losses -1 and +1; index ``s >= 0`` gives sign(s), +1 at 0
+SIGN_LOSSES = ((-1.0,), (1.0,))
 
 
 #: the most states the sign search stores: a 42 MiB peak (tracemalloc, minibatch)
@@ -293,7 +294,7 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
         index, nxt, level = {}, [], []
         for player, W, prev, switches, low in frontier:
             try:
-                _, key, _, used = _round_step(player, prev, switches, t, 1, p, K)
+                x, _, used = _round_step(player, prev, switches, t, 1, p, K)
             except Exception as exc:   # deferred: the smallest failing code raises
                 failures.append((low, exc))
                 continue
@@ -307,7 +308,7 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
                     continue
                 W_next = W + 2 * bit - 1
                 state = (W_next,) if t == T else (
-                    W_next, key[0], used,
+                    W_next, x[0], used,
                     tuple((name, _state_key(v, alive)) for name, v in vars(child).items()))
                 j = index.setdefault(state, len(nxt))
                 if j < len(nxt):
@@ -315,9 +316,9 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
                 else:
                     if stored + j >= MAX_SIGN_STATES:
                         raise CapacityError(f"sign search needs over {MAX_SIGN_STATES} states")
-                    nxt.append([child, W_next, key, used, code])
+                    nxt.append([child, W_next, x, used, code])
                 children.append(j)
-            level.append((key[0], children))
+            level.append((x[0], children))
         levels.append(level)
         frontier, stored = nxt, stored + len(nxt)
     if failures:

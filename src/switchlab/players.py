@@ -2,13 +2,16 @@
 
 All players follow the same stateful contract as adversaries: ``decide()``
 emits the action for the upcoming round, ``observe(loss_w)`` feeds back the
-round's loss.  Players that intend to stay put re-emit the identical value,
-since the engine detects switches by exact equality.
+round's loss.  Both are immutable tuples of n floats, so NumPy runs only
+off the round path (``MinibatchPlayer``'s projection at an epoch end).
+Players that intend to stay put re-emit an equal tuple, since the engine
+detects switches by exact equality.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add
 
 import numpy as np
 
@@ -25,15 +28,16 @@ class Player:
     """A player's state changes only by rebinding its attributes, never by
     mutating their values in place, so ``copy.copy`` forks it: the copy
     and the original go on independently from the same history, and
-    read-only data such as ``FugalPlayer.policy`` is shared.  Its attributes
-    determine its future play, so the exhaustive sign search
+    read-only data such as ``FugalPlayer.policy`` is shared.  Actions and
+    losses are tuples, so neither side can change a value the other holds.
+    Its attributes determine its future play, so the exhaustive sign search
     (``game_core.worst_case_sign_regret``) keys a state by ``vars(player)``.
     """
 
-    def decide(self) -> np.ndarray:
+    def decide(self) -> tuple:
         raise NotImplementedError
 
-    def observe(self, loss_w: np.ndarray) -> None:
+    def observe(self, loss_w: tuple) -> None:
         pass
 
 
@@ -45,10 +49,9 @@ class ConstantPlayer(Player):
         pt = np.asarray(point, dtype=float)
         if pt.ndim == 0:
             pt = np.full(n, float(pt))
-        self._point = pt.reshape(n) + 0.0
+        self._point = tuple((pt.reshape(n) + 0.0).tolist())
         if outside_ball(self._point, config.player_norm_p):
             raise ValueError("constant point lies outside the unit ball")
-        self._point.setflags(write=False)
 
     def decide(self):
         return self._point
@@ -86,22 +89,23 @@ class MinibatchPlayer(Player):
                           if step_size is None else float(step_size))
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
-        self.current_point = np.zeros(config.dimension_n)
-        self.accumulated_gradient = np.zeros(config.dimension_n)
+        self.current_point = (0.0,) * config.dimension_n
+        self.accumulated_gradient = self.current_point
         self._rounds_seen = 0
 
     def decide(self):
         return self.current_point
 
     def observe(self, loss_w):
-        self.accumulated_gradient = self.accumulated_gradient + np.asarray(loss_w, dtype=float)
+        # sized up front, as play_game sizes W
+        self.accumulated_gradient = (*map(add, self.accumulated_gradient, loss_w),)
         self._rounds_seen += 1
         if self._rounds_seen % self.epoch_length == 0:
-            avg = self.accumulated_gradient / self.epoch_length
-            nxt = project_to_ball(self.current_point - self.step_size * avg,
+            avg = np.array(self.accumulated_gradient) / self.epoch_length
+            nxt = project_to_ball(np.array(self.current_point) - self.step_size * avg,
                                   self._config.player_norm_p)
-            self.current_point = nxt + 0.0
-            self.accumulated_gradient = np.zeros_like(self.accumulated_gradient)
+            self.current_point = tuple((nxt + 0.0).tolist())
+            self.accumulated_gradient = (0.0,) * len(nxt)
 
 
 class HalfSplitPlayer(Player):
@@ -127,17 +131,17 @@ class HalfSplitPlayer(Player):
     def decide(self):
         t = self._rounds_seen + 1
         if t <= self._zero_until:
-            return np.array([0.0])
+            return (0.0,)
         if self._second_point is None:
             self._second_point = -self._prefix_sum / self._denom + 0.0
-        return np.array([self._second_point])
+        return (self._second_point,)
 
     def observe(self, loss_w):
         self._rounds_seen += 1
         t = self._rounds_seen
         in_window = t <= self._zero_until and not (self._skip_first and t == 1)
         if in_window:
-            self._prefix_sum += float(loss_w[0])
+            self._prefix_sum += loss_w[0]
 
 
 class FugalPlayer(Player):
@@ -172,7 +176,7 @@ class FugalPlayer(Player):
         self.threshold_U = math.nan
         self.threshold_L = math.nan
         self._rounds_seen = 0
-        self._x = np.array([policy.x_star(())])
+        self._x = (policy.x_star(()),)
 
     def decide(self):
         if self._rounds_seen == 0:
@@ -189,12 +193,12 @@ class FugalPlayer(Player):
             if sign != 0:
                 self.recorded_signs = prefix + (sign,)
                 self.switches_used += 1
-                self._x = np.array([self.policy.x_star(self.recorded_signs) + 0.0])
+                self._x = (self.policy.x_star(self.recorded_signs) + 0.0,)
                 self.block_start_W = 0.0
         return self._x
 
     def observe(self, loss_w):
-        self.block_start_W += float(loss_w[0])
+        self.block_start_W += loss_w[0]
         self._rounds_seen += 1
 
 
@@ -221,16 +225,14 @@ class RandomSwitchPlayer(Player):
         self._rounds_seen = 0
 
     @staticmethod
-    def _draw_point(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    def _draw_point(rng: np.random.Generator, n: int, p: float) -> tuple:
         if p == INF:
             pt = rng.uniform(-1.0, 1.0, size=n)
         else:
             g = rng.standard_normal(n)
             g /= max(float(np.linalg.norm(g)), 1e-300)
             pt = g * rng.uniform() ** (1.0 / n)
-        pt = pt + 0.0
-        pt.setflags(write=False)
-        return pt
+        return tuple((pt + 0.0).tolist())
 
     def decide(self):
         t = self._rounds_seen + 1

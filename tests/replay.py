@@ -11,10 +11,12 @@ from switchlab.game_core import play_game
 
 
 class ReplayAdversary(Adversary):
-    """Feeds back a pre-committed loss sequence, one entry per round."""
+    """Feeds back a pre-committed loss sequence, one entry per round: a
+    tuple as it is, a scalar or an array row as a tuple of floats."""
 
     def __init__(self, seq):
-        self._seq = [np.atleast_1d(np.asarray(s, dtype=float)) for s in seq]
+        self._seq = [s if type(s) is tuple
+                     else tuple(np.atleast_1d(np.asarray(s, dtype=float)).tolist()) for s in seq]
         self._t = 0
 
     def respond(self, player_x, is_moving, W):

@@ -14,20 +14,20 @@ from switchlab.players import ConstantPlayer, MinibatchPlayer, RandomSwitchPlaye
 
 def test_orthogonal_first_round_n2():
     adv = OrthogonalAdversary(GameConfig(5, 2, 2))
-    w = adv.respond(np.array([1.0, 0.0]), True, np.zeros(2))
+    w = adv.respond((1.0, 0.0), True, (0.0, 0.0))
     assert np.allclose(w, [0.0, 1.0])
 
 
 def test_orthogonal_gram_schmidt_n3():
     adv = OrthogonalAdversary(GameConfig(5, 2, 3))
-    w = adv.respond(np.array([1.0, 0.0, 0.0]), True, np.array([0.0, 1.0, 0.0]))
+    w = adv.respond((1.0, 0.0, 0.0), True, (0.0, 1.0, 0.0))
     assert np.allclose(w, [0.0, 0.0, 1.0])
 
 
 def test_orthogonal_stationary_repeats_identically():
     adv = OrthogonalAdversary(GameConfig(5, 2, 2))
-    w1 = adv.respond(np.array([1.0, 0.0]), True, np.zeros(2))
-    w2 = adv.respond(np.array([1.0, 0.0]), False, w1)
+    w1 = adv.respond((1.0, 0.0), True, (0.0, 0.0))
+    w2 = adv.respond((1.0, 0.0), False, w1)
     assert w2 is w1
 
 
@@ -42,19 +42,20 @@ def test_orthogonal_moving_emissions_are_unit_and_orthogonal():
         cfg = GameConfig(40, 8, n, seed=1)
         adv = OrthogonalAdversary(cfg)
         x = rng.normal(size=n)
-        x /= np.linalg.norm(x)
-        prev_W = np.zeros(n)
+        x = tuple((x / np.linalg.norm(x)).tolist())
+        prev_W = (0.0,) * n
         for t in range(40):
             moving = t % 5 == 0
             if moving:
                 x = rng.normal(size=n)
-                x /= np.linalg.norm(x)
+                x = tuple((x / np.linalg.norm(x)).tolist())
             w = adv.respond(x, moving, prev_W)
+            assert type(w) is tuple and len(w) == n
             assert abs(float(np.linalg.norm(w)) - 1.0) <= 1e-12
             if moving:
                 assert float(np.dot(w, x)) >= -1e-9
                 assert abs(float(np.dot(w, prev_W))) <= 1e-9 * max(1.0, np.linalg.norm(prev_W))
-            prev_W = prev_W + w
+            prev_W = tuple(a + b for a, b in zip(prev_W, w))
 
 
 def test_orthogonal_block_identity_and_forced_regret():
@@ -85,14 +86,14 @@ def _stopping(T, K, n=1, **kw):
 
 def test_stopping_tie_goes_positive():
     adv = _stopping(100, 4)
-    assert adv.respond(np.array([0.0]), True, np.zeros(1))[0] == 1.0
+    assert adv.respond((0.0,), True, (0.0,))[0] == 1.0
 
 
 def test_stopping_negative_side():
     # W = 2 moves the tie point to x = -W*sqrt(K)/T = -0.04
     adv = _stopping(100, 4)
-    assert adv.respond(np.array([-0.5]), False, np.array([2.0]))[0] == -1.0
-    assert adv.respond(np.array([-0.04]), False, np.array([2.0]))[0] == 1.0
+    assert adv.respond((-0.5,), False, (2.0,))[0] == -1.0
+    assert adv.respond((-0.04,), False, (2.0,))[0] == 1.0
 
 
 def test_stopping_latch():
@@ -100,7 +101,7 @@ def test_stopping_latch():
     adv = _stopping(100, 4)
     for W in (50.0, -50.0, 60.0):
         for x in (0.0, -1.0, 1.0):
-            assert adv.respond(np.array([x]), False, np.array([W]))[0] == 0.0
+            assert adv.respond((x,), False, (W,))[0] == 0.0
 
 
 def test_stopping_running_sum_stays_bounded():
@@ -130,9 +131,9 @@ def test_stopping_forced_regret_small_sweep():
 
 def test_sign_action_variant():
     adv = SignAdversary(GameConfig(5, 2, 1))
-    assert adv.respond(np.array([0.0]), True, np.zeros(1))[0] == 1.0
-    assert adv.respond(np.array([-0.7]), False, np.array([1.0]))[0] == -1.0
-    assert adv.respond(np.array([0.3]), False, np.array([-5.0]))[0] == 1.0
+    assert adv.respond((0.0,), True, (0.0,))[0] == 1.0
+    assert adv.respond((-0.7,), False, (1.0,))[0] == -1.0
+    assert adv.respond((0.3,), False, (-5.0,))[0] == 1.0
 
 
 def test_sign_rejects_unknown_variant_and_dim():
@@ -148,16 +149,15 @@ def test_sign_rejects_unknown_variant_and_dim():
 
 def test_product_fresh_coordinates():
     adv = ProductAdversary(GameConfig(100, 4, 2, player_norm_p=math.inf))
-    w = adv.respond(np.array([0.0, 0.0]), True, np.zeros(2))
-    assert np.array_equal(w, [1.0, 1.0])
+    assert adv.respond((0.0, 0.0), True, (0.0, 0.0)) == (1.0, 1.0)
 
 
 def test_product_coordinates_independent():
     adv = ProductAdversary(GameConfig(100, 4, 2, player_norm_p=math.inf))
     # coordinate 0 is beyond the threshold 50, coordinate 1 is not
-    w = adv.respond(np.array([0.0, 0.0]), True, np.array([60.0, 0.0]))
+    w = adv.respond((0.0, 0.0), True, (60.0, 0.0))
     assert w[0] == 0.0 and w[1] == 1.0
-    w = adv.respond(np.array([0.0, -0.5]), True, np.array([60.0, 2.0]))
+    w = adv.respond((0.0, -0.5), True, (60.0, 2.0))
     assert w[0] == 0.0 and w[1] == -1.0
 
 
@@ -166,7 +166,7 @@ def test_product_n1_equals_stopping():
     for p in (2.0, math.inf):
         adv = _stopping(50, 4, player_norm_p=p)
         assert type(adv) is ProductAdversary
-        assert adv.respond(np.array([0.0]), True, np.zeros(1)).shape == (1,)
+        assert adv.respond((0.0,), True, (0.0,)) == (1.0,)
 
 
 def test_product_requires_linf_pairing_beyond_1d():

@@ -111,25 +111,27 @@ class _RecordsW(Adversary):
         self.seen = []
 
     def respond(self, player_x, is_moving, W):
-        self.seen.append((W.copy(), W.flags.writeable, is_moving))
-        with pytest.raises(ValueError):
-            W[0] = 1.0
+        self.seen.append((W, is_moving))
         w = self._rng.uniform(-1.0, 1.0, self._n)
-        return w / max(1.0, float(np.linalg.norm(w)))
+        return tuple((w / max(1.0, float(np.linalg.norm(w)))).tolist())
 
 
 class _Scripted(Player):
+    """Plays a script of actions: scalars are 1-d actions, rows are tuples."""
+
     def __init__(self, xs):
         self._xs = iter(xs)
 
     def decide(self):
-        return np.array([next(self._xs)])
+        x = next(self._xs)
+        return tuple(x) if isinstance(x, (list, tuple)) else (x,)
 
 
 def test_play_game_hands_the_adversary_the_loss_sum():
     # at round t the adversary gets the sum of rounds 1..t-1, bit for bit
-    # the sequential sum the trajectory stores, and cannot write to it; its
-    # moving flag is the trajectory's (-0.0 equals 0.0, one ulp moves)
+    # the sequential sum the trajectory stores, as an immutable tuple of
+    # floats; its moving flag is the trajectory's (-0.0 equals 0.0, one ulp
+    # moves)
     up = float(np.nextafter(0.5, 1.0))
     signed = [0.0, -0.0, 0.0, 0.5, up, up, -0.0]
     for n, T, K, player in ((1, 1, 1, "random_switch"), (1, 30, 4, "random_switch"),
@@ -140,11 +142,11 @@ def test_play_game_hands_the_adversary_the_loss_sum():
         traj = play_game(player, adversary, cfg)
         sums = np.cumsum(traj.rounds["loss_w"], axis=0)
         assert len(adversary.seen) == T
-        for t, (W, writeable, _) in enumerate(adversary.seen, start=1):
-            assert not writeable
+        for t, (W, _) in enumerate(adversary.seen, start=1):
+            assert type(W) is tuple and all(type(v) is float for v in W), t
             assert np.array_equal(W, sums[t - 2] if t > 1 else np.zeros(n)), t
         assert np.array_equal(sums[-1], traj.cumulative_W)
-        assert [m for _, _, m in adversary.seen] == traj.rounds["is_moving"].tolist()
+        assert [m for _, m in adversary.seen] == traj.rounds["is_moving"].tolist()
     assert traj.rounds["is_moving"].tolist() == [True, False, False, True, True, False, True]
 
 
@@ -153,7 +155,7 @@ class _Alternator(Player):
         self._t = 0
 
     def decide(self):
-        return np.array([1.0 if self._t % 2 == 0 else -1.0])
+        return (1.0 if self._t % 2 == 0 else -1.0,)
 
     def observe(self, loss_w):
         self._t += 1
@@ -171,7 +173,7 @@ def test_play_game_out_of_ball_action_message():
 
     class Big(Player):
         def decide(self):
-            return np.array([1.5])
+            return (1.5,)
 
     with pytest.raises(ValueError, match="unit"):
         play_game(Big(), ConstantAdversary(cfg), cfg)
@@ -189,7 +191,7 @@ def test_nan_action_leaves_the_ball_at_round_one():
 def test_nan_loss_leaves_the_ball():
     class NaNLoss(Adversary):
         def respond(self, player_x, is_moving, W):
-            return np.array([0.0, math.nan])
+            return (0.0, math.nan)
 
     for p in (2.0, math.inf):
         cfg = GameConfig(3, 2, 2, p)
@@ -211,7 +213,7 @@ class _ScriptedLoss(Adversary):
         self._ws = iter(ws)
 
     def respond(self, player_x, is_moving, W):
-        return np.array(next(self._ws))
+        return tuple(next(self._ws))
 
 
 def test_repeated_action_then_leaving_the_ball_is_caught():
@@ -237,6 +239,18 @@ def test_repeated_loss_then_leaving_the_ball_is_caught(p, inside, outside):
     cfg = GameConfig(6, 2, 2, p)
     with pytest.raises(ValueError, match="round 4: adversary loss leaves"):
         play_game(ConstantPlayer(cfg), _ScriptedLoss([inside] * 3 + [outside] * 3), cfg)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_wrong_length_action_or_loss_names_the_round(n):
+    # checked when it changes: a short or long tuple after repeats of a good one
+    cfg = GameConfig(5, 2, n)
+    good, long, short = (0.0,) * n, (0.0,) * (n + 1), (0.0,) * (n - 1)
+    for bad in (long, short):
+        with pytest.raises(ValueError, match=f"^round 3: player action .* n = {n}: "):
+            play_game(_Scripted([good, good, bad, bad, good]), ConstantAdversary(cfg), cfg)
+        with pytest.raises(ValueError, match=f"^round 4: adversary loss .* n = {n}: "):
+            play_game(ConstantPlayer(cfg), _ScriptedLoss([good] * 3 + [bad, good]), cfg)
 
 
 def test_signed_zero_alternation_neither_moves_nor_leaves_the_ball():

@@ -438,7 +438,7 @@ class _MovesAfter(Player):
         self._sign, self._step, self._x = sign, step, 0.0
 
     def decide(self):
-        return np.array([self._x])
+        return (self._x,)
 
     def observe(self, loss_w):
         if float(loss_w[0]) == self._sign:
@@ -497,7 +497,7 @@ class _RoundAndSum(Player):
     def decide(self):
         if (self.t, self.W) in self._on_decide:
             raise ValueError(f"decide at round {self.t}, W = {self.W}")
-        return np.zeros(1)
+        return (0.0,)
 
     def observe(self, loss_w):
         if (self.t, self.W, float(loss_w[0])) in self._on_observe:
@@ -526,7 +526,7 @@ class _LastTwoLosses(Player):
         self.older, self.last = 0.0, 0.0
 
     def decide(self):
-        return np.array([0.5 * self.older * self.last])
+        return (0.5 * self.older * self.last,)
 
     def observe(self, loss_w):
         self.older, self.last = self.last, float(loss_w[0])
@@ -569,7 +569,7 @@ class _History(Player):
         self.history = ()
 
     def decide(self):
-        return np.zeros(1)
+        return (0.0,)
 
     def observe(self, loss_w):
         self.history = self.history + (float(loss_w[0]),)

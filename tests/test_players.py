@@ -1,3 +1,5 @@
+import copy
+import itertools
 import math
 
 import numpy as np
@@ -234,3 +236,44 @@ def test_make_player_rejects_unknown_params(pid):
     # a misspelt param must not fall back to the default strategy
     with pytest.raises(TypeError, match="'stepsize'"):
         make_player(pid, GameConfig(6, 2, 1), {"stepsize": 0.5})
+
+
+#: where a loss in {-1, -1/2, 0, 1/2, 1} beats every +-1 sequence: (player id,
+#: T, K) -> worst regret over that set minus the worst +-1 regret, and a
+#: sequence that attains it
+FRACTIONAL_EXCESS = {
+    ("minibatch", 2, 2): 0.20710678118654746,   # (1/2, -1)
+    ("minibatch", 4, 2): 0.5,                   # (1, 1/2, -1, -1)
+    ("minibatch", 4, 3): 0.23205080756887764,   # (1, 1/2, -1, -1)
+    ("fugal", 2, 2): 0.5,                       # (1/2, 1)
+    ("fugal", 3, 3): 0.25731466666665215,       # (-1/2, -1, -1)
+    ("fugal", 4, 2): 0.5,                       # (1, 1/2, 1, 1)
+    ("fugal", 4, 3): 0.2928857777777778,        # (-1, -1, -1/2, -1)
+}
+
+
+@pytest.mark.parametrize("pid", PLAYERS)
+def test_fractional_losses_against_the_worst_sign_regret(pid):
+    # every sequence over {-1, -1/2, 0, 1/2, 1} at T <= 5, K <= 3, played by a
+    # fork of one player; +-1 attains the worst regret except in the pinned
+    # cells, where a half loss keeps an adaptive player from moving or moves
+    # it by half a step
+    params = {"resolution": 300} if pid == "fugal" else None
+    losses = [(v,) for v in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    cells = 0
+    for T in range(1, 6):
+        for K in range(1, min(T, 3) + 1):
+            cfg = GameConfig(T, K, 1)
+            try:
+                player = make_player(pid, cfg, params)
+            except UnsupportedConfigError:
+                continue
+            sign, _ = worst_case_sign_regret(lambda: copy.copy(player), cfg)
+            worst = max(play_game(copy.copy(player), ReplayAdversary(seq), cfg).regret
+                        for seq in itertools.product(losses, repeat=T))
+            if (pid, T, K) in FRACTIONAL_EXCESS:
+                assert worst - sign == pytest.approx(FRACTIONAL_EXCESS[pid, T, K], abs=1e-12)
+            else:
+                assert worst == sign, (T, K)
+            cells += 1
+    assert cells == (4 if pid == "halfsplit" else 12)
