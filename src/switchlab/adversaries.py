@@ -65,19 +65,21 @@ class ProductAdversary(Adversary):
     dimension (the id "stopping") this forces regret >= T/(2 sqrt(K))
     against any feasible player.  Since the Linf game's regret decomposes
     coordinatewise (L1 dual norm), n coordinates force >= n*T/(2 sqrt(K)).
+    ``respond`` maps one per-coordinate rule, a closure (no attribute
+    lookups), over the (x_j, W_j) pairs.
     """
 
     def __init__(self, config: GameConfig):
         if config.dimension_n > 1 and config.adversary_norm_q != math.inf:
             raise UnsupportedConfigError(
                 "product adversary needs the Linf pairing for n > 1")
-        self._threshold = config.horizon_T / math.sqrt(config.budget_K)
-        self._slope = math.sqrt(config.budget_K) / config.horizon_T
+        threshold = config.horizon_T / math.sqrt(config.budget_K)
+        slope = math.sqrt(config.budget_K) / config.horizon_T
+        self._coordinate = lambda x, Wj: (0.0 if abs(Wj) >= threshold else
+                                          1.0 if x >= -Wj * slope else -1.0)
 
     def respond(self, player_x, is_moving, W):
-        threshold, slope = self._threshold, self._slope
-        return tuple([0.0 if abs(Wj) >= threshold else 1.0 if x >= -Wj * slope else -1.0
-                      for x, Wj in zip(player_x, W)])
+        return (*map(self._coordinate, player_x, W),)
 
 
 class OrthogonalAdversary(Adversary):

@@ -88,54 +88,58 @@ class GridFunction:
 
 
 def grid_of(fn, resolution: int) -> GridFunction:
-    """Sample a scalar function onto the standard grid."""
-    return GridFunction(resolution, np.array([fn(z) for z in make_grid(resolution)]))
+    """Sample ``fn``, called once on the array of nodes, onto the standard grid."""
+    return GridFunction(resolution, fn(make_grid(resolution)))
 
 
 # ----------------------------------------------------------------------
 # closed forms
 # ----------------------------------------------------------------------
 
-def quadratic_floor(k: int, z: float) -> float:
+def _on_domain(z, name: str) -> np.ndarray:
+    """``z`` as a float array (0-d for a scalar); ``ValueError`` if any entry
+    is NaN or leaves [-1, 1]."""
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.abs(z) <= 1.0 + 1e-12):
+        raise ValueError(f"{name} domain is [-1, 1]")
+    return z
+
+
+def quadratic_floor(k: int, z):
     """The quadratic floor a_k: a_1 = 1 and, for k >= 2,
 
         a_k(z) = (sqrt(k/2) z^2 + sqrt(2/k)) / 2   for |z| < sqrt(2/k),
                  |z|                                otherwise,
 
     continuous at the junction, with a_k(0) = 1/sqrt(2k).  Pointwise lower
-    bound for u_k, preserved in that role by the operator.
+    bound for u_k, preserved in that role by the operator.  A float ``z``
+    gives a float, an array an array, entry by entry the same float ops.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    z = float(z)
-    if not abs(z) <= 1.0 + 1e-12:
-        raise ValueError("quadratic_floor domain is [-1, 1]")
-    if k == 1:
-        return 1.0
+    z = _on_domain(z, "quadratic_floor")
     cut = math.sqrt(2.0 / k)
-    if abs(z) < cut:
-        return (math.sqrt(k / 2.0) * z * z + cut) / 2.0
-    return abs(z)
+    a = np.ones_like(z) if k == 1 else np.where(
+        abs(z) < cut, (math.sqrt(k / 2.0) * z * z + cut) / 2.0, abs(z))
+    return a if a.ndim else float(a)
 
 
-def quadratic_floor_image(i: int, z: float) -> float:
+def quadratic_floor_image(i: int, z):
     """Exact image of the quadratic floor under the operator, i >= 2:
 
         (T a_i)(z) = sqrt(i/2) (z^2 - 1 + sqrt(1 + 2/i - z^2))  for |z| <= sqrt(2/i),
                      |z|                                         otherwise.
 
     (i = 1 is excluded: T a_1 is the parabola (z^2+1)/2, a separate fact.)
+    Takes a float or an array ``z``, as :func:`quadratic_floor` does.
     """
     if i < 2:
         raise ValueError("closed-form image needs i >= 2")
-    z = float(z)
-    if not abs(z) <= 1.0 + 1e-12:
-        raise ValueError("quadratic_floor_image domain is [-1, 1]")
-    cut = math.sqrt(2.0 / i)
-    if abs(z) <= cut:
-        rad = max(1.0 + 2.0 / i - z * z, 0.0)
-        return math.sqrt(i / 2.0) * (z * z - 1.0 + math.sqrt(rad))
-    return abs(z)
+    z = _on_domain(z, "quadratic_floor_image")
+    rad = np.maximum(1.0 + 2.0 / i - z * z, 0.0)
+    image = np.where(abs(z) <= math.sqrt(2.0 / i),
+                     math.sqrt(i / 2.0) * (z * z - 1.0 + np.sqrt(rad)), abs(z))
+    return image if image.ndim else float(image)
 
 
 def branch_cutoffs(i: int, x: float) -> tuple[float, float]:
@@ -166,9 +170,7 @@ def crossing_action(i: int, z: float) -> float:
     """
     if i < 2:
         raise ValueError("crossing action needs i >= 2")
-    z = float(z)
-    if not abs(z) <= 1.0 + 1e-12:
-        raise ValueError("crossing_action domain is [-1, 1]")
+    z = float(_on_domain(z, "crossing_action"))
     if abs(z) <= math.sqrt(2.0 / i):
         x = -z * math.sqrt(max(-i * z * z + i + 2.0, 0.0)) / math.sqrt(2.0)
         return min(max(x, -1.0), 1.0)

@@ -15,9 +15,9 @@ This module owns a game's state and its round rules.  ``play_game`` keeps
 the running loss sum W and hands it to the adversary each round, so
 adversaries hold no copy of it; ``worst_case_sign_regret``, the lab's one
 exhaustive +-1 search, decides each distinct game state once with the same
-round step.  Actions, losses and W are immutable tuples of n floats; NumPy
-runs only on a change (the ball check) and on the finished columns: the
-(T, n) actions and losses, and the moving flags derived from the actions.
+round rule.  Actions, losses and W are immutable tuples of n floats; NumPy
+runs only on a change (the ball check) and on the columns, filled once per
+1024 rounds: the (T, n) actions and losses, and the moving flags.
 ``Trajectory.from_columns`` is the one place that derives switch count,
 loss sum, feasibility and regret.
 """
@@ -27,8 +27,8 @@ from __future__ import annotations
 import copy
 import math
 import struct
-from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import add
 
 import numpy as np
@@ -174,25 +174,24 @@ def count_switches(actions) -> int:
     return int(np.count_nonzero(_moving_mask(X))) - 1
 
 
-def _round_step(player, prev, switches: int, t: int, n: int, p: float, budget_K: int):
-    """Round t's action, whether it moves, and the switch count after it.
-    ``prev`` is the previous action (``None`` at round 1, which always
-    moves); tuple equality is the exact ``!=`` of ``Trajectory.from_columns``
-    (-0.0 equals 0.0, NaN equals nothing).  A changed action is checked,
-    since a repeat passed already: ``ValueError`` if its length is not n, it
-    leaves the unit p-ball or has a NaN entry, then ``BudgetViolationError``
-    if the move is switch number K."""
-    x = player.decide()
-    if x == prev:
-        return x, False, switches
-    if len(x) != n or outside_ball(x, p):
-        raise ValueError(f"round {t}: player action leaves the unit {p}-ball in n = {n}: {x}")
-    if prev is not None:   # round 1 moves but is no switch
+def _check_change(v, t: int, n: int, p: float, side: str, prev=None, switches: int = 0,
+                  budget_K: int = 0) -> int:
+    """Check round t's changed action or loss ``v`` and return the switch
+    count after it: ``TypeError`` unless ``v`` is a tuple (the round
+    protocol); ``ValueError`` if its length is not n, it leaves the unit
+    p-ball or has a NaN entry; ``BudgetViolationError`` if it moves from an
+    action ``prev`` (``None`` at round 1 and for a loss) as switch number K."""
+    if type(v) is not tuple:
+        raise TypeError(f"round {t}: {side} must be a tuple of {n} floats (the round "
+                        f"protocol), not {type(v).__name__}")
+    if len(v) != n or outside_ball(v, p):
+        raise ValueError(f"round {t}: {side} leaves the unit {p}-ball in n = {n}: {v}")
+    if prev is not None:
         switches += 1
         if switches >= budget_K:
             raise BudgetViolationError(f"round {t}: switch number {switches} with budget "
                                        f"K={budget_K}", round_index=t)
-    return x, True, switches
+    return switches
 
 
 def play_game(player, adversary, config: GameConfig) -> Trajectory:
@@ -202,35 +201,41 @@ def play_game(player, adversary, config: GameConfig) -> Trajectory:
     answers ``respond(x_t, is_moving, W)`` with w_t, then the player
     observes w_t; each is a tuple of n floats.  ``is_moving`` is the exact
     inequality, and ``W`` the sum of the earlier losses (zeros at t = 1)
-    in round order, the bits :meth:`Trajectory.from_columns` gets.  An
-    action or loss is checked when it changes (exact ``!=``; a repeat passed
-    already).  A player that would exceed the switch budget aborts the game
-    with an error naming the round.
+    in round order, the bits :meth:`Trajectory.from_columns` gets.  A
+    stationary round runs inline; a changed action or loss goes through
+    :func:`_check_change`, whose errors name the round.  The rows are
+    collected as tuples and copied into the (T, n) columns per 1024 rounds.
 
     Both strategies must be freshly initialized for ``config``.
     """
     T, n, p, K = config.horizon_T, config.dimension_n, config.player_norm_p, config.budget_K
     q = config.adversary_norm_q
-    respond, observe = adversary.respond, player.observe
-    X, L = array("d"), array("d")   # actions, losses, row after row
+    decide, respond, observe = player.decide, adversary.respond, player.observe
+    X, L = np.empty((T, n)), np.empty((T, n))   # the action and loss columns
     W = (0.0,) * n
     prev, prev_w, switches = None, None, 0
 
-    for t in range(1, T + 1):
-        prev, is_moving, switches = _round_step(player, prev, switches, t, n, p, K)
-        w = respond(prev, is_moving, W)
-        if w != prev_w and (len(w) != n or outside_ball(w, q)):
-            raise ValueError(f"round {t}: adversary loss leaves the unit {q}-ball in n = {n}: {w}")
-        prev_w = w
-        X.extend(prev)
-        L.extend(w)
-        # built at size n; tuple(map(...)) would shrink a 10-tuple, and the old W
-        # tuples would pile up (2000 per size) on a free list it never reads
-        W = (*map(add, W, w),)
-        observe(w)
+    for start in range(0, T, 1024):   # a bounded chunk of rows keeps few tuples alive
+        xs, ws = [], []
+        for t in range(start + 1, min(start + 1024, T) + 1):
+            x = decide()
+            moving = x != prev   # a bool; an ndarray gives an array, never False
+            if moving is not False:
+                switches = _check_change(x, t, n, p, "player action", prev, switches, K)
+            w = respond(x, moving, W)
+            if (w != prev_w) is not False:
+                _check_change(w, t, n, q, "adversary loss")
+            prev, prev_w = x, w
+            xs.append(x)
+            ws.append(w)
+            # built at size n; tuple(map(...)) would shrink a 10-tuple, and the old W
+            # tuples would pile up (2000 per size) on a free list it never reads
+            W = (*map(add, W, w),)
+            observe(w)
+        X[start:t] = np.fromiter(chain.from_iterable(xs), float, (t - start) * n).reshape(-1, n)
+        L[start:t] = np.fromiter(chain.from_iterable(ws), float, (t - start) * n).reshape(-1, n)
 
-    return Trajectory.from_columns(config, np.frombuffer(X).reshape(T, n),
-                                   np.frombuffer(L).reshape(T, n))
+    return Trajectory.from_columns(config, X, L)
 
 
 #: the 1-d losses -1 and +1; index ``s >= 0`` gives sign(s), +1 at 0
@@ -269,10 +274,11 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
     ``vars(player)`` by :func:`_state_key`); by the ``Player`` fork contract
     the attributes determine the player's future play, so sign prefixes that
     reach one state share everything after it, and each state plays one
-    round step of ``play_game`` (ball, exact-``!=`` moving flag, switch
-    budget) once.  Its children are forked with ``copy.copy``.  The search
-    stores at most ``MAX_SIGN_STATES`` states, a 42 MiB peak for
-    ``minibatch``, and raises ``CapacityError`` beyond.
+    round by ``play_game``'s rule (the exact-``!=`` moving flag, then
+    :func:`_check_change` on a change) once.  Its children are forked
+    with ``copy.copy``.  The search stores at most ``MAX_SIGN_STATES``
+    states, a 42 MiB peak for ``minibatch``, and raises ``CapacityError``
+    beyond.
 
     Sequence c has round t's loss at bit t-1 (set for +1).  A state's value
     is max_w (w x + value(child)), and |W| after round T; so the worst
@@ -294,7 +300,9 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
         index, nxt, level = {}, [], []
         for player, W, prev, switches, low in frontier:
             try:
-                x, _, used = _round_step(player, prev, switches, t, 1, p, K)
+                x, used = player.decide(), switches
+                if (x != prev) is not False:   # as in play_game
+                    used = _check_change(x, t, 1, p, "player action", prev, switches, K)
             except Exception as exc:   # deferred: the smallest failing code raises
                 failures.append((low, exc))
                 continue

@@ -38,7 +38,8 @@ RESULT_COLUMNS = ("T", "K", "n", "player_id", "adversary_id", "seed", "regret",
 _PSEUDO_ADVERSARIES = ("exhaustive_sign",)
 
 #: the config keys each mode reads (``sweep.X`` names a field of ``sweep``);
-#: a spec that sets any other key is rejected rather than silently ignored
+#: a spec that sets any other key is rejected rather than silently ignored.
+#: One exception: ``fugal`` reads no ``seed``, but the benchmark's specs set it
 MODE_KEYS = {
     "simulate": {"sweep.T", "sweep.K", "sweep.n", "player_id", "player_params",
                  "adversary_id", "adversary_params", "player_norm", "repetitions",

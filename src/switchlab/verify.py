@@ -90,7 +90,7 @@ def check_quadratic_sandwich():
     failures = []
     for k in range(1, K + 1):
         u = tables[k - 1].values
-        floor = np.array([fe.quadratic_floor(k, z) for z in grid])
+        floor = fe.quadratic_floor(k, grid)
         worst_floor = min(worst_floor, float(np.min(u - (floor - 2e-3))))
         if np.any(u < floor - 2e-3):
             failures.append(f"k={k}: u_k dips below quadratic floor by more than 2e-3")
@@ -125,7 +125,7 @@ def check_operator_closed_form():
     for i in (2, 3, 4):
         floor = fe.grid_of(lambda z: fe.quadratic_floor(i, z), N)
         image = fe.fugal_apply(floor)
-        exact = np.array([fe.quadratic_floor_image(i, z) for z in grid])
+        exact = fe.quadratic_floor_image(i, grid)
         err = float(np.max(np.abs(image.values - exact)))
         max_err[f"i={i}"] = err
         if err > 5e-3:
@@ -143,11 +143,8 @@ def check_operator_closed_form():
                 if e > wit_tol[key]:
                     failures.append(f"witness {key} vs closed form, i={i} z={z}: err {e}")
     zs = np.linspace(-1.0, 1.0, 10_000)
-    min_margin = math.inf
-    for i in range(2, 13):
-        img = np.array([fe.quadratic_floor_image(i, z) for z in zs])
-        nxt = np.array([fe.quadratic_floor(i + 1, z) for z in zs])
-        min_margin = min(min_margin, float(np.min(img - nxt)))
+    min_margin = min(float(np.min(fe.quadratic_floor_image(i, zs) - fe.quadratic_floor(i + 1, zs)))
+                     for i in range(2, 13))
     if min_margin < -1e-12:
         failures.append(f"interlacing violated: min(T a_i - a_(i+1)) = {min_margin}")
     measured = {"max_image_error": max_err, "min_interlace_margin": min_margin,
@@ -247,7 +244,7 @@ def check_upper_bounds():
                         f"at T={T} K={K} n={n}")
             cells.clear()
 
-    # half-split: the worst +-1 sequence through the engine's round step,
+    # half-split: the worst +-1 sequence through the engine's round rule,
     # exact ceil(T/2) cap
     worst_excess = -math.inf
     for T in range(2, 17):

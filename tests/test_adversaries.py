@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -173,6 +174,31 @@ def test_product_requires_linf_pairing_beyond_1d():
     with pytest.raises(UnsupportedConfigError):
         ProductAdversary(GameConfig(10, 2, 2, player_norm_p=2.0))
     ProductAdversary(GameConfig(10, 2, 1, player_norm_p=2.0))  # 1-d is fine
+
+
+def test_product_respond_matches_the_comprehension_it_replaced():
+    # n = 3 under Linf, T = 100, K = 4: freeze line |W_j| = 50, tie point
+    # x_j = -W_j * sqrt(K) / T.  Every mix of per-coordinate cases gives the
+    # bits of the list comprehension that respond used to be.
+    T, K = 100, 4
+    adv = ProductAdversary(GameConfig(T, K, 3, player_norm_p=math.inf))
+    threshold, slope = T / math.sqrt(K), math.sqrt(K) / T
+
+    def comprehension(player_x, W):
+        return tuple([0.0 if abs(Wj) >= threshold else 1.0 if x >= -Wj * slope else -1.0
+                      for x, Wj in zip(player_x, W)])
+
+    cases = [(0.3, 50.0), (-1.0, -50.0), (0.0, np.nextafter(50.0, 0.0)),   # freeze line
+             (-2.0 * slope, 2.0), (-7.5 * slope, 7.5), (3.0 * slope, -3.0),  # ties
+             (np.nextafter(-2.0 * slope, -1.0), 2.0),
+             (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-1e-300, 0.0)]
+    assert adv.respond((-2.0 * slope,), True, (2.0,)) == (1.0,)   # a tie gives +1
+    assert adv.respond((0.0, -0.0, 0.3), True, (-0.0, 0.0, 50.0)) == (1.0, 1.0, 0.0)
+    for triple in itertools.product(cases, repeat=3):
+        x, W = tuple(float(c[0]) for c in triple), tuple(float(c[1]) for c in triple)
+        w = adv.respond(x, True, W)
+        assert type(w) is tuple
+        assert [v.hex() for v in w] == [v.hex() for v in comprehension(x, W)], (x, W)
 
 
 def test_product_forces_scaled_regret():

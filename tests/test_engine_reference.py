@@ -156,6 +156,13 @@ def test_play_game_equals_the_reference_loop_on_ints_signed_zeros_and_nan():
     assert type(_outcome(play_game, "signed_zero", "signed_zero", cfg)[0]) is bytes
 
 
+def test_play_game_equals_the_reference_loop_across_row_chunks():
+    # play_game copies its rows into the columns 1024 rounds at a time
+    pairs = [("minibatch", "stopping"), ("minibatch", "product"), ("random_switch", "orthogonal"),
+             ("ints", "ints"), ("signed_zero", "signed_zero"), ("constant", "sign")]
+    assert _assert_parity(pairs, {1024: (4,), 2049: (16,)}) > 0
+
+
 def _is_floats(v, n):
     return type(v) is tuple and len(v) == n and all(type(e) is float for e in v)
 

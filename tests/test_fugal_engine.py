@@ -57,9 +57,56 @@ def test_floor_image_rejects_nan():
 def test_floor_image_interlaces_next_floor():
     zs = np.linspace(-1.0, 1.0, 3001)
     for i in range(2, 13):
-        img = np.array([fe.quadratic_floor_image(i, z) for z in zs])
-        nxt = np.array([fe.quadratic_floor(i + 1, z) for z in zs])
+        img = fe.quadratic_floor_image(i, zs)
+        nxt = fe.quadratic_floor(i + 1, zs)
         assert np.all(img >= nxt - 1e-12)
+
+
+def _floor_reference(k, z):
+    # the scalar closed form in Python floats, as it was before it took arrays
+    if k == 1:
+        return 1.0
+    cut = math.sqrt(2.0 / k)
+    if abs(z) < cut:
+        return (math.sqrt(k / 2.0) * z * z + cut) / 2.0
+    return abs(z)
+
+
+def _image_reference(i, z):
+    cut = math.sqrt(2.0 / i)
+    if abs(z) <= cut:
+        rad = max(1.0 + 2.0 / i - z * z, 0.0)
+        return math.sqrt(i / 2.0) * (z * z - 1.0 + math.sqrt(rad))
+    return abs(z)
+
+
+def test_closed_forms_on_arrays_equal_the_scalar_form_bit_for_bit():
+    # 10,001 points plus +-cut for every k, and the endpoints +-1
+    cuts = [s * math.sqrt(2.0 / k) for k in range(1, 14) for s in (1.0, -1.0)]
+    zs = np.concatenate([np.linspace(-1.0, 1.0, 10_001), [c for c in cuts if abs(c) <= 1.0],
+                         [1.0, -1.0, -0.0]])
+    for k in range(1, 14):
+        forms = [(fe.quadratic_floor, _floor_reference)]
+        if k >= 2:
+            forms.append((fe.quadratic_floor_image, _image_reference))
+        for form, reference in forms:
+            values = form(k, zs)
+            assert type(values) is np.ndarray and values.shape == zs.shape
+            expected = [reference(k, z) for z in zs.tolist()]
+            assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected], (form, k)
+            for z in zs[::97].tolist():   # the scalar form: a float, the same bits
+                v = form(k, z)
+                assert type(v) is float and v.hex() == reference(k, z).hex(), (form, k, z)
+
+
+def test_closed_forms_reject_a_bad_entry_in_an_array():
+    for bad in (math.nan, 1.5, -1.0 - 1e-9):
+        zs = np.linspace(-1.0, 1.0, 101)
+        zs[37] = bad
+        with pytest.raises(ValueError, match="quadratic_floor domain"):
+            fe.quadratic_floor(3, zs)
+        with pytest.raises(ValueError, match="quadratic_floor_image domain"):
+            fe.quadratic_floor_image(3, zs)
 
 
 def test_branch_cutoffs():
@@ -168,7 +215,7 @@ def test_apply_matches_closed_form_on_floors():
     for i in (2, 3, 4):
         floor = fe.grid_of(lambda z: fe.quadratic_floor(i, z), N)
         img = fe.fugal_apply(floor)
-        exact = np.array([fe.quadratic_floor_image(i, z) for z in grid])
+        exact = fe.quadratic_floor_image(i, grid)
         assert float(np.max(np.abs(img.values - exact))) <= 5e-3
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from switchlab.adversaries import Adversary, ConstantAdversary, SignAdversary, make_adversary
 from switchlab.errors import BudgetViolationError
-from switchlab.game_core import GameConfig, Trajectory, count_switches, dual_norm, play_game
+from switchlab.game_core import (GameConfig, Trajectory, count_switches, dual_norm, play_game,
+                                 worst_case_sign_regret)
 from switchlab.players import ConstantPlayer, HalfSplitPlayer, Player, make_player
 
 
@@ -251,6 +252,48 @@ def test_wrong_length_action_or_loss_names_the_round(n):
             play_game(_Scripted([good, good, bad, bad, good]), ConstantAdversary(cfg), cfg)
         with pytest.raises(ValueError, match=f"^round 4: adversary loss .* n = {n}: "):
             play_game(ConstantPlayer(cfg), _ScriptedLoss([good] * 3 + [bad, good]), cfg)
+
+
+class _ArrayPlayer(Player):
+    """Breaks the tuple protocol: plays (0.0,) * n, then from round
+    ``from_round`` on the same point as an ndarray."""
+
+    def __init__(self, n, from_round=1):
+        self._n, self._from, self._t = n, from_round, 0
+
+    def decide(self):
+        self._t += 1
+        return np.zeros(self._n) if self._t >= self._from else (0.0,) * self._n
+
+
+class _ArrayLoss(Adversary):
+    def __init__(self, n):
+        self._n = n
+
+    def respond(self, player_x, is_moving, W):
+        return np.zeros(self._n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_strategy_that_breaks_the_tuple_protocol_is_named(n):
+    # an ndarray action or loss, equal to the last tuple or not, raises a
+    # TypeError naming the round and the side in place of numpy's own error
+    cfg = GameConfig(5, 2, n)
+    for aid in ("zero", "sign") if n == 1 else ("zero",):
+        for start in (1, 3):
+            with pytest.raises(TypeError, match=f"^round {start}: player action must be a "
+                                                f"tuple of {n} floats .*ndarray"):
+                play_game(_ArrayPlayer(n, start), make_adversary(aid, cfg), cfg)
+    with pytest.raises(TypeError, match=f"^round 1: adversary loss must be a tuple of {n} floats"):
+        play_game(make_player("constant", cfg), _ArrayLoss(n), cfg)
+
+
+def test_the_sign_search_names_a_player_that_breaks_the_tuple_protocol():
+    # the search is 1-d, so a 2-element action is one from round 1
+    cfg = GameConfig(4, 2, 1)
+    for n, start in ((1, 1), (1, 2), (2, 1)):
+        with pytest.raises(TypeError, match=f"^round {start}: player action must be a tuple"):
+            worst_case_sign_regret(lambda: _ArrayPlayer(n, start), cfg)
 
 
 def test_signed_zero_alternation_neither_moves_nor_leaves_the_ball():
