@@ -1,11 +1,15 @@
 """Adversary strategies that realize the regret lower bounds.
 
-Every adversary has one method, ``respond(player_x, is_moving, W) -> w``;
-``player_x``, ``W`` and ``w`` are immutable tuples of n floats, and NumPy
-runs only on the orthogonal adversary's moving rounds.  The game engine
-(``game_core.play_game``) derives the moving flag from exact action
-equality and keeps W, the sum of the losses before this round; adversaries
-never re-derive either.  One instance serves one game.
+Every adversary answers ``respond(player_x, is_moving, W) -> w`` and says
+with ``repeats(W, w)`` for how many rounds it would answer w again while
+the player stays put; ``player_x``, ``W`` and ``w`` are immutable tuples of
+n floats, and NumPy runs only on the orthogonal adversary's moving rounds.
+The game engine (``game_core.play_game``) derives the moving flag from
+exact action equality and keeps W, the sum of the losses before this
+round; adversaries never re-derive either.  It plays a run of rounds with
+one action and one loss as one step, and asks ``repeats`` only when the
+player holds for more than one round.  An adversary that declares no
+repeats plays runs of one round.  One instance serves one game.
 
 The id "stopping" is the one-coordinate product adversary (n = 1 only),
 and "sign" answers sign(x_t); a sign fixed in advance is "constant".
@@ -29,6 +33,12 @@ class Adversary:
     def respond(self, player_x: tuple, is_moving: bool, W: tuple) -> tuple:
         raise NotImplementedError
 
+    def repeats(self, W: tuple, w: tuple) -> int:
+        """The rounds, from this one, for which ``respond`` would return w
+        again while the player stays put, given the W that ``respond`` got
+        this round; at least 1."""
+        return 1
+
 
 class ConstantAdversary(Adversary):
     """Plays a fixed loss vector every round (the zero vector by default)."""
@@ -39,9 +49,13 @@ class ConstantAdversary(Adversary):
             (np.asarray(w, dtype=float).reshape(n) + 0.0).tolist())
         if outside_ball(self._w, config.adversary_norm_q):
             raise ValueError("constant loss leaves the adversary ball")
+        self._T = config.horizon_T
 
     def respond(self, player_x, is_moving, W):
         return self._w
+
+    def repeats(self, W, w):
+        return self._T
 
 
 class SignAdversary(Adversary):
@@ -51,9 +65,13 @@ class SignAdversary(Adversary):
     def __init__(self, config: GameConfig):
         if config.dimension_n != 1:
             raise UnsupportedConfigError("sign adversary is one-dimensional")
+        self._T = config.horizon_T
 
     def respond(self, player_x, is_moving, W):
         return SIGN_LOSSES[player_x[0] >= 0]
+
+    def repeats(self, W, w):
+        return self._T   # until the player moves
 
 
 class ProductAdversary(Adversary):
@@ -66,7 +84,8 @@ class ProductAdversary(Adversary):
     against any feasible player.  Since the Linf game's regret decomposes
     coordinatewise (L1 dual norm), n coordinates force >= n*T/(2 sqrt(K)).
     ``respond`` maps one per-coordinate rule, a closure (no attribute
-    lookups), over the (x_j, W_j) pairs.
+    lookups), over the (x_j, W_j) pairs.  ``repeats`` counts the rounds to
+    the next coordinate that stops.
     """
 
     def __init__(self, config: GameConfig):
@@ -77,9 +96,25 @@ class ProductAdversary(Adversary):
         slope = math.sqrt(config.budget_K) / config.horizon_T
         self._coordinate = lambda x, Wj: (0.0 if abs(Wj) >= threshold else
                                           1.0 if x >= -Wj * slope else -1.0)
+        self._T, self._ceil_threshold = config.horizon_T, math.ceil(threshold)
 
     def respond(self, player_x, is_moving, W):
         return (*map(self._coordinate, player_x, W),)
+
+    def repeats(self, W, w):
+        """The least k >= 1 at which a moving coordinate reaches
+        ``abs(W_j + k*w_j) >= threshold``, or T when every coordinate stopped.
+
+        Exact: every product loss is in {-1, 0, 1}, so W_j is an
+        integer-valued float and W_j + k*w_j is the engine's sum after k more
+        rounds, bit for bit; the least such k is the integer
+        ``ceil(threshold) - w_j*W_j``.  While x is held a moving coordinate's
+        sign cannot flip, since ``-W_j*slope`` is monotone in W_j and W_j
+        moves the way that keeps ``x >= -W_j*slope`` as it was.  A stopped
+        coordinate (w_j = 0) keeps its W_j, so it stays stopped.
+        """
+        return min((self._ceil_threshold - int(wj * Wj) for Wj, wj in zip(W, w) if wj),
+                   default=self._T)
 
 
 class OrthogonalAdversary(Adversary):
@@ -109,12 +144,16 @@ class OrthogonalAdversary(Adversary):
         if config.player_norm_p != 2:
             raise UnsupportedConfigError("orthogonal adversary plays in the L2 pairing")
         self.last_w: tuple | None = None
+        self._T = config.horizon_T
 
     def respond(self, player_x, is_moving, W):
         if is_moving or self.last_w is None:
             w = _orthogonal_unit(np.asarray(player_x, dtype=float), np.asarray(W, dtype=float))
             self.last_w = tuple(w.tolist())
         return self.last_w
+
+    def repeats(self, W, w):
+        return self._T   # until the player moves
 
 
 def _orthogonal_unit(x: np.ndarray, W: np.ndarray) -> np.ndarray:

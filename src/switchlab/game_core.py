@@ -13,11 +13,14 @@ exact-inequality change between consecutive emitted actions.
 
 This module owns a game's state and its round rules.  ``play_game`` keeps
 the running loss sum W and hands it to the adversary each round, so
-adversaries hold no copy of it; ``worst_case_sign_regret``, the lab's one
+adversaries hold no copy of it.  It advances by runs of rounds whose action
+and loss stay bit-identical, as long as the player says it holds and the
+adversary says it repeats.  ``worst_case_sign_regret``, the lab's one
 exhaustive +-1 search, decides each distinct game state once with the same
-round rule.  Actions, losses and W are immutable tuples of n floats; NumPy
-runs only on a change (the ball check) and on the columns, filled once per
-1024 rounds: the (T, n) actions and losses, and the moving flags.
+round rule, one round at a time.  Actions, losses and W are immutable
+tuples of n floats; NumPy runs only on a change (the ball check), on a
+run's sum (``add_repeated``) and on the columns, filled once per 1024 runs:
+the (T, n) actions and losses, and the moving flags.
 ``Trajectory.from_columns`` is the one place that derives switch count,
 loss sum, feasibility and regret.
 """
@@ -79,6 +82,10 @@ class GameConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("horizon_T", "budget_K", "dimension_n", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {type(value).__name__}")
         if self.horizon_T < 1:
             raise ValueError("horizon_T must be a positive integer")
         if self.budget_K < 1:
@@ -194,30 +201,59 @@ def _check_change(v, t: int, n: int, p: float, side: str, prev=None, switches: i
     return switches
 
 
+def add_repeated(W: tuple, w: tuple, count: int) -> tuple:
+    """W plus ``count`` copies of w, added one at a time in round order.
+    ``np.add.accumulate`` over the rows W, w, ..., w is sequential, so the
+    bits are those of ``count`` tuple additions."""
+    if count == 1:
+        # built at size n; tuple(map(...)) would shrink a 10-tuple, and the old
+        # tuples would pile up (2000 per size) on a free list it never reads
+        return (*map(add, W, w),)
+    rows = np.empty((count + 1, len(W)))
+    rows[0], rows[1:] = W, w
+    return tuple(np.add.accumulate(rows, out=rows)[-1].tolist())
+
+
+def _run_length(hold, repeats, left: int, t: int) -> int:
+    """The rounds a run plays from round t: the least of the player's
+    ``hold``, the adversary's ``repeats`` and the ``left`` rounds of the
+    game.  ``ValueError`` unless hold and repeats are ints >= 1."""
+    for side, count in (("player hold", hold), ("adversary repeats", repeats)):
+        if type(count) is not int or count < 1:
+            raise ValueError(f"round {t}: {side} must be an int >= 1, not {count!r}")
+    return min(hold, repeats, left)
+
+
 def play_game(player, adversary, config: GameConfig) -> Trajectory:
     """Run the adaptive protocol for T rounds and return the trajectory.
 
-    Per round: the player decides x_t from its own state, the adversary
-    answers ``respond(x_t, is_moving, W)`` with w_t, then the player
-    observes w_t; each is a tuple of n floats.  ``is_moving`` is the exact
-    inequality, and ``W`` the sum of the earlier losses (zeros at t = 1)
-    in round order, the bits :meth:`Trajectory.from_columns` gets.  A
-    stationary round runs inline; a changed action or loss goes through
-    :func:`_check_change`, whose errors name the round.  The rows are
-    collected as tuples and copied into the (T, n) columns per 1024 rounds.
+    The game advances by runs: stretches of rounds whose action and loss
+    stay bit-identical.  Per run, the player decides x_t from its own
+    state, the adversary answers ``respond(x_t, is_moving, W)`` with w_t,
+    and the run plays ``c = min(hold(), repeats(W, w_t), T - t + 1)``
+    rounds (``repeats`` is asked only when ``hold() > 1``; both default to
+    one round).  The player then observes ``(w_t, c)``.  Actions and losses
+    are tuples of n floats.  ``is_moving`` is the exact inequality, and
+    ``W`` the sum of the earlier losses (zeros at t = 1) in round order,
+    the bits :meth:`Trajectory.from_columns` gets; :func:`add_repeated`
+    adds a run's c losses.  A changed action or loss goes through
+    :func:`_check_change`, whose errors name the run's first round, where
+    any move happens.  The runs are collected as tuples and repeated into
+    the (T, n) columns per 1024 runs.
 
     Both strategies must be freshly initialized for ``config``.
     """
     T, n, p, K = config.horizon_T, config.dimension_n, config.player_norm_p, config.budget_K
     q = config.adversary_norm_q
     decide, respond, observe = player.decide, adversary.respond, player.observe
+    hold, repeats = player.hold, adversary.repeats
     X, L = np.empty((T, n)), np.empty((T, n))   # the action and loss columns
     W = (0.0,) * n
-    prev, prev_w, switches = None, None, 0
+    prev, prev_w, switches, t = None, None, 0, 1
 
-    for start in range(0, T, 1024):   # a bounded chunk of rows keeps few tuples alive
-        xs, ws = [], []
-        for t in range(start + 1, min(start + 1024, T) + 1):
+    while t <= T:
+        first, xs, ws, counts = t, [], [], []
+        for _ in range(1024):   # a bounded chunk of runs keeps few tuples alive
             x = decide()
             moving = x != prev   # a bool; an ndarray gives an array, never False
             if moving is not False:
@@ -225,15 +261,25 @@ def play_game(player, adversary, config: GameConfig) -> Trajectory:
             w = respond(x, moving, W)
             if (w != prev_w) is not False:
                 _check_change(w, t, n, q, "adversary loss")
+            c = hold()
+            if c == 1:   # add_repeated's own first line, inline for the per-round path
+                W = (*map(add, W, w),)
+            else:
+                c = _run_length(c, repeats(W, w), T - t + 1, t)
+                W = add_repeated(W, w, c)
             prev, prev_w = x, w
             xs.append(x)
             ws.append(w)
-            # built at size n; tuple(map(...)) would shrink a 10-tuple, and the old W
-            # tuples would pile up (2000 per size) on a free list it never reads
-            W = (*map(add, W, w),)
-            observe(w)
-        X[start:t] = np.fromiter(chain.from_iterable(xs), float, (t - start) * n).reshape(-1, n)
-        L[start:t] = np.fromiter(chain.from_iterable(ws), float, (t - start) * n).reshape(-1, n)
+            counts.append(c)
+            observe(w, c)
+            t += c
+            if t > T:
+                break
+        rows = len(xs) * n
+        X[first - 1:t - 1] = np.repeat(
+            np.fromiter(chain.from_iterable(xs), float, rows).reshape(-1, n), counts, axis=0)
+        L[first - 1:t - 1] = np.repeat(
+            np.fromiter(chain.from_iterable(ws), float, rows).reshape(-1, n), counts, axis=0)
 
     return Trajectory.from_columns(config, X, L)
 
@@ -275,10 +321,10 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
     the attributes determine the player's future play, so sign prefixes that
     reach one state share everything after it, and each state plays one
     round by ``play_game``'s rule (the exact-``!=`` moving flag, then
-    :func:`_check_change` on a change) once.  Its children are forked
-    with ``copy.copy``.  The search stores at most ``MAX_SIGN_STATES``
-    states, a 42 MiB peak for ``minibatch``, and raises ``CapacityError``
-    beyond.
+    :func:`_check_change` on a change) once, observing each loss as a run
+    of one round.  Its children are forked with ``copy.copy``.  The search
+    stores at most ``MAX_SIGN_STATES`` states, a 42 MiB peak for
+    ``minibatch``, and raises ``CapacityError`` beyond.
 
     Sequence c has round t's loss at bit t-1 (set for +1).  A state's value
     is max_w (w x + value(child)), and |W| after round T; so the worst
@@ -310,7 +356,7 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
             for bit, loss in enumerate(SIGN_LOSSES):
                 child, code = (copy.copy(player) if bit == 0 else player), low | bit << (t - 1)
                 try:
-                    child.observe(loss)
+                    child.observe(loss, 1)
                 except Exception as exc:
                     failures.append((code, exc))
                     continue

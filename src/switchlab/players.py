@@ -1,23 +1,25 @@
 """Player strategies.
 
 All players follow the same stateful contract as adversaries: ``decide()``
-emits the action for the upcoming round, ``observe(loss_w)`` feeds back the
-round's loss.  Both are immutable tuples of n floats, so NumPy runs only
-off the round path (``MinibatchPlayer``'s projection at an epoch end).
+emits the action for the upcoming round, ``hold()`` says for how many
+rounds from that one it stays, and ``observe(loss_w, count)`` feeds back a
+run of ``count`` rounds of one loss.  Actions and losses are immutable
+tuples of n floats, so NumPy runs only off the round path
+(``MinibatchPlayer``'s projection at an epoch end and its sum over a run).
 Players that intend to stay put re-emit an equal tuple, since the engine
-detects switches by exact equality.
+detects switches by exact equality.  A player that declares no hold plays
+runs of one round.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add
 
 import numpy as np
 
 from .errors import PolicyMissingError, UnsupportedConfigError
 from .fugal_engine import DEFAULT_RESOLUTION, u_k_solve
-from .game_core import INF, GameConfig, outside_ball
+from .game_core import INF, GameConfig, add_repeated, outside_ball
 
 #: ball diameter / gradient bound behind the default mini-batch step size
 BALL_DIAMETER = 2.0
@@ -32,13 +34,24 @@ class Player:
     losses are tuples, so neither side can change a value the other holds.
     Its attributes determine its future play, so the exhaustive sign search
     (``game_core.worst_case_sign_regret``) keys a state by ``vars(player)``.
+
+    ``play_game`` calls ``decide`` once per run, then ``hold``, then
+    ``observe`` once with the run's loss and length.
     """
 
     def decide(self) -> tuple:
         raise NotImplementedError
 
-    def observe(self, loss_w: tuple) -> None:
-        pass
+    def hold(self) -> int:
+        """The rounds, from the one just decided, for which ``decide()``
+        would return the same tuple whatever the losses; at least 1.  It
+        reads the state and must not change it, so ``vars(player)`` still
+        keys the sign search's states."""
+        return 1
+
+    def observe(self, loss_w: tuple, count: int) -> None:
+        """Feed back ``count`` rounds of the loss ``loss_w``; ``count`` is at
+        most what ``hold()`` said after the last ``decide()``."""
 
 
 class ConstantPlayer(Player):
@@ -52,9 +65,13 @@ class ConstantPlayer(Player):
         self._point = tuple((pt.reshape(n) + 0.0).tolist())
         if outside_ball(self._point, config.player_norm_p):
             raise ValueError("constant point lies outside the unit ball")
+        self._T = config.horizon_T
 
     def decide(self):
         return self._point
+
+    def hold(self):
+        return self._T
 
 
 def project_to_ball(x: np.ndarray, p: float) -> np.ndarray:
@@ -87,8 +104,8 @@ class MinibatchPlayer(Player):
         self.epoch_length = -(-config.horizon_T // config.budget_K)
         self.step_size = (BALL_DIAMETER / (GRAD_BOUND * math.sqrt(config.budget_K))
                           if step_size is None else float(step_size))
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < INF:   # NaN fails too
+            raise ValueError(f"step_size must be positive and finite, not {self.step_size}")
         self.current_point = (0.0,) * config.dimension_n
         self.accumulated_gradient = self.current_point
         self._rounds_seen = 0
@@ -96,10 +113,14 @@ class MinibatchPlayer(Player):
     def decide(self):
         return self.current_point
 
-    def observe(self, loss_w):
-        # sized up front, as play_game sizes W
-        self.accumulated_gradient = (*map(add, self.accumulated_gradient, loss_w),)
-        self._rounds_seen += 1
+    def hold(self):
+        # until the epoch ends
+        return self.epoch_length - self._rounds_seen % self.epoch_length
+
+    def observe(self, loss_w, count):
+        # summed in round order, as play_game sums W
+        self.accumulated_gradient = add_repeated(self.accumulated_gradient, loss_w, count)
+        self._rounds_seen += count
         if self._rounds_seen % self.epoch_length == 0:
             avg = np.array(self.accumulated_gradient) / self.epoch_length
             nxt = project_to_ball(np.array(self.current_point) - self.step_size * avg,
@@ -136,8 +157,8 @@ class HalfSplitPlayer(Player):
             self._second_point = -self._prefix_sum / self._denom + 0.0
         return (self._second_point,)
 
-    def observe(self, loss_w):
-        self._rounds_seen += 1
+    def observe(self, loss_w, count):
+        self._rounds_seen += 1   # count is 1: this player holds for one round
         t = self._rounds_seen
         in_window = t <= self._zero_until and not (self._skip_first and t == 1)
         if in_window:
@@ -183,8 +204,9 @@ class FugalPlayer(Player):
             return self._x
         if self.switches_used < self._K - 1:
             prefix = self.recorded_signs
-            self.threshold_U = self._T * self.policy.m_fraction(prefix, +1)
-            self.threshold_L = -self._T * self.policy.m_fraction(prefix, -1)
+            node = self.policy.nodes[prefix]   # its block fractions, as m_fraction reads them
+            self.threshold_U = self._T * node.m_plus
+            self.threshold_L = -self._T * node.m_minus
             sign = 0
             if self.block_start_W >= self.threshold_U:
                 sign = +1
@@ -197,8 +219,8 @@ class FugalPlayer(Player):
                 self.block_start_W = 0.0
         return self._x
 
-    def observe(self, loss_w):
-        self.block_start_W += loss_w[0]
+    def observe(self, loss_w, count):
+        self.block_start_W += loss_w[0]   # count is 1: this player holds for one round
         self._rounds_seen += 1
 
 
@@ -207,18 +229,17 @@ class RandomSwitchPlayer(Player):
 
     Draws min(K-1, T-1) distinct switch rounds from {2..T} and one point per
     segment, all from a generator seeded with ``config.seed``, so
-    trajectories are reproducible.
+    trajectories are reproducible.  It holds each point until the next
+    switch round; the sorted switch rounds end with T + 1.
     """
 
     def __init__(self, config: GameConfig):
         rng = np.random.default_rng(config.seed)
         T, K, n = config.horizon_T, config.budget_K, config.dimension_n
         n_switches = min(K - 1, T - 1)
-        if n_switches > 0:
-            rounds = np.sort(rng.choice(np.arange(2, T + 1), size=n_switches, replace=False))
-        else:
-            rounds = np.empty(0, dtype=int)
-        self._switch_rounds = set(int(r) for r in rounds)
+        rounds = (rng.choice(np.arange(2, T + 1), size=n_switches, replace=False).tolist()
+                  if n_switches > 0 else [])
+        self._switch_rounds = (*sorted(rounds), T + 1)
         self._points = [self._draw_point(rng, n, config.player_norm_p)
                         for _ in range(n_switches + 1)]
         self._segment = 0
@@ -235,13 +256,15 @@ class RandomSwitchPlayer(Player):
         return tuple((pt + 0.0).tolist())
 
     def decide(self):
-        t = self._rounds_seen + 1
-        if t in self._switch_rounds:
+        if self._switch_rounds[self._segment] == self._rounds_seen + 1:
             self._segment += 1
         return self._points[self._segment]
 
-    def observe(self, loss_w):
-        self._rounds_seen += 1
+    def hold(self):
+        return self._switch_rounds[self._segment] - self._rounds_seen - 1
+
+    def observe(self, loss_w, count):
+        self._rounds_seen += count
 
 
 def fugal(config: GameConfig, policy=None, resolution: int = DEFAULT_RESOLUTION) -> FugalPlayer:

@@ -3,7 +3,8 @@ engine's reference.  Each round converts the action and the loss to float
 n-vectors, stores them as rows of preallocated (T, n) arrays, keeps W as
 an array summed with ``W + w`` and compares ``tolist()`` keys for the
 moving flag; a changed action or loss is ball-checked.  The strategies get
-what the other side returned, and W as a tuple of floats."""
+what the other side returned, and W as a tuple of floats; every round is a
+run of one (``observe(w, 1)``), and ``hold`` and ``repeats`` go unasked."""
 
 import numpy as np
 
@@ -42,5 +43,5 @@ def reference_play_game(player, adversary, config) -> Trajectory:
         prev_w = key_w
         L[i] = w
         W = W + w
-        player.observe(raw_w)
+        player.observe(raw_w, 1)
     return Trajectory.from_columns(config, X, L)

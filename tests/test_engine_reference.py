@@ -1,13 +1,16 @@
 """``play_game`` against the ndarray round loop it replaced
-(``reference_engine.reference_play_game``), byte for byte, and the tuple
-round protocol of every registered strategy."""
+(``reference_engine.reference_play_game``), byte for byte, the tuple
+round protocol of every registered strategy, and the honesty of the runs
+that ``play_game`` advances by: what players hold and adversaries repeat."""
 
 import math
+from operator import add
 
+import numpy as np
 import pytest
 
 from reference_engine import reference_play_game
-from switchlab.adversaries import ADVERSARIES, Adversary, make_adversary
+from switchlab.adversaries import ADVERSARIES, Adversary, ProductAdversary, make_adversary
 from switchlab.errors import UnsupportedConfigError
 from switchlab.game_core import GameConfig, play_game
 from switchlab.players import PLAYERS, Player, make_player
@@ -35,7 +38,7 @@ class _IntPlayer(Player):
         x = 0 if self._t < self._move_at else (-1 if self._W > 0 else 1)
         return (x,) + (0,) * (self._n - 1)
 
-    def observe(self, loss_w):
+    def observe(self, loss_w, count):
         self._t, self._W = self._t + 1, self._W + loss_w[0]
 
 
@@ -58,7 +61,7 @@ class _SignedZeroPlayer(Player):
     def decide(self):
         return (-0.0 if self._t % 2 else 0.0,) * self._n
 
-    def observe(self, loss_w):
+    def observe(self, loss_w, count):
         self._t += 1
 
 
@@ -84,7 +87,7 @@ class _NaNPlayer(Player):
     def decide(self):
         return (math.nan if self._t >= 3 else 0.25,) + (0.0,) * (self._n - 1)
 
-    def observe(self, loss_w):
+    def observe(self, loss_w, count):
         self._t += 1
 
 
@@ -99,9 +102,38 @@ class _NaNAdversary(Adversary):
         return (math.nan if self._t == 3 else -1.0,) + (0.0,) * (self._n - 1)
 
 
+class _StretchAdversary(Adversary):
+    """Repeats a seeded random in-ball loss for a seeded stretch of 1 to 40
+    rounds, and draws anew when the stretch ends or the player moves;
+    ``repeats`` declares what is left of the stretch.  It finds its place in
+    the stretch by W, whose values there it lists when it draws: every loss
+    has a first entry of size 1/4 or more, so they differ."""
+
+    def __init__(self, config):
+        self._rng, self._n = np.random.default_rng(config.seed + 100), config.dimension_n
+        self._left, self._w = {}, None   # W -> rounds left in the stretch, and its loss
+        self.calls = 0
+
+    def respond(self, player_x, is_moving, W):
+        self.calls += 1
+        if is_moving or W not in self._left:
+            first = self._rng.uniform(0.25, 0.5) * self._rng.choice((-1.0, 1.0))
+            rest = self._rng.uniform(-1.0, 1.0, self._n - 1)
+            rest *= 0.8 / max(1.0, float(np.linalg.norm(rest)))   # in the L2 ball and the box
+            self._w = (float(first), *rest.tolist())
+            length, self._left = int(self._rng.integers(1, 41)), {}
+            for j in range(length):
+                self._left[W] = length - j
+                W = (*map(add, W, self._w),)
+        return self._w
+
+    def repeats(self, W, w):
+        return self._left[W]
+
+
 CUSTOM_PLAYERS = {"ints": _IntPlayer, "signed_zero": _SignedZeroPlayer, "nan": _NaNPlayer}
 CUSTOM_ADVERSARIES = {"ints": _IntAdversary, "signed_zero": _SignedZeroAdversary,
-                      "nan": _NaNAdversary}
+                      "nan": _NaNAdversary, "stretch": _StretchAdversary}
 
 
 def _player(pid, cfg):
@@ -163,13 +195,95 @@ def test_play_game_equals_the_reference_loop_across_row_chunks():
     assert _assert_parity(pairs, {1024: (4,), 2049: (16,)}) > 0
 
 
+def test_registered_players_hold_honestly_against_declared_stretches():
+    # the stretch adversary cuts the players' holds at seeded rounds, so runs
+    # of every length meet add_repeated's sum and the columns' np.repeat
+    assert _assert_parity([(pid, "stretch") for pid in PLAYERS]) > 0
+    cfg = GameConfig(1000, 4, 3, seed=7)
+    adversary = _StretchAdversary(cfg)
+    play_game(make_player("constant", cfg), adversary, cfg)
+    assert 1000 / 40 <= adversary.calls < 1000 / 10   # runs, not rounds
+
+
+def test_play_game_equals_the_reference_loop_on_the_onedim_verify_cells():
+    # bounds.onedim_lower's T = 10^4 games: its five players against stopping
+    for K in (1, 2, 4, 16, 100):
+        for pid, seed in (("constant", 0), ("minibatch", 0),
+                          *(("random_switch", s) for s in range(3))):
+            cfg = GameConfig(10_000, K, 1, 2.0, seed)
+            ref = _outcome(reference_play_game, pid, "stopping", cfg)
+            assert _outcome(play_game, pid, "stopping", cfg) == ref, (pid, cfg)
+
+
+def _stepped_repeats(adversary, x, W, T):
+    """The loss ``respond`` gives with x held from W, and the rounds (at most
+    T) it gives it again, W summed round by round as ``play_game`` sums it."""
+    w, k = adversary.respond(x, True, W), 1
+    while k < T:
+        W = (*map(add, W, w),)
+        if adversary.respond(x, False, W) != w:
+            break
+        k += 1
+    return w, k
+
+
+def _product(T, K, n):
+    return ProductAdversary(GameConfig(T, K, n, math.inf))
+
+
+@pytest.mark.parametrize("T, K, x, W, runs", [
+    (100, 4, (0.3,), (0.0,), 50),           # threshold 50.0, an integer
+    (100, 2, (0.0,), (0.0,), 71),           # threshold 70.71...
+    (100, 2, (-0.5,), (10.0,), 81),         # down from W = 10 to -71
+    (100, 4, (0.5,), (-10.0,), 60),         # W < 0 moving up through 0
+    (100, 4, (0.5,), (-50.0,), 100),        # frozen: the loss stays 0
+    (100, 4, (0.2, -0.9, 0.0), (45.0, 3.0, -49.0), 1),
+])
+def test_product_repeats_equals_stepping_respond(T, K, x, W, runs):
+    adversary = _product(T, K, len(x))
+    w, k = _stepped_repeats(adversary, x, W, T)
+    assert adversary.repeats(W, w) == k == runs
+
+
+def test_product_repeats_follows_coordinates_that_stop_at_different_rounds():
+    # n = 3 with x held: each run ends where one coordinate stops, the last
+    # run is all zeros, and repeats meets stepping at every run
+    T, K = 1000, 16
+    adversary, x, W = _product(T, K, 3), (0.1, -0.2, 0.05), (120.0, -3.0, -200.0)
+    t, runs = 1, []
+    while t <= T:
+        w, k = _stepped_repeats(adversary, x, W, T - t + 1)
+        assert min(adversary.repeats(W, w), T - t + 1) == k
+        for _ in range(k):
+            W = (*map(add, W, w),)
+        runs.append((w, k))
+        t += k
+    # threshold 250: coordinate 2 stops after 50 rounds, 0 after 130, 1 after 247
+    assert runs == [((1.0, -1.0, -1.0), 50), ((1.0, -1.0, 0.0), 80), ((0.0, -1.0, 0.0), 117),
+                    ((0.0, 0.0, 0.0), 753)]
+
+
+def test_product_repeats_equals_stepping_respond_on_random_states():
+    rng = np.random.default_rng(5)
+    for T, K, n in ((100, 4, 1), (100, 2, 2), (997, 7, 3), (10_000, 16, 1), (64, 64, 5)):
+        adversary = _product(T, K, n)
+        bound = math.ceil(T / math.sqrt(K))
+        for _ in range(40):
+            x = tuple(rng.uniform(-1.0, 1.0, n).tolist())
+            W = tuple(float(v) for v in rng.integers(-bound, bound + 1, n))
+            w, k = _stepped_repeats(adversary, x, W, T)
+            assert min(adversary.repeats(W, w), T) == k, (T, K, x, W)
+
+
 def _is_floats(v, n):
     return type(v) is tuple and len(v) == n and all(type(e) is float for e in v)
 
 
 def test_registered_strategies_speak_tuples_of_floats():
     # every player's decide and every adversary's respond returns a tuple of
-    # n Python floats, which the engine compares, sums and stores without NumPy
+    # n Python floats, which the engine compares, sums and stores without
+    # NumPy.  The engine decides, responds and observes once per run, and the
+    # runs' counts sum to T; hold rebinds no attribute of the player
     played = 0
     for cfg in _configs({7: (1, 2, 4)}):
         n = cfg.dimension_n
@@ -180,10 +294,21 @@ def test_registered_strategies_speak_tuples_of_floats():
                 except UnsupportedConfigError:
                     continue
                 decide, respond, seen = player.decide, adversary.respond, []
+                hold, observe, counts = player.hold, player.observe, []
                 player.decide = lambda: seen.append(decide()) or seen[-1]
                 adversary.respond = lambda x, m, W: seen.append(respond(x, m, W)) or seen[-1]
+                player.observe = lambda w, c: counts.append(c) or observe(w, c)
+
+                def held():
+                    before = dict(vars(player))
+                    rounds = hold()
+                    assert vars(player).keys() == before.keys()
+                    assert all(vars(player)[k] is v for k, v in before.items()), (pid, cfg)
+                    return rounds
+
+                player.hold = held
                 play_game(player, adversary, cfg)
-                assert len(seen) == 2 * cfg.horizon_T
+                assert len(seen) == 2 * len(counts) and sum(counts) == cfg.horizon_T
                 assert all(_is_floats(v, n) for v in seen), (pid, aid, cfg, seen)
                 played += 1
     assert played > 100

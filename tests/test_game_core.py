@@ -54,6 +54,16 @@ def test_dual_norm_rejects_bad_input():
         dual_norm(np.array([1.0]), 3)
 
 
+@pytest.mark.parametrize("field", ["horizon_T", "budget_K", "dimension_n", "seed"])
+def test_game_config_rejects_a_non_int_field(field):
+    # run counts are ints: a float, a bool or a NumPy integer is refused
+    good = {"horizon_T": 10, "budget_K": 2, "dimension_n": 1, "seed": 1}
+    assert getattr(GameConfig(**dict(good, **{field: 2})), field) == 2
+    for bad in (2.0, 2.5, True, np.int64(2)):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            GameConfig(**dict(good, **{field: bad}))
+
+
 def test_linear_regret_examples():
     t1 = Trajectory.from_columns(GameConfig(1, 1, 1), [0.0], [1.0])
     assert t1.regret == pytest.approx(1.0)
@@ -158,7 +168,7 @@ class _Alternator(Player):
     def decide(self):
         return (1.0 if self._t % 2 == 0 else -1.0,)
 
-    def observe(self, loss_w):
+    def observe(self, loss_w, count):
         self._t += 1
 
 
@@ -252,6 +262,47 @@ def test_wrong_length_action_or_loss_names_the_round(n):
             play_game(_Scripted([good, good, bad, bad, good]), ConstantAdversary(cfg), cfg)
         with pytest.raises(ValueError, match=f"^round 4: adversary loss .* n = {n}: "):
             play_game(ConstantPlayer(cfg), _ScriptedLoss([good] * 3 + [bad, good]), cfg)
+
+
+class _Holder(Player):
+    """Plays 0 and says it holds for ``rounds`` rounds."""
+
+    def __init__(self, rounds):
+        self._rounds = rounds
+
+    def decide(self):
+        return (0.0,)
+
+    def hold(self):
+        return self._rounds
+
+    def observe(self, loss_w, count):
+        pass
+
+
+class _Repeater(ConstantAdversary):
+    """The zero loss, said to repeat for ``rounds`` rounds."""
+
+    def __init__(self, config, rounds):
+        super().__init__(config)
+        self._rounds = rounds
+
+    def repeats(self, W, w):
+        return self._rounds
+
+
+@pytest.mark.parametrize("rounds", [0, -2, 2.0, None])
+def test_a_hold_or_repeats_that_is_not_a_positive_int_is_named(rounds):
+    # a run of no rounds would never end the game
+    cfg = GameConfig(5, 2, 1)
+    tail = f"must be an int >= 1, not {rounds}"
+    with pytest.raises(ValueError, match=f"^round 1: player hold {tail}"):
+        play_game(_Holder(rounds), ConstantAdversary(cfg), cfg)
+    with pytest.raises(ValueError, match=f"^round 1: adversary repeats {tail}"):
+        play_game(ConstantPlayer(cfg), _Repeater(cfg, rounds), cfg)
+    # a run of one round from either side plays round by round
+    assert play_game(_Holder(5), _Repeater(cfg, 1), cfg).rounds.tobytes() == \
+        play_game(_Holder(1), _Repeater(cfg, 5), cfg).rounds.tobytes()
 
 
 class _ArrayPlayer(Player):

@@ -440,7 +440,7 @@ class _MovesAfter(Player):
     def decide(self):
         return (self._x,)
 
-    def observe(self, loss_w):
+    def observe(self, loss_w, count):
         if float(loss_w[0]) == self._sign:
             self._x = self._x + self._step
 
@@ -499,7 +499,7 @@ class _RoundAndSum(Player):
             raise ValueError(f"decide at round {self.t}, W = {self.W}")
         return (0.0,)
 
-    def observe(self, loss_w):
+    def observe(self, loss_w, count):
         if (self.t, self.W, float(loss_w[0])) in self._on_observe:
             raise ValueError(f"observe {loss_w[0]} at round {self.t}, W = {self.W}")
         self.t, self.W = self.t + 1, self.W + float(loss_w[0])
@@ -528,7 +528,7 @@ class _LastTwoLosses(Player):
     def decide(self):
         return (0.5 * self.older * self.last,)
 
-    def observe(self, loss_w):
+    def observe(self, loss_w, count):
         self.older, self.last = self.last, float(loss_w[0])
 
 
@@ -571,7 +571,7 @@ class _History(Player):
     def decide(self):
         return (0.0,)
 
-    def observe(self, loss_w):
+    def observe(self, loss_w, count):
         self.history = self.history + (float(loss_w[0]),)
 
 
@@ -610,9 +610,9 @@ def test_sign_search_decides_each_state_once():
             calls[0] += 1
             return super().decide()
 
-        def observe(self, loss_w):
+        def observe(self, loss_w, count):
             calls[1] += 1
-            super().observe(loss_w)
+            super().observe(loss_w, count)
 
     regret, traj = verify.worst_case_sign_regret(
         lambda: made.append(1) or Counted(1.0, 0.0), cfg)

@@ -30,6 +30,12 @@ def test_minibatch_one_gradient_step():
     assert acts[3] == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("step_size", [math.nan, math.inf, 0.0, -1.0])
+def test_minibatch_rejects_a_step_size_that_is_not_positive_and_finite(step_size):
+    with pytest.raises(ValueError, match="step_size must be positive and finite"):
+        MinibatchPlayer(GameConfig(10, 2, 1), step_size=step_size)
+
+
 def test_minibatch_zero_losses_never_moves():
     cfg = GameConfig(9, 3, 2)
     traj = play_game(MinibatchPlayer(cfg), ConstantAdversary(cfg), cfg)
