@@ -11,8 +11,8 @@ from .errors import (BudgetViolationError, CapacityError, NumericStructureError,
                      PolicyMissingError, SwitchLabError, UnsupportedConfigError)
 from .game_core import (GameConfig, Trajectory, count_switches, dual_norm,
                         play_game)
-from .players import (ConstantPlayer, FugalPlayer, HalfSplitPlayer,
-                      MinibatchPlayer, RandomSwitchPlayer, make_player)
+from .players import (ConstantPlayer, FugalPlayer, MinibatchPlayer, RandomSwitchPlayer,
+                      make_player)
 from .adversaries import (ConstantAdversary, OrthogonalAdversary, ProductAdversary,
                           SignAdversary, make_adversary)
 from .fugal_engine import (FugalPolicy, GridFunction, fugal_apply, quadratic_floor,

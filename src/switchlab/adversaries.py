@@ -7,8 +7,7 @@ n floats, and NumPy runs only on the orthogonal adversary's moving rounds.
 The game engine (``game_core.play_game``) derives the moving flag from
 exact action equality and keeps W, the sum of the losses before this
 round; adversaries never re-derive either.  It plays a run of rounds with
-one action and one loss as one step, and asks ``repeats`` only when the
-player holds for more than one round.  An adversary that declares no
+one action and one loss as one step.  An adversary that declares no
 repeats plays runs of one round.  One instance serves one game.
 
 The id "stopping" is the one-coordinate product adversary (n = 1 only),

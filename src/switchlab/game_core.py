@@ -231,12 +231,12 @@ def play_game(player, adversary, config: GameConfig) -> Trajectory:
     stay bit-identical.  Per run, the player decides x_t from its own
     state, the adversary answers ``respond(x_t, is_moving, W)`` with w_t,
     and the run plays ``c = min(hold(), repeats(W, w_t), T - t + 1)``
-    rounds (``repeats`` is asked only when ``hold() > 1``; both default to
-    one round).  The player then observes ``(w_t, c)``.  Actions and losses
-    are tuples of n floats.  ``is_moving`` is the exact inequality, and
-    ``W`` the sum of the earlier losses (zeros at t = 1) in round order,
-    the bits :meth:`Trajectory.from_columns` gets; :func:`add_repeated`
-    adds a run's c losses.  A changed action or loss goes through
+    rounds (both default to one round).  The player then observes
+    ``(w_t, c)``.  Actions and losses are tuples of n floats.
+    ``is_moving`` is the exact inequality, and ``W`` the sum of the earlier
+    losses (zeros at t = 1) in round order, the bits
+    :meth:`Trajectory.from_columns` gets; :func:`add_repeated` adds a run's
+    c losses.  A changed action or loss goes through
     :func:`_check_change`, whose errors name the run's first round, where
     any move happens.  The runs are collected as tuples and repeated into
     the (T, n) columns per 1024 runs.
@@ -261,12 +261,8 @@ def play_game(player, adversary, config: GameConfig) -> Trajectory:
             w = respond(x, moving, W)
             if (w != prev_w) is not False:
                 _check_change(w, t, n, q, "adversary loss")
-            c = hold()
-            if c == 1:   # add_repeated's own first line, inline for the per-round path
-                W = (*map(add, W, w),)
-            else:
-                c = _run_length(c, repeats(W, w), T - t + 1, t)
-                W = add_repeated(W, w, c)
+            c = _run_length(hold(), repeats(W, w), T - t + 1, t)
+            W = add_repeated(W, w, c)
             prev, prev_w = x, w
             xs.append(x)
             ws.append(w)

@@ -32,6 +32,12 @@ from .fugal_engine import quadratic_floor
 #: peak is about five such arrays, 40 MiB at the cap (tracemalloc)
 MAX_ORACLE_FLOATS = 2 ** 20
 
+#: most float-steps of one solve, the value array times its T rounds, which
+#: bounds time as the float cap bounds memory: on a 2-core host (96, 4, 201)
+#: as (T, K, x_grid) is 15.1M float-steps and 0.4 s, while (8000, 1, 3) fits
+#: the float cap but is 384M float-steps and 1.7 s
+MAX_ORACLE_FLOAT_STEPS = 2 ** 25
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -53,6 +59,9 @@ class OracleConfig:
         floats = self.budget_K * self.x_grid * (2 * self.horizon_T + 3)
         if floats > MAX_ORACLE_FLOATS:
             raise CapacityError(f"value array of {floats} floats exceeds {MAX_ORACLE_FLOATS}")
+        if floats * self.horizon_T > MAX_ORACLE_FLOAT_STEPS:
+            raise CapacityError(f"{floats * self.horizon_T} float-steps exceed "
+                                f"MAX_ORACLE_FLOAT_STEPS = {MAX_ORACLE_FLOAT_STEPS}")
 
     @property
     def grid_slack(self) -> float:

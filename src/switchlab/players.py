@@ -5,10 +5,10 @@ emits the action for the upcoming round, ``hold()`` says for how many
 rounds from that one it stays, and ``observe(loss_w, count)`` feeds back a
 run of ``count`` rounds of one loss.  Actions and losses are immutable
 tuples of n floats, so NumPy runs only off the round path
-(``MinibatchPlayer``'s projection at an epoch end and its sum over a run).
+(``MinibatchPlayer``'s projection at an epoch end, and the sum over a run).
 Players that intend to stay put re-emit an equal tuple, since the engine
-detects switches by exact equality.  A player that declares no hold plays
-runs of one round.
+detects switches by exact equality.  Every registered player declares its
+hold; a player that declares none plays runs of one round.
 """
 
 from __future__ import annotations
@@ -121,48 +121,13 @@ class MinibatchPlayer(Player):
         # summed in round order, as play_game sums W
         self.accumulated_gradient = add_repeated(self.accumulated_gradient, loss_w, count)
         self._rounds_seen += count
-        if self._rounds_seen % self.epoch_length == 0:
+        # the next epoch's point; no round plays one after round T
+        if self._rounds_seen % self.epoch_length == 0 and self._rounds_seen < self._config.horizon_T:
             avg = np.array(self.accumulated_gradient) / self.epoch_length
             nxt = project_to_ball(np.array(self.current_point) - self.step_size * avg,
                                   self._config.player_norm_p)
             self.current_point = tuple((nxt + 0.0).tolist())
             self.accumulated_gradient = (0.0,) * len(nxt)
-
-
-class HalfSplitPlayer(Player):
-    """Two-block strategy for K=2, n=1: regret at most ceil(T/2).
-
-    Even T: play 0 for rounds 1..T/2, then -W1/(T/2) where W1 is the sum of
-    first-half losses.  Odd T: play 0 through round (T+1)/2, then
-    -(sum of losses in rounds 2..(T+1)/2)/((T-1)/2); round one is a freebie
-    costing at most 1 beyond the even-horizon guarantee.
-    """
-
-    def __init__(self, config: GameConfig):
-        if config.budget_K != 2 or config.dimension_n != 1:
-            raise UnsupportedConfigError("half-split player requires K=2, n=1")
-        T = config.horizon_T
-        self._zero_until = T // 2 if T % 2 == 0 else (T + 1) // 2
-        self._skip_first = T % 2 == 1
-        self._denom = T // 2 if T % 2 == 0 else (T - 1) // 2
-        self._prefix_sum = 0.0
-        self._rounds_seen = 0
-        self._second_point: float | None = None
-
-    def decide(self):
-        t = self._rounds_seen + 1
-        if t <= self._zero_until:
-            return (0.0,)
-        if self._second_point is None:
-            self._second_point = -self._prefix_sum / self._denom + 0.0
-        return (self._second_point,)
-
-    def observe(self, loss_w, count):
-        self._rounds_seen += 1   # count is 1: this player holds for one round
-        t = self._rounds_seen
-        in_window = t <= self._zero_until and not (self._skip_first and t == 1)
-        if in_window:
-            self._prefix_sum += loss_w[0]
 
 
 class FugalPlayer(Player):
@@ -176,7 +141,8 @@ class FugalPlayer(Player):
 
     where prefix is the tuple of recorded block signs.  When W_t >= U it
     records +1, advances to the next policy action; when W_t <= L it
-    records -1 and advances.  Otherwise it repeats its action.  Against
+    records -1 and advances.  Otherwise it repeats its action, and it holds
+    while no loss in the ball can bring W_t to a threshold.  Against
     any |w|<=1 adversary the recorded block lengths exhaust the horizon
     before more than K-1 advances can occur; a guard enforces the budget
     regardless.
@@ -193,35 +159,38 @@ class FugalPlayer(Player):
         self.policy = policy
         self.recorded_signs: tuple[int, ...] = ()
         self.block_start_W = 0.0
-        self.switches_used = 0
-        self.threshold_U = math.nan
-        self.threshold_L = math.nan
         self._rounds_seen = 0
         self._x = (policy.x_star(()),)
 
+    def _thresholds(self) -> tuple[float, float]:
+        """(U, L) of the current block."""
+        node = self.policy.nodes[self.recorded_signs]   # its block fractions, as m_fraction reads them
+        return self._T * node.m_plus, -self._T * node.m_minus
+
     def decide(self):
-        if self._rounds_seen == 0:
-            return self._x
-        if self.switches_used < self._K - 1:
-            prefix = self.recorded_signs
-            node = self.policy.nodes[prefix]   # its block fractions, as m_fraction reads them
-            self.threshold_U = self._T * node.m_plus
-            self.threshold_L = -self._T * node.m_minus
-            sign = 0
-            if self.block_start_W >= self.threshold_U:
-                sign = +1
-            elif self.block_start_W <= self.threshold_L:
-                sign = -1
+        if self._rounds_seen and len(self.recorded_signs) < self._K - 1:
+            U, L = self._thresholds()
+            sign = +1 if self.block_start_W >= U else -1 if self.block_start_W <= L else 0
             if sign != 0:
-                self.recorded_signs = prefix + (sign,)
-                self.switches_used += 1
+                self.recorded_signs += (sign,)
                 self._x = (self.policy.x_star(self.recorded_signs) + 0.0,)
                 self.block_start_W = 0.0
         return self._x
 
+    def hold(self):
+        # A hold of c rounds lets c - 1 losses into the block sum before the
+        # last decide it covers.  Each is ball-checked, so it moves the sum by
+        # at most 1 + BALL_SLACK, and c = int(d) keeps the sum short of a
+        # threshold d away.  One round less absorbs that slack and the
+        # rounding of the sums while d < 1e11.
+        if len(self.recorded_signs) == self._K - 1:
+            return self._T
+        U, L = self._thresholds()
+        return max(1, int(min(U - self.block_start_W, self.block_start_W - L)) - 1)
+
     def observe(self, loss_w, count):
-        self.block_start_W += loss_w[0]   # count is 1: this player holds for one round
-        self._rounds_seen += 1
+        self.block_start_W = add_repeated((self.block_start_W,), loss_w, count)[0]
+        self._rounds_seen += count
 
 
 class RandomSwitchPlayer(Player):
@@ -275,8 +244,8 @@ def fugal(config: GameConfig, policy=None, resolution: int = DEFAULT_RESOLUTION)
 
 
 #: each player id's constructor; its keyword arguments are the id's params
-PLAYERS = {"constant": ConstantPlayer, "minibatch": MinibatchPlayer, "halfsplit": HalfSplitPlayer,
-           "fugal": fugal, "random_switch": RandomSwitchPlayer}
+PLAYERS = {"constant": ConstantPlayer, "minibatch": MinibatchPlayer, "fugal": fugal,
+           "random_switch": RandomSwitchPlayer}
 PLAYER_IDS = tuple(PLAYERS)
 
 

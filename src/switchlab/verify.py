@@ -20,7 +20,7 @@ from . import minimax_oracle as mo
 from .adversaries import ConstantAdversary, make_adversary
 from .game_core import (INF, GameConfig, Trajectory, dual_norm, play_game,
                         worst_case_sign_regret)
-from .players import HalfSplitPlayer, FugalPlayer, make_player
+from .players import FugalPlayer, MinibatchPlayer, make_player
 
 SQRT2 = math.sqrt(2.0)
 
@@ -245,11 +245,13 @@ def check_upper_bounds():
             cells.clear()
 
     # half-split: the worst +-1 sequence through the engine's round rule,
-    # exact ceil(T/2) cap
+    # exact ceil(T/2) cap.  Mini-batching at K = 2 with a unit step is the
+    # half split: 0 for ceil(T/2) rounds, then -W/ceil(T/2), which is in
+    # the ball since |W| <= ceil(T/2)
     worst_excess = -math.inf
     for T in range(2, 17):
         cfg = GameConfig(horizon_T=T, budget_K=2, dimension_n=1)
-        worst, _ = worst_case_sign_regret(lambda: HalfSplitPlayer(cfg), cfg)
+        worst, _ = worst_case_sign_regret(lambda: MinibatchPlayer(cfg, step_size=1.0), cfg)
         cap = math.ceil(T / 2)
         worst_excess = max(worst_excess, worst - cap)
         if worst > cap + 1e-10:

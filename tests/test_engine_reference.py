@@ -4,6 +4,7 @@ round protocol of every registered strategy, and the honesty of the runs
 that ``play_game`` advances by: what players hold and adversaries repeat."""
 
 import math
+from itertools import groupby
 from operator import add
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 
 from reference_engine import reference_play_game
 from switchlab.adversaries import ADVERSARIES, Adversary, ProductAdversary, make_adversary
+from switchlab import fugal_engine as fe
 from switchlab.errors import UnsupportedConfigError
-from switchlab.game_core import GameConfig, play_game
-from switchlab.players import PLAYERS, Player, make_player
+from switchlab.game_core import BALL_SLACK, GameConfig, play_game
+from switchlab.players import PLAYERS, FugalPlayer, Player, make_player
 
 #: horizon -> the budgets K <= T played at it
 HORIZONS = {1: (1,), 7: (1, 2, 4), 1000: (1, 2, 4, 16)}
@@ -213,6 +215,84 @@ def test_play_game_equals_the_reference_loop_on_the_onedim_verify_cells():
             cfg = GameConfig(10_000, K, 1, 2.0, seed)
             ref = _outcome(reference_play_game, pid, "stopping", cfg)
             assert _outcome(play_game, pid, "stopping", cfg) == ref, (pid, cfg)
+
+
+class _Stretches(Adversary):
+    """Replays 1-d stretches ``(loss, length)`` of nonzero losses in order and
+    declares what is left of the current one.  W moves strictly within a
+    stretch, so the W that ``respond`` gets places it there; a W it did not
+    list starts the next stretch."""
+
+    def __init__(self, stretches):
+        self._stretches, self._left = iter(stretches), {}
+
+    def respond(self, player_x, is_moving, W):
+        if W not in self._left:
+            w, length = next(self._stretches)
+            self._w, self._left = (w,), {}
+            for j in range(length):
+                self._left[W] = length - j
+                W = (W[0] + w,)
+        return self._w
+
+    def repeats(self, W, w):
+        return self._left[W]
+
+
+def _walk_to_thresholds(policy, T, sign, step, creep):
+    """Losses, one per round, that walk the fugal player's block sum to each
+    threshold on one side, T m_plus above or -T m_minus below, by losses of
+    size ``step`` and one piece that leaves N whole steps to go: exactly N
+    units for a unit step, and N + N (step - 1) / 2 for a longer step, so
+    that a hold one round too long, or one that takes a loss for at most 1,
+    crosses the threshold inside its run.  Each block starts with a quarter
+    of its steps, which extend the last block's stretch; with ``creep`` the
+    last unit goes in 1/16 steps instead.  The sum is added in round order,
+    as the player adds it, so each block ends where the player moves."""
+    losses, prefix = [], ()
+    while len(losses) < T and len(prefix) < policy.budget_K - 1:
+        node = policy.nodes[prefix]
+        d = T * (node.m_plus if sign > 0 else node.m_minus)
+        whole = math.floor(d)
+        sizes, b = [], 0.0
+        for _ in range(whole // 4):
+            sizes.append(step)
+            b += step
+        piece = d - whole + whole // 4 - (whole - whole // 4) * (step - 1) / 2 - b
+        if piece:
+            sizes.append(piece)
+            b += piece
+        while b < d:
+            sizes.append(1 / 16 if creep and d - b <= 1.0 else step)
+            b += sizes[-1]
+        losses += [sign * size for size in sizes]
+        prefix += (sign,)
+    return (losses + [sign * step] * T)[:T]
+
+
+@pytest.mark.parametrize("T", [1000, 10_000])
+@pytest.mark.parametrize("K", [2, 3, 4, 8])
+def test_fugal_holds_honestly_at_the_balls_edge(T, K):
+    # the fugal hold bounds each loss by 1 + BALL_SLACK, the ball's edge: the
+    # walks cross each threshold in a run the hold must cut, or creep up on
+    # it, and random stretches of +-(1 + BALL_SLACK) end the holds anywhere
+    policy = fe.u_k_solve(K, 200)[1]
+    edge = 1.0 + BALL_SLACK
+    rng = np.random.default_rng(T + K)
+    walks = [_walk_to_thresholds(policy, T, sign, step, creep)
+             for sign, step in ((1, 1.0), (-1, edge)) for creep in (False, True)]
+    signs = rng.choice((-edge, edge), T)
+    lengths = rng.integers(1, max(2, T // K), T).tolist()
+    walks.append([w for w, n in zip(signs.tolist(), lengths) for _ in range(n)][:T])
+    cfg = GameConfig(T, K, 1)
+    for i, losses in enumerate(walks):
+        stretches = [(w, len(list(run))) for w, run in groupby(losses)]
+        ref = reference_play_game(FugalPlayer(cfg, policy), _Stretches(stretches), cfg)
+        traj = play_game(FugalPlayer(cfg, policy), _Stretches(stretches), cfg)
+        assert traj.rounds.tobytes() == ref.rounds.tobytes(), (i, T, K)
+        assert traj.regret.hex() == ref.regret.hex()
+        if i < 4:   # the walks reach every threshold
+            assert traj.switch_count == K - 1, (i, T, K)
 
 
 def _stepped_repeats(adversary, x, W, T):

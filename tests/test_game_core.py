@@ -7,7 +7,7 @@ from switchlab.adversaries import Adversary, ConstantAdversary, SignAdversary, m
 from switchlab.errors import BudgetViolationError
 from switchlab.game_core import (GameConfig, Trajectory, count_switches, dual_norm, play_game,
                                  worst_case_sign_regret)
-from switchlab.players import ConstantPlayer, HalfSplitPlayer, Player, make_player
+from switchlab.players import ConstantPlayer, MinibatchPlayer, Player, make_player
 
 
 def test_count_switches_examples():
@@ -101,8 +101,9 @@ def test_play_game_constant_vs_sign():
 
 
 def test_play_game_halfsplit_vs_ones():
+    # the half split: unit-step mini-batching at K = 2
     cfg = GameConfig(4, 2, 1)
-    traj = play_game(HalfSplitPlayer(cfg), ConstantAdversary(cfg, w=1.0), cfg)
+    traj = play_game(MinibatchPlayer(cfg, step_size=1.0), ConstantAdversary(cfg, w=1.0), cfg)
     assert traj.regret == pytest.approx(2.0)
 
 

@@ -124,6 +124,20 @@ def test_oracle_caps_the_floats_it_stores(monkeypatch):
         mo.OracleConfig(13, 2)
 
 
+def test_oracle_caps_the_float_steps_it_runs(monkeypatch):
+    # the float cap bounds memory, not time: (8000, 1, 3) stores 48,009
+    # floats but runs 384M float-steps
+    mo.OracleConfig(96, 4, x_grid=201)   # 15.1M, the largest cell a test builds
+    with pytest.raises(CapacityError, match="MAX_ORACLE_FLOAT_STEPS"):
+        mo.OracleConfig(8000, 1, 3)
+    # the value array's K x x_grid x (2T+3) floats, times T
+    monkeypatch.setattr(mo, "MAX_ORACLE_FLOAT_STEPS", 2 * 41 * 29 * 13)
+    mo.OracleConfig(13, 2)
+    monkeypatch.setattr(mo, "MAX_ORACLE_FLOAT_STEPS", 2 * 41 * 29 * 13 - 1)
+    with pytest.raises(CapacityError, match="MAX_ORACLE_FLOAT_STEPS"):
+        mo.OracleConfig(13, 2)
+
+
 def test_capacity_and_config_validation():
     with pytest.raises(ValueError):
         mo.OracleConfig(4, 5)

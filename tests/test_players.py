@@ -8,10 +8,10 @@ import pytest
 from switchlab import fugal_engine as fe
 from replay import ReplayAdversary, replayed_worst_sign_regret
 from switchlab.adversaries import ConstantAdversary, SignAdversary, make_adversary
-from switchlab.errors import PolicyMissingError, UnsupportedConfigError
+from switchlab.errors import PolicyMissingError
 from switchlab.game_core import GameConfig, play_game, worst_case_sign_regret
-from switchlab.players import (PLAYERS, ConstantPlayer, FugalPlayer, HalfSplitPlayer,
-                               MinibatchPlayer, RandomSwitchPlayer, make_player)
+from switchlab.players import (PLAYERS, ConstantPlayer, FugalPlayer, MinibatchPlayer,
+                               RandomSwitchPlayer, make_player)
 
 
 def _actions(traj):
@@ -74,46 +74,45 @@ def test_minibatch_bound_against_adaptive_adversaries():
             assert traj.regret <= bound + 1e-9
 
 
-# ----------------------------------------------------------------- half-split
+# ----------------------------------------------------------------- half split
+# mini-batching at K = 2 with a unit step: 0 for ceil(T/2) rounds, then
+# -W/ceil(T/2); its regret is at most ceil(T/2)
+
+def _half_split(cfg):
+    return MinibatchPlayer(cfg, step_size=1.0)
+
 
 def test_halfsplit_even_plays_minus_one_after_ones():
     cfg = GameConfig(4, 2, 1)
-    traj = play_game(HalfSplitPlayer(cfg), ReplayAdversary([1, 1, 1, -1]), cfg)
+    traj = play_game(_half_split(cfg), ReplayAdversary([1, 1, 1, -1]), cfg)
     assert _actions(traj) == [0.0, 0.0, -1.0, -1.0]
 
 
 def test_halfsplit_zero_first_half_sum_means_no_switch():
     cfg = GameConfig(4, 2, 1)
-    traj = play_game(HalfSplitPlayer(cfg), ReplayAdversary([1, -1, 1, 1]), cfg)
+    traj = play_game(_half_split(cfg), ReplayAdversary([1, -1, 1, 1]), cfg)
     assert _actions(traj) == [0.0, 0.0, 0.0, 0.0]
     assert traj.switch_count == 0
 
 
-def test_halfsplit_odd_excludes_first_round():
+def test_halfsplit_odd_splits_after_the_longer_half():
     cfg = GameConfig(5, 2, 1)
-    traj = play_game(HalfSplitPlayer(cfg), ReplayAdversary([-1, 1, 1, 1, 1]), cfg)
-    assert _actions(traj) == [0.0, 0.0, 0.0, -1.0, -1.0]
-
-
-def test_halfsplit_requires_k2_n1():
-    with pytest.raises(UnsupportedConfigError):
-        HalfSplitPlayer(GameConfig(5, 3, 1))
-    with pytest.raises(UnsupportedConfigError):
-        HalfSplitPlayer(GameConfig(5, 2, 2))
+    traj = play_game(_half_split(cfg), ReplayAdversary([-1, 1, 1, 1, 1]), cfg)
+    assert _actions(traj) == [0.0, 0.0, 0.0, -1 / 3, -1 / 3]
 
 
 def test_halfsplit_exhaustive_small_horizons():
     for T in range(2, 11):
         cfg = GameConfig(T, 2, 1)
-        worst, _ = replayed_worst_sign_regret(lambda: HalfSplitPlayer(cfg), cfg)
-        assert worst <= math.ceil(T / 2) + 1e-10
+        worst, _ = replayed_worst_sign_regret(lambda: _half_split(cfg), cfg)
+        assert worst == math.ceil(T / 2)
 
 
 def test_halfsplit_worst_sign_regret_is_the_cap_beyond_the_replay():
     # the search reaches horizons the 2^T replay cannot; ceil(T/2) exactly
     for T in (17, 33):
         cfg = GameConfig(T, 2, 1)
-        worst, traj = worst_case_sign_regret(lambda: HalfSplitPlayer(cfg), cfg)
+        worst, traj = worst_case_sign_regret(lambda: _half_split(cfg), cfg)
         assert worst == traj.regret == math.ceil(T / 2)
 
 
@@ -134,7 +133,7 @@ def test_fugal_k2_matches_halfsplit_on_constant_signs(policy_k2):
         for sign in (1.0, -1.0):
             cfg = GameConfig(T, 2, 1)
             f = play_game(FugalPlayer(cfg, policy_k2), ConstantAdversary(cfg, w=sign), cfg)
-            h = play_game(HalfSplitPlayer(cfg), ConstantAdversary(cfg, w=sign), cfg)
+            h = play_game(_half_split(cfg), ConstantAdversary(cfg, w=sign), cfg)
             assert _actions(f) == pytest.approx(_actions(h))
             assert f.regret == pytest.approx(h.regret)
 
@@ -173,10 +172,15 @@ def test_fugal_budget_respected_on_random_sequences(policy_k3):
 
 
 def test_fugal_thresholds_bracket_zero(policy_k3):
+    # U = T m_plus and L = -T m_minus of every block the player moved out of
     cfg = GameConfig(30, 3, 1)
     player = FugalPlayer(cfg, policy_k3)
     play_game(player, SignAdversary(cfg), cfg)
-    assert player.threshold_L <= 0.0 <= player.threshold_U
+    signs = player.recorded_signs
+    assert len(signs) == 2
+    for i in range(len(signs)):
+        node = policy_k3.nodes[signs[:i]]
+        assert -cfg.horizon_T * node.m_minus <= 0.0 <= cfg.horizon_T * node.m_plus
 
 
 # ----------------------------------------------------------------- baselines
@@ -218,7 +222,7 @@ def test_switch_budget_invariant_randomized_adversaries():
     cfg2 = GameConfig(T, 2, 1)
     builders = [
         lambda: MinibatchPlayer(cfg2),
-        lambda: HalfSplitPlayer(cfg2),
+        lambda: _half_split(cfg2),
         lambda: FugalPlayer(cfg2, policy),
         lambda: RandomSwitchPlayer(GameConfig(T, 2, 1, seed=int(rng.integers(2 ** 31)))),
     ]
@@ -231,7 +235,7 @@ def test_switch_budget_invariant_randomized_adversaries():
 
 def test_make_player_ids():
     cfg = GameConfig(6, 2, 1)
-    for pid in ("constant", "minibatch", "halfsplit", "random_switch"):
+    for pid in ("constant", "minibatch", "random_switch"):
         assert make_player(pid, cfg) is not None
     with pytest.raises(ValueError):
         make_player("nope", cfg)
@@ -244,8 +248,8 @@ def test_make_player_rejects_unknown_params(pid):
         make_player(pid, GameConfig(6, 2, 1), {"stepsize": 0.5})
 
 
-#: where a loss in {-1, -1/2, 0, 1/2, 1} beats every +-1 sequence: (player id,
-#: T, K) -> worst regret over that set minus the worst +-1 regret, and a
+#: where a loss in {-1, -1/2, 0, 1/2, 1} beats every +-1 sequence: (case, T,
+#: K) -> worst regret over that set minus the worst +-1 regret, and a
 #: sequence that attains it
 FRACTIONAL_EXCESS = {
     ("minibatch", 2, 2): 0.20710678118654746,   # (1/2, -1)
@@ -258,28 +262,32 @@ FRACTIONAL_EXCESS = {
 }
 
 
-@pytest.mark.parametrize("pid", PLAYERS)
-def test_fractional_losses_against_the_worst_sign_regret(pid):
+#: each case's player id and params; the half split is played at K = 2 only
+CASES = {**{pid: (pid, None) for pid in PLAYERS}, "fugal": ("fugal", {"resolution": 300}),
+         "halfsplit": ("minibatch", {"step_size": 1.0})}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_fractional_losses_against_the_worst_sign_regret(case):
     # every sequence over {-1, -1/2, 0, 1/2, 1} at T <= 5, K <= 3, played by a
     # fork of one player; +-1 attains the worst regret except in the pinned
     # cells, where a half loss keeps an adaptive player from moving or moves
     # it by half a step
-    params = {"resolution": 300} if pid == "fugal" else None
+    pid, params = CASES[case]
     losses = [(v,) for v in (-1.0, -0.5, 0.0, 0.5, 1.0)]
     cells = 0
     for T in range(1, 6):
-        for K in range(1, min(T, 3) + 1):
-            cfg = GameConfig(T, K, 1)
-            try:
-                player = make_player(pid, cfg, params)
-            except UnsupportedConfigError:
+        for K in ((2,) if case == "halfsplit" else range(1, 4)):
+            if K > T:
                 continue
+            cfg = GameConfig(T, K, 1)
+            player = make_player(pid, cfg, params)
             sign, _ = worst_case_sign_regret(lambda: copy.copy(player), cfg)
             worst = max(play_game(copy.copy(player), ReplayAdversary(seq), cfg).regret
                         for seq in itertools.product(losses, repeat=T))
-            if (pid, T, K) in FRACTIONAL_EXCESS:
-                assert worst - sign == pytest.approx(FRACTIONAL_EXCESS[pid, T, K], abs=1e-12)
+            if (case, T, K) in FRACTIONAL_EXCESS:
+                assert worst - sign == pytest.approx(FRACTIONAL_EXCESS[case, T, K], abs=1e-12)
             else:
                 assert worst == sign, (T, K)
             cells += 1
-    assert cells == (4 if pid == "halfsplit" else 12)
+    assert cells == (4 if case == "halfsplit" else 12)
