@@ -31,9 +31,10 @@ all these envelopes as root paths of a tree, searched by binary lifting.
 g_plus is nondecreasing in x and g_minus nonincreasing, so h = g_plus -
 g_minus is monotone and piecewise linear; the outer infimum is its root,
 found exactly by Newton steps on the active line pair inside a bisection
-bracket, by one routine for the grid nodes of fugal_apply and for the
-policy witnesses (one sign-tree level per batch: every bias of a level
-queries the same u_{k-1}).  The active line at the root is the argmin
+bracket, by one routine for the grid nodes of fugal_apply and for
+operator_witness, which takes a batch of biases: the policy asks once per
+sign-tree level (every bias of a level queries the same u_{k-1}), the
+closed-form check once per floor.  The active line at the root is the argmin
 node.  Because the objective is monotone per cell, no search between nodes
 can beat that node; a three-point parabola through it and its neighbours
 still sharpens the minimizer, as the node alone is only O(grid step)
@@ -398,20 +399,17 @@ def fugal_apply(f: GridFunction) -> GridFunction:
 # pointwise witnesses (policy extraction, closed-form cross-checks)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OperatorWitness:
-    x: float                      # outer minimizer
-    value: float                  # operator value at z
-    z_next: dict[int, float]      # inner minimizer per adversary sign
-
-
-def _witnesses(f: GridFunction, z: np.ndarray):
-    """Operator witnesses at every bias in z (all |z| < 1), in one batch:
+def operator_witness(f: GridFunction, z):
+    """Operator witnesses at every bias in the array-like z, in one batch:
     the arrays (x, value, z_plus, z_minus) of outer minimizers, operator
-    values and inner minimizers per adversary sign (see module notes).
-    Where the inner objective is flat over a range of z' (where T f = f at
-    the bias), every z' in it ties: which one is reported is unspecified,
-    and only its value is defined."""
+    values and inner minimizers per adversary sign (see module notes), from
+    which the policy reads its block fractions.  ``ValueError`` unless every
+    |z| < 1.  Where the inner objective is flat over a range of z' (where
+    T f = f at the bias), every z' in it ties: which one is reported is
+    unspecified, and only its value is defined."""
+    z = np.asarray(z, dtype=float)
+    if not (np.abs(z) < 1.0).all():   # NaN fails the comparison too
+        raise ValueError("witness queries need |z| < 1")
     grid, v, N = f.grid, f.values, f.resolution
     j0 = np.searchsorted(grid, z, side="left")        # w = +1 nodes j >= j0
     j1 = np.searchsorted(grid, z, side="right") - 1   # w = -1 nodes j <= j1
@@ -440,16 +438,6 @@ def _witnesses(f: GridFunction, z: np.ndarray):
         return np.where(j < 0, z, np.where(fit, vertex, zb))
 
     return x, value, inner(1, jp, j0, N), inner(-1, jm, 0, j1)
-
-
-def operator_witness(f: GridFunction, z: float) -> OperatorWitness:
-    """Operator value at one point with its minimizing action and the inner
-    minimizer for each adversary sign (used to read off block fractions)."""
-    if not abs(z) < 1.0:
-        raise ValueError("witness queries need |z| < 1")
-    x, value, zp, zm = _witnesses(f, np.array([float(z)]))
-    return OperatorWitness(x=float(x[0]), value=float(value[0]),
-                           z_next={+1: float(zp[0]), -1: float(zm[0])})
 
 
 # ----------------------------------------------------------------------
@@ -524,7 +512,7 @@ def extract_policy(tables: list[GridFunction], budget_K: int) -> FugalPolicy:
         z_next = {1: z.copy(), -1: z.copy()}
         live = np.flatnonzero(~absorbed)
         if blocks_left > 1 and live.size:
-            x[live], _, zp, zm = _witnesses(tables[blocks_left - 2], z[live])
+            x[live], _, zp, zm = operator_witness(tables[blocks_left - 2], z[live])
             for s, zn in ((1, zp), (-1, zm)):
                 frac[s][live] = tau[live] * np.clip((zn - z[live]) / (s + zn), 0.0, 1.0)
                 z_next[s][live] = zn

@@ -19,10 +19,10 @@ adversary says it repeats.  ``worst_case_sign_regret``, the lab's one
 exhaustive +-1 search, decides each distinct game state once with the same
 round rule, one round at a time.  Actions, losses and W are immutable
 tuples of n floats; NumPy runs only on a change (the ball check), on a
-run's sum (``add_repeated``) and on the columns, filled once per 1024 runs:
-the (T, n) actions and losses, and the moving flags.
-``Trajectory.from_columns`` is the one place that derives switch count,
-loss sum, feasibility and regret.
+run's sum (``add_repeated``) and once at the end of the game, when
+``Trajectory.from_columns`` gets one row per run with its length.  It is
+the one place that derives the rounds, switch count, loss sum,
+feasibility and regret.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import copy
 import math
 import struct
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import add
 
 import numpy as np
@@ -132,32 +131,39 @@ class Trajectory:
     feasible: bool = field(default=True)
 
     @classmethod
-    def from_columns(cls, config: GameConfig, actions, losses) -> "Trajectory":
-        """Build a trajectory from its (T, n) action and loss columns; a
-        list of scalars is one column.  Everything else is derived here.
+    def from_columns(cls, config: GameConfig, actions, losses, counts=None) -> "Trajectory":
+        """Build a trajectory from its rows of actions and losses, row i held
+        for ``counts[i]`` rounds (ints >= 1 summing to T; one round each by
+        default); a list of scalars is one column.  Everything else is
+        derived here: the moving flags, switch count and payoffs once per
+        row, then the rows repeated into the T rounds.
 
         The regret is the payoff plus the dual norm of the sequential loss
-        sum.  The payoff sums the rows of one stacked 1 x n @ n x 1 matmul
-        (``np.dot``'s kernel) with ``cumsum``, which is strictly sequential:
-        bit for bit the loop ``payoff += np.dot(w_t, x_t)``.  Any other
-        order (or ``einsum``) moves results in the last bit.
+        sum.  A row's payoff is one 1 x n @ n x 1 matmul of a stack
+        (``np.dot``'s kernel), the same in every round it covers, and the
+        repeated payoffs are summed by ``cumsum``, which is strictly
+        sequential: bit for bit the loop ``payoff += np.dot(w_t, x_t)``.
+        Any other order (or ``einsum``) moves results in the last bit.
         """
-        shape = (config.horizon_T, config.dimension_n)
+        T, n = config.horizon_T, config.dimension_n
         X = np.asarray(actions, dtype=float).reshape(len(actions), -1)
         L = np.asarray(losses, dtype=float).reshape(len(losses), -1)
-        if X.shape != shape or L.shape != shape:
-            raise ValueError(f"actions {X.shape} and losses {L.shape} must both "
-                             f"have shape (T, n) = {shape}")
-        rounds = np.empty(len(X), dtype=[("action_x", float, shape[1:]),
-                                         ("loss_w", float, shape[1:]), ("is_moving", bool)])
-        rounds["action_x"], rounds["loss_w"] = X, L
-        rounds["is_moving"] = _moving_mask(X)
+        c = np.ones(len(X), dtype=int) if counts is None else np.asarray(counts)
+        if (X.shape != L.shape or X.shape[1:] != (n,) or c.shape != X.shape[:1]
+                or c.dtype.kind not in "iu" or not (c >= 1).all() or c.sum() != T):
+            raise ValueError(f"actions {X.shape} and losses {L.shape}, held for "
+                             f"{c.shape} counts, must give shape (T, n) = {(T, n)}")
+        moving = _moving_mask(X)   # per row; only a row's first round can move
+        switches = int(np.count_nonzero(moving)) - 1
+        rounds = np.zeros(T, dtype=[("action_x", float, (n,)), ("loss_w", float, (n,)),
+                                    ("is_moving", bool)])
+        rounds["action_x"], rounds["loss_w"] = np.repeat(X, c, axis=0), np.repeat(L, c, axis=0)
+        rounds["is_moving"][np.cumsum(c) - c] = moving
         rounds.setflags(write=False)
-        switches = int(np.count_nonzero(rounds["is_moving"])) - 1
-        W = np.cumsum(L, axis=0)[-1].copy()   # not a view, which would keep all T rows
+        W = np.cumsum(rounds["loss_w"], axis=0)[-1].copy()   # not a view of all T rows
         W.setflags(write=False)
         feasible = switches < config.budget_K
-        payoffs = (L[:, None, :] @ X[:, :, None]).ravel()   # w_t . x_t per round
+        payoffs = np.repeat((L[:, None, :] @ X[:, :, None]).ravel(), c)   # w_t . x_t per round
         regret = (float(np.cumsum(payoffs, out=payoffs)[-1]) + dual_norm(W, config.player_norm_p)
                   if feasible else None)
         return cls(config=config, rounds=rounds, switch_count=switches,
@@ -218,10 +224,11 @@ def _run_length(hold, repeats, left: int, t: int) -> int:
     """The rounds a run plays from round t: the least of the player's
     ``hold``, the adversary's ``repeats`` and the ``left`` rounds of the
     game.  ``ValueError`` unless hold and repeats are ints >= 1."""
-    for side, count in (("player hold", hold), ("adversary repeats", repeats)):
-        if type(count) is not int or count < 1:
-            raise ValueError(f"round {t}: {side} must be an int >= 1, not {count!r}")
-    return min(hold, repeats, left)
+    if type(hold) is type(repeats) is int and hold >= 1 and repeats >= 1:
+        return min(hold, repeats, left)
+    side, count = (("player hold", hold) if type(hold) is not int or hold < 1
+                   else ("adversary repeats", repeats))
+    raise ValueError(f"round {t}: {side} must be an int >= 1, not {count!r}")
 
 
 def play_game(player, adversary, config: GameConfig) -> Trajectory:
@@ -238,8 +245,9 @@ def play_game(player, adversary, config: GameConfig) -> Trajectory:
     :meth:`Trajectory.from_columns` gets; :func:`add_repeated` adds a run's
     c losses.  A changed action or loss goes through
     :func:`_check_change`, whose errors name the run's first round, where
-    any move happens.  The runs are collected as tuples and repeated into
-    the (T, n) columns per 1024 runs.
+    any move happens.  Each run's action, loss and length are kept for
+    :meth:`Trajectory.from_columns`, one row per run, so a game of R runs
+    keeps R rows alive until it ends: T rows when neither side declares.
 
     Both strategies must be freshly initialized for ``config``.
     """
@@ -247,37 +255,29 @@ def play_game(player, adversary, config: GameConfig) -> Trajectory:
     q = config.adversary_norm_q
     decide, respond, observe = player.decide, adversary.respond, player.observe
     hold, repeats = player.hold, adversary.repeats
-    X, L = np.empty((T, n)), np.empty((T, n))   # the action and loss columns
+    xs, ws, counts = [], [], []   # per run: the n floats of x and of w, and c
     W = (0.0,) * n
     prev, prev_w, switches, t = None, None, 0, 1
 
     while t <= T:
-        first, xs, ws, counts = t, [], [], []
-        for _ in range(1024):   # a bounded chunk of runs keeps few tuples alive
-            x = decide()
-            moving = x != prev   # a bool; an ndarray gives an array, never False
-            if moving is not False:
-                switches = _check_change(x, t, n, p, "player action", prev, switches, K)
-            w = respond(x, moving, W)
-            if (w != prev_w) is not False:
-                _check_change(w, t, n, q, "adversary loss")
-            c = _run_length(hold(), repeats(W, w), T - t + 1, t)
-            W = add_repeated(W, w, c)
-            prev, prev_w = x, w
-            xs.append(x)
-            ws.append(w)
-            counts.append(c)
-            observe(w, c)
-            t += c
-            if t > T:
-                break
-        rows = len(xs) * n
-        X[first - 1:t - 1] = np.repeat(
-            np.fromiter(chain.from_iterable(xs), float, rows).reshape(-1, n), counts, axis=0)
-        L[first - 1:t - 1] = np.repeat(
-            np.fromiter(chain.from_iterable(ws), float, rows).reshape(-1, n), counts, axis=0)
+        x = decide()
+        moving = x != prev   # a bool; an ndarray gives an array, never False
+        if moving is not False:
+            switches = _check_change(x, t, n, p, "player action", prev, switches, K)
+        w = respond(x, moving, W)
+        if (w != prev_w) is not False:
+            _check_change(w, t, n, q, "adversary loss")
+        c = _run_length(hold(), repeats(W, w), T - t + 1, t)
+        W = add_repeated(W, w, c)
+        prev, prev_w = x, w
+        xs += x
+        ws += w
+        counts.append(c)
+        observe(w, c)
+        t += c
 
-    return Trajectory.from_columns(config, X, L)
+    # flat lists of floats: NumPy reads them several times faster than tuples
+    return Trajectory.from_columns(config, np.reshape(xs, (-1, n)), np.reshape(ws, (-1, n)), counts)
 
 
 #: the 1-d losses -1 and +1; index ``s >= 0`` gives sign(s), +1 at 0

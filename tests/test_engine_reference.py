@@ -191,7 +191,8 @@ def test_play_game_equals_the_reference_loop_on_ints_signed_zeros_and_nan():
 
 
 def test_play_game_equals_the_reference_loop_across_row_chunks():
-    # play_game copies its rows into the columns 1024 rounds at a time
+    # horizons beyond the T <= 1000 reference cells, where play_game's rows
+    # are runs that from_columns repeats into thousands of rounds
     pairs = [("minibatch", "stopping"), ("minibatch", "product"), ("random_switch", "orthogonal"),
              ("ints", "ints"), ("signed_zero", "signed_zero"), ("constant", "sign")]
     assert _assert_parity(pairs, {1024: (4,), 2049: (16,)}) > 0

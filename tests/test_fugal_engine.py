@@ -462,23 +462,30 @@ def test_grid_csv_dump(tmp_path):
 def test_operator_witness_on_constant_one():
     N = 500
     ones = fe.GridFunction(N, np.ones(N + 1), k_index=1)
-    wit = fe.operator_witness(ones, 0.0)
-    assert wit.x == 0.0
-    assert wit.value == pytest.approx(0.5, abs=1e-9)
-    assert wit.z_next[+1] == pytest.approx(1.0)
-    assert wit.z_next[-1] == pytest.approx(-1.0)
+    xs, values, z_plus, z_minus = fe.operator_witness(ones, [0.0])
+    assert xs.tolist() == [0.0]
+    assert values[0] == pytest.approx(0.5, abs=1e-9)
+    assert z_plus[0] == pytest.approx(1.0)
+    assert z_minus[0] == pytest.approx(-1.0)
 
 
 def test_operator_witness_rejects_boundary():
     ones = fe.GridFunction(200, np.ones(201))
     with pytest.raises(ValueError):
-        fe.operator_witness(ones, 1.0)
+        fe.operator_witness(ones, np.array([1.0]))
 
 
 def test_operator_witness_rejects_nan():
     ones = fe.GridFunction(200, np.ones(201))
     with pytest.raises(ValueError):
-        fe.operator_witness(ones, math.nan)
+        fe.operator_witness(ones, np.array([math.nan]))
+
+
+@pytest.mark.parametrize("bad", [1.0, -1.0, math.nan])
+def test_operator_witness_rejects_a_batch_with_one_bad_bias(bad):
+    ones = fe.GridFunction(200, np.ones(201))
+    with pytest.raises(ValueError, match=r"\|z\| < 1"):
+        fe.operator_witness(ones, np.array([-0.5, 0.0, bad, 0.9]))
 
 
 # ------------------------------------------------------------- batched witnesses
@@ -489,7 +496,8 @@ def _reference_witness(f, z):
     of the bracket, take that pair's line root (the tie rule sends a root
     within 1e-13 of 0 to 0.0), and sharpen each argmin node by a three-point
     parabola.  O(N) per scan and no hull trees: kept as the reference the
-    level-batched witnesses must reproduce bit for bit."""
+    level-batched witnesses must reproduce bit for bit.  Returns (x, value,
+    {sign: inner minimizer})."""
     grid, v, N = f.grid, f.values, f.resolution
     j0 = int(np.searchsorted(grid, z, side="left"))        # w = +1 nodes j >= j0
     j1 = int(np.searchsorted(grid, z, side="right")) - 1   # w = -1 nodes j <= j1
@@ -541,7 +549,7 @@ def _reference_witness(f, z):
                 if a < vx < c:
                     z_next[w] = vx
     value = max(scan(1, x0)[1], scan(-1, x0)[1])
-    return fe.OperatorWitness(x=x0, value=value, z_next=z_next)
+    return x0, value, z_next
 
 
 def _reference_policy(tables, budget_K):
@@ -559,12 +567,12 @@ def _reference_policy(tables, budget_K):
         if blocks_left == 1:
             nodes[prefix] = fe.PolicyNode(x=-z + 0.0, m_plus=tau, m_minus=tau)
             return
-        wit = _reference_witness(tables[blocks_left - 2], z)
-        frac = {s: float(tau * min(max((wit.z_next[s] - z) / (s + wit.z_next[s]), 0.0), 1.0))
+        x, _, z_next = _reference_witness(tables[blocks_left - 2], z)
+        frac = {s: float(tau * min(max((z_next[s] - z) / (s + z_next[s]), 0.0), 1.0))
                 for s in (1, -1)}
-        nodes[prefix] = fe.PolicyNode(x=float(wit.x), m_plus=frac[1], m_minus=frac[-1])
+        nodes[prefix] = fe.PolicyNode(x=float(x), m_plus=frac[1], m_minus=frac[-1])
         for s in (1, -1):
-            visit(prefix + (s,), wit.z_next[s], tau - frac[s])
+            visit(prefix + (s,), z_next[s], tau - frac[s])
 
     visit((), 0.0, 1.0)
     return fe.FugalPolicy(budget_K=budget_K, resolution=tables[0].resolution, nodes=nodes)
@@ -587,7 +595,7 @@ def test_witness_values_match_operator_at_nodes():
         tables = fe.solve_tables(5, N)
         interior = fe.make_grid(N)[1:-1]
         for f, image in zip(tables, tables[1:]):
-            _, value, _, _ = fe._witnesses(f, interior)
+            _, value, _, _ = fe.operator_witness(f, interior)
             assert float(np.max(np.abs(value - image.values[1:-1]))) <= 1e-15
 
 
@@ -598,11 +606,11 @@ def test_witnesses_match_reference_where_z_itself_is_the_inner_minimizer():
     grid = fe.make_grid(N)
     f = fe.GridFunction(N, np.abs(grid) + 0.2 + 5.0 * np.maximum(grid - 0.1, 0.0))
     zs = np.linspace(-0.05, 0.12, 37) + 1e-4
-    xs, _, z_plus, z_minus = fe._witnesses(f, zs)
+    xs, _, z_plus, z_minus = fe.operator_witness(f, zs)
     assert np.sum(z_plus == zs) >= 3
     for r, z in enumerate(zs):
-        wit = _reference_witness(f, float(z))
-        assert (wit.x, wit.z_next[1], wit.z_next[-1]) == (xs[r], z_plus[r], z_minus[r])
+        x, _, z_next = _reference_witness(f, float(z))
+        assert (x, z_next[1], z_next[-1]) == (xs[r], z_plus[r], z_minus[r])
 
 
 def test_tied_inner_minimizers_have_the_reference_value():
@@ -611,24 +619,14 @@ def test_tied_inner_minimizers_have_the_reference_value():
     # the objective takes the same value at both
     f = fe.grid_of(abs, 200)
     z = 0.333
-    xs, _, z_plus, z_minus = fe._witnesses(f, np.array([z]))
-    ref = _reference_witness(f, z)
+    xs, _, z_plus, z_minus = fe.operator_witness(f, np.array([z]))
+    ref_x, _, ref_z_next = _reference_witness(f, z)
 
     def objective(w, z_next, x):
         return ((1.0 + w * z) * f.interp(z_next) + x * (z_next - z)) / (1.0 + w * z_next)
 
     for w, mine in ((1, z_plus[0]), (-1, z_minus[0])):
-        assert abs(objective(w, mine, xs[0]) - objective(w, ref.z_next[w], ref.x)) <= 1e-12
-
-
-def test_operator_witness_is_a_batch_of_one():
-    f = fe.solve_tables(4, 500)[3]
-    zs = np.array([-0.93, -0.5, -0.2004, 0.0, 0.004, 0.31, 0.77])
-    xs, values, z_plus, z_minus = fe._witnesses(f, zs)
-    for r, z in enumerate(zs):
-        wit = fe.operator_witness(f, float(z))
-        assert (wit.x, wit.value) == (xs[r], values[r])
-        assert wit.z_next == {+1: z_plus[r], -1: z_minus[r]}
+        assert abs(objective(w, mine, xs[0]) - objective(w, ref_z_next[w], ref_x)) <= 1e-12
 
 
 def test_policy_k10_sums_to_one_and_is_mirror_symmetric():

@@ -93,6 +93,60 @@ def test_from_columns_rejects_shape_mismatch():
                                 [1.0, 1.0])
 
 
+def _random_runs(seed, T, n):
+    """Seeded rows of actions and losses with run lengths summing to T.  The
+    first rows put signed zeros on either side of a run boundary (equal
+    actions, so no move) and hold that action across a change of loss."""
+    rng = np.random.default_rng(seed)
+    zero, minus_zero = (0.0,) * n, (-0.0,) * n
+    xs, ws, counts = [zero, minus_zero, minus_zero], [minus_zero, zero, (0.5,) * n], [3, 1, 2]
+    while sum(counts) < T:
+        xs.append(tuple(rng.uniform(-1, 1, n) / math.sqrt(n)) if rng.random() < 0.7 else xs[-1])
+        ws.append(tuple(rng.uniform(-1, 1, n) / math.sqrt(n)))
+        counts.append(min(int(rng.integers(1, 30)), T - sum(counts)))
+    return xs, ws, counts
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_from_columns_with_counts_equals_the_expanded_columns(n, p):
+    T = 600
+    cfg = GameConfig(T, T, n, p)   # K = T: every sequence is feasible
+    for seed in range(5):
+        xs, ws, counts = _random_runs(seed, T, n)
+        runs = Trajectory.from_columns(cfg, xs, ws, counts)
+        rounds = Trajectory.from_columns(cfg, np.repeat(xs, counts, axis=0),
+                                         np.repeat(ws, counts, axis=0))
+        assert runs.rounds.tobytes() == rounds.rounds.tobytes()
+        assert runs.regret.hex() == rounds.regret.hex()
+        assert runs.cumulative_W.tobytes() == rounds.cumulative_W.tobytes()
+        assert runs.switch_count == rounds.switch_count
+        assert not runs.rounds["is_moving"][3:6].any()   # the signed zeros, then the hold
+
+
+@pytest.mark.parametrize("counts", [[1, 1], [2, 2], [3, 0], [4, -1], [2.0, 1], [3], [1, 1, 1]])
+def test_from_columns_rejects_counts_that_do_not_give_the_rounds(counts):
+    # two rows at T = 3: a sum other than T, a count of 0, a negative count, a
+    # count that is not an int, or one count too few or too many
+    with pytest.raises(ValueError, match="shape"):
+        Trajectory.from_columns(GameConfig(3, 2, 1), [0.0, 1.0], [1.0, 1.0], counts)
+
+
+def test_play_game_hands_from_columns_one_row_per_run(monkeypatch):
+    rows = []
+    build = Trajectory.from_columns.__func__
+
+    def spy(cls, config, actions, losses, counts=None):
+        rows.append((len(actions), counts))
+        return build(cls, config, actions, losses, counts)
+
+    monkeypatch.setattr(Trajectory, "from_columns", classmethod(spy))
+    cfg = GameConfig(10_000, 4, 1)
+    traj = play_game(make_player("constant", cfg), make_adversary("zero", cfg), cfg)
+    assert rows == [(1, [10_000])]
+    assert len(traj.rounds) == 10_000 and traj.regret == 0.0
+
+
 def test_play_game_constant_vs_sign():
     cfg = GameConfig(3, 2, 1)
     traj = play_game(ConstantPlayer(cfg), SignAdversary(cfg), cfg)
