@@ -17,7 +17,7 @@ from .adversaries import (ConstantAdversary, OrthogonalAdversary, ProductAdversa
                           SignAdversary, make_adversary)
 from .fugal_engine import (FugalPolicy, GridFunction, fugal_apply, quadratic_floor,
                            quadratic_floor_image, u4_exact, u_k_solve)
-from .minimax_oracle import (OracleConfig, OracleReport, exact_minimax_1d,
+from .minimax_oracle import (OracleConfig, OracleReport, exact_minimax_1d, exact_minimax_budgets,
                              tk_inequality_check, unconstrained_regret_closed_form)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

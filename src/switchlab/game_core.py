@@ -313,14 +313,16 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
 
     A memoized search over game states, one level per round.  A state is
     (round, W, the previous action, switches used, a snapshot of
-    ``vars(player)`` by :func:`_state_key`); by the ``Player`` fork contract
-    the attributes determine the player's future play, so sign prefixes that
-    reach one state share everything after it, and each state plays one
-    round by ``play_game``'s rule (the exact-``!=`` moving flag, then
-    :func:`_check_change` on a change) once, observing each loss as a run
-    of one round.  Its children are forked with ``copy.copy``.  The search
-    stores at most ``MAX_SIGN_STATES`` states, a 42 MiB peak for
-    ``minibatch``, and raises ``CapacityError`` beyond.
+    ``vars(player)`` by :func:`_state_key`, or by name alone for an
+    attribute still bound to the factory player's own object); by the
+    ``Player`` fork contract the attributes determine the player's future
+    play, so sign prefixes that reach one state share everything after it,
+    and each state plays one round by ``play_game``'s rule (the
+    exact-``!=`` moving flag, then :func:`_check_change` on a change) once,
+    observing each loss as a run of one round.  Its children are forked
+    with ``copy.copy``.  The search stores at most ``MAX_SIGN_STATES``
+    states, a 42 MiB peak for ``minibatch``, and raises ``CapacityError``
+    beyond.
 
     Sequence c has round t's loss at bit t-1 (set for +1).  A state's value
     is max_w (w x + value(child)), and |W| after round T; so the worst
@@ -334,10 +336,12 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
         raise UnsupportedConfigError("exhaustive sign sweep is one-dimensional")
     K, p = config.budget_K, config.player_norm_p
     alive = {}      # attribute values keyed by identity
+    root = player_factory()
+    constants = vars(root).copy()   # a child's attribute still bound to these is keyed by name
     levels = []     # per round, each state's action and the indices of its two children
     failures = []   # (smallest code of a failing sequence, its error); levels are then unread
     # player, W, previous action, switches, the smallest code that reaches the state
-    frontier, stored = [[player_factory(), 0, None, 0, 0]], 1
+    frontier, stored = [[root, 0, None, 0, 0]], 1
     for t in range(1, T + 1):
         index, nxt, level = {}, [], []
         for player, W, prev, switches, low in frontier:
@@ -359,7 +363,8 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
                 W_next = W + 2 * bit - 1
                 state = (W_next,) if t == T else (
                     W_next, x[0], used,
-                    tuple((name, _state_key(v, alive)) for name, v in vars(child).items()))
+                    tuple(name if constants.get(name) is v else (name, _state_key(v, alive))
+                          for name, v in vars(child).items()))
                 j = index.setdefault(state, len(nxt))
                 if j < len(nxt):
                     nxt[j][4] = min(nxt[j][4], code)

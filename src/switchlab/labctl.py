@@ -45,7 +45,7 @@ MODE_KEYS = {
                  "adversary_id", "adversary_params", "player_norm", "repetitions",
                  "seed", "out", "format"},
     "fugal": {"sweep.K", "resolution", "seed", "out"},
-    "oracle": {"sweep.T", "sweep.K", "sweep.Z", "x_grid", "out"},
+    "oracle": {"sweep.T", "sweep.K", "sweep.Z", "out"},
     "verify": {"only", "out"},
 }
 
@@ -73,7 +73,7 @@ _PARSE = {
     "sweep.Z": lambda key, vs: [float(z) for z in vs],
     "player_params": _params, "adversary_params": _params,
     "player_norm": lambda key, v: float(v),
-    "repetitions": _integer, "seed": _integer, "resolution": _integer, "x_grid": _integer,
+    "repetitions": _integer, "seed": _integer, "resolution": _integer,
 }
 
 
@@ -92,7 +92,6 @@ class ExperimentSpec:
     repetitions: int = 1
     seed: int = 0
     resolution: int = fe.DEFAULT_RESOLUTION
-    x_grid: int = mo.OracleConfig.x_grid
     out: str | None = None
     format: str = "csv"
     only: str | None = None
@@ -234,15 +233,8 @@ def run_fugal(spec: ExperimentSpec) -> tuple[str, str]:
 
 
 def run_oracle(spec: ExperimentSpec) -> list[mo.OracleReport]:
-    reports = []
-    for T in spec.sweep_T:
-        for K in spec.sweep_K:
-            if K > T:
-                continue
-            for Z in spec.sweep_Z:
-                cfg = mo.OracleConfig(horizon_T=T, budget_K=K, x_grid=spec.x_grid,
-                                      initial_bias_Z=Z)
-                reports.append(mo.exact_minimax_1d(cfg))
+    reports = [mo.exact_minimax_1d(mo.OracleConfig(T, K, Z))
+               for T in spec.sweep_T for K in spec.sweep_K if K <= T for Z in spec.sweep_Z]
     out = spec.out or "oracle_table.csv"
     mo.write_oracle_csv(reports, out)
     print(f"wrote {out} ({len(reports)} rows)")

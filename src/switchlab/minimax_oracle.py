@@ -1,90 +1,69 @@
-"""Brute-force exact minimax solvers for tiny 1-d games.
-
-Ground truth against which the closed-form constants and bounds are
-checked.  The value
+"""Brute-force exact minimax solver for small 1-d games, the ground truth
+for the closed-form constants and bounds.  The value
 
     V = inf_{x_1} sup_{w_1} ... inf_{x_T} sup_{w_T}
         sum_t w_t x_t + |Z + sum_t w_t|,   switches(x) < K,
 
-is computed by backward induction over the state (round, switches left,
-current action, accumulated loss sum W).  Only the player is discretized
-(onto an odd uniform grid containing 0 and +-1); restricting the player
-can only raise the value, so the oracle upper-bounds the continuum game
-and refining the grid brings it down monotonically.  The adversary keeps
-its exact optimum at the endpoints {-1, +1}: for any fixed continuation
-the payoff is convex in each w_t, so the per-round sup over [-1, 1] is
-attained at an endpoint.  The acceptance check ``oracle.sandwich`` checks
-that collapse: ``dense_adversary_value`` re-solves every game with T <= 3
-on a finer adversary grid, and must match the +-1 value to roundoff.
+comes from backward induction over the round t, the switches left k and
+the loss sum W, each cost-to-go a piecewise-linear function of the held
+action x on [-1, 1], held exactly (up to float roundoff) by its (x, y)
+breakpoints from x = -1 to 1:
+
+    A_k(t, x, W) = max_w (w x + V_k(t+1, x, W+w)),
+    V_k(t, x, W) = min(A_k(t, x, W), min_y A_(k-1)(t, y, W))   (V_0 = A_0),
+    V(T+1, x, W) = |Z + W|,   V = min_x A_(K-1)(1, x, 0).
+
+The adversary plays only {-1, +1}: for any fixed continuation the payoff
+is convex in each w_t, so the sup over [-1, 1] is at an endpoint.  The
+check ``oracle.sandwich`` tests that collapse against
+``dense_adversary_value``, the adversary on {j/5 : |j| <= 5}.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import CapacityError
 from .fugal_engine import quadratic_floor
 
-#: most floats in one value array of the solver, K x x_grid x (2T+3); its
-#: peak is about five such arrays, 40 MiB at the cap (tracemalloc)
-MAX_ORACLE_FLOATS = 2 ** 20
-
-#: most float-steps of one solve, the value array times its T rounds, which
-#: bounds time as the float cap bounds memory: on a 2-core host (96, 4, 201)
-#: as (T, K, x_grid) is 15.1M float-steps and 0.4 s, while (8000, 1, 3) fits
-#: the float cap but is 384M float-steps and 1.7 s
-MAX_ORACLE_FLOAT_STEPS = 2 ** 25
+#: most breakpoints the value functions of one solve store: a bound on its
+#: memory and, at about 4 us each (2-core host), on its time, about 1 s
+MAX_ORACLE_BREAKPOINTS = 2 ** 18
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Instance for the exact solver.  ``x_grid`` is an odd count of
-    equispaced player actions in [-1, 1] so 0 and +-1 are representable."""
+    """Instance for the exact solver."""
 
     horizon_T: int
     budget_K: int
-    x_grid: int = 41
     initial_bias_Z: float = 0.0
 
     def __post_init__(self):
+        for name in ("horizon_T", "budget_K"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {type(value).__name__}")
         if not 1 <= self.budget_K <= self.horizon_T:
             raise ValueError("budget_K must satisfy 1 <= K <= T")
-        if self.x_grid < 3 or self.x_grid % 2 == 0:
-            raise ValueError("x_grid must be an odd count >= 3")
         if not math.isfinite(self.initial_bias_Z):
             raise ValueError(f"initial_bias_Z must be finite, got {self.initial_bias_Z}")
-        floats = self.budget_K * self.x_grid * (2 * self.horizon_T + 3)
-        if floats > MAX_ORACLE_FLOATS:
-            raise CapacityError(f"value array of {floats} floats exceeds {MAX_ORACLE_FLOATS}")
-        if floats * self.horizon_T > MAX_ORACLE_FLOAT_STEPS:
-            raise CapacityError(f"{floats * self.horizon_T} float-steps exceed "
-                                f"MAX_ORACLE_FLOAT_STEPS = {MAX_ORACLE_FLOAT_STEPS}")
-
-    @property
-    def grid_slack(self) -> float:
-        # Lipschitz-1 payoff per round times the half-step of the action grid,
-        # over T rounds; conservative cover for player discretization.
-        return 2.0 * self.horizon_T / (self.x_grid - 1)
 
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Exact (player-discretized) value plus the bound sandwich it was
-    checked against.  The discretization bias is one-sided: value >=
-    continuum value, shrinking as x_grid is refined."""
+    """Exact value of the game, the first action that attains it (the one
+    of least |x|), and the bound sandwich it was checked against."""
 
     value: float
     config: OracleConfig
     witness_first_action: float
     bound_lower: float
     bound_upper: float
-
-    @property
-    def grid_slack(self) -> float:
-        return self.config.grid_slack
 
 
 def minimax_sandwich(T: int, K: int, n: int = 1, p: float = 2.0,
@@ -107,63 +86,109 @@ def minimax_sandwich(T: int, K: int, n: int = 1, p: float = 2.0,
     return n * lower, n * upper
 
 
-def _root_values(T: int, K: int, X: np.ndarray, Z: float, denom: int,
-                 js) -> np.ndarray:
-    """Backward induction of the game with the adversary on {j/denom : j in js}.
+def _flat(c: float) -> list:
+    return [(-1.0, c), (1.0, c)]
 
-    State axes: switches remaining k = 0..K-1, current action index, and W
-    on a grid of step 1/denom reaching (T+1) beyond either side of 0.
-    Switching to a different action consumes a switch; k = 0 pins the
-    action.  Edge columns the adversary step cannot fill hold -inf; they
-    lie outside the W range reachable from the root, so they never reach
-    it.  Returns the root value for each free first action in ``X``.
-    """
-    half = denom * (T + 1)
-    Wn = 2 * half + 1
-    Wvals = np.arange(-half, half + 1, dtype=float) / denom
-    V = np.broadcast_to(np.abs(Z + Wvals), (K, len(X), Wn)).copy()
 
-    def adversary_step(V: np.ndarray) -> np.ndarray:
-        # A[k, i, c] = max_j ((j/denom) x_i + V[k, i, c + j])
-        A = np.full_like(V, -np.inf)
-        lo, hi = denom, Wn - denom
-        for j in js:
-            cand = (j / denom) * X[None, :, None] + V[:, :, lo + j:hi + j]
-            A[:, :, lo:hi] = np.maximum(A[:, :, lo:hi], cand)
-        return A
+def _combine(f: list, g: list, pick) -> list:
+    """``pick`` (max or min) of two piecewise-linear functions, pointwise:
+    the breakpoints of both and each crossing, less every breakpoint within
+    1e-12 of the chord of its neighbours, so that dropping one moves the
+    function by at most that.  Slopes are multiples of the adversary's
+    step, so such a breakpoint is collinear or a copy of its neighbour
+    split off by roundoff."""
+    x0, a0, b0 = -1.0, f[0][1], g[0][1]
+    pts = [(x0, pick(a0, b0))]
+    i = j = 1
+    while i < len(f):
+        (xf, yf), (xg, yg) = f[i], g[j]
+        if xf < xg:
+            (xp, yp), x1, a1 = g[j - 1], xf, yf
+            b1 = yp + (yg - yp) * (x1 - xp) / (xg - xp)
+            i += 1
+        elif xg < xf:
+            (xp, yp), x1, b1 = f[i - 1], xg, yg
+            a1 = yp + (yf - yp) * (x1 - xp) / (xf - xp)
+            j += 1
+        else:
+            x1, a1, b1 = xf, yf, yg
+            i += 1
+            j += 1
+        d0, d1 = a0 - b0, a1 - b1
+        if d0 * d1 < 0:   # the two lines cross inside (x0, x1)
+            r = d0 / (d0 - d1)
+            xc = x0 + (x1 - x0) * r
+            if x0 < xc < x1:
+                pts.append((xc, a0 + (a1 - a0) * r))
+        pts.append((x1, pick(a1, b1)))
+        x0, a0, b0 = x1, a1, b1
+    out = pts[:2]
+    for x, y in pts[2:]:
+        (xa, ya), (xb, yb) = out[-2], out[-1]
+        if abs(ya + (y - ya) * (xb - xa) / (x - xa) - yb) <= 1e-12:
+            out.pop()
+        out.append((x, y))
+    return out
 
-    for _t in range(T, 1, -1):
-        A = adversary_step(V)
-        Vnew = A.copy()
-        if K > 1:
-            best_move = A[:-1].min(axis=1, keepdims=True)
-            Vnew[1:] = np.minimum(A[1:], best_move)
-        V = Vnew
 
-    return adversary_step(V)[K - 1, :, half]
+def _roots(T: int, K: int, Z: float, denom: int, letters: range) -> list:
+    """The root functions A_k(1, ., 0), k < K, of the game at budgets 1..K
+    with the adversary on {j/denom : j in letters}, W counted in 1/denom.
+    Round t + 1 runs over the sums W of t letters.  Raises ``CapacityError``
+    once the stored V hold over ``MAX_ORACLE_BREAKPOINTS`` breakpoints."""
+    lo, hi, step = letters[0], letters[-1], letters.step   # t letters sum to t lo..t hi
+    V = {W: [_flat(abs(Z + W / denom))] for W in range(T * lo, T * hi + 1, step)}
+    stored = 0
+    for t in range(T - 1, -1, -1):
+        # the T - t - 1 rounds after round t + 1 use at most that many
+        # switches, so A_k = A_(n-1) from k = n on, and V_k = V_n past n
+        n = min(K, T - t)
+        nxt = {}
+        for W in range(t * lo, t * hi + 1, step):   # the last is W = 0 at t = 0, the root
+            a = [reduce(lambda f, g: _combine(f, g, max),
+                        ([(x, y + j / denom * x) for x, y in V[W + j][k]] for j in letters))
+                 for k in range(n)]
+            nxt[W] = a[:1] + [_combine(a[min(k, n - 1)], _flat(min(y for _, y in a[k - 1])), min)
+                              for k in range(1, min(K, n + 1))]
+            stored += sum(map(len, nxt[W]))
+            if stored > MAX_ORACLE_BREAKPOINTS:
+                raise CapacityError(f"the solve stores over MAX_ORACLE_BREAKPOINTS = "
+                                    f"{MAX_ORACLE_BREAKPOINTS} breakpoints")
+        V = nxt
+    return a
+
+
+def _minimum(f: list) -> tuple[float, float]:
+    """The least value of a piecewise-linear function and, of the actions
+    attaining it, the one of least |x|."""
+    value = min(y for _, y in f)
+    if any(p[1] == q[1] == value and p[0] <= 0.0 <= q[0] for p, q in zip(f, f[1:])):
+        return value, 0.0
+    return value, min((x for x, y in f if y == value), key=abs)
+
+
+def exact_minimax_budgets(cfg: OracleConfig) -> list[OracleReport]:
+    """Exact reports of the 1-d game at every budget 1..K, from the one
+    backward induction that budget K needs.  The first action is free."""
+    T, Z = cfg.horizon_T, cfg.initial_bias_Z
+    reports = []
+    for K, root in enumerate(_roots(T, cfg.budget_K, Z, 1, range(-1, 2, 2)), start=1):
+        value, witness = _minimum(root)
+        reports.append(OracleReport(value, OracleConfig(T, K, Z), witness,
+                                    *minimax_sandwich(T, K, Z=Z)))
+    return reports
 
 
 def exact_minimax_1d(cfg: OracleConfig) -> OracleReport:
-    """Backward-induction value of the switching-constrained 1-d game, with
-    the adversary at the endpoints {-1, +1} (so W stays integral).  The
-    first round's action choice is free."""
-    X = np.linspace(-1.0, 1.0, cfg.x_grid)
-    root = _root_values(cfg.horizon_T, cfg.budget_K, X, cfg.initial_bias_Z, 1, (-1, 1))
-    idx = int(np.argmin(root))
-    lower, upper = minimax_sandwich(cfg.horizon_T, cfg.budget_K,
-                                    Z=cfg.initial_bias_Z)
-    return OracleReport(value=float(root[idx]), config=cfg,
-                        witness_first_action=float(X[idx]),
-                        bound_lower=lower, bound_upper=upper)
+    """Exact report of the game at budget K (see ``exact_minimax_budgets``)."""
+    return exact_minimax_budgets(cfg)[-1]
 
 
-def dense_adversary_value(T: int, K: int, x_grid: int = 21, denom: int = 5) -> float:
-    """Same game but with the adversary on the grid {j/denom : |j| <= denom}
-    (T <= 4), against which the endpoint restriction is checked."""
-    if T > 4:
-        raise CapacityError("dense-adversary validation is for T <= 4")
-    X = np.linspace(-1.0, 1.0, x_grid)
-    return float(_root_values(T, K, X, 0.0, denom, range(-denom, denom + 1)).min())
+def dense_adversary_value(T: int, K: int, denom: int = 5) -> float:
+    """Value of the same game with the adversary on {j/denom : |j| <= denom},
+    against which the endpoint restriction is checked."""
+    OracleConfig(T, K)   # the oracle's rules on (T, K)
+    return _minimum(_roots(T, K, 0.0, denom, range(-denom, denom + 1))[-1])[0]
 
 
 def unconstrained_regret_closed_form(K: int) -> float:

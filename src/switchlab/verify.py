@@ -270,61 +270,46 @@ def check_upper_bounds():
 # ----------------------------------------------------------------------
 
 def check_oracle_sandwich():
-    failures = []
-    min_lower_margin = math.inf
-    min_upper_margin = math.inf
-    reports = []
-
-    def solve(T, K, Z=0.0):
-        reports.append(mo.exact_minimax_1d(mo.OracleConfig(T, K, 41, float(Z))))
-        return reports[-1]
-
-    for T in range(1, 11):
-        for K in range(1, T + 1):
-            rep = solve(T, K)
-            slack = rep.grid_slack
-            min_lower_margin = min(min_lower_margin, rep.value - (rep.bound_lower - slack))
-            min_upper_margin = min(min_upper_margin, (rep.bound_upper + slack) - rep.value)
-            if not rep.bound_lower - slack <= rep.value <= rep.bound_upper + slack:
-                failures.append(f"sandwich broken at T={T} K={K}: value={rep.value}, "
-                                f"[{rep.bound_lower}, {rep.bound_upper}], slack={slack}")
-    points = {}
-    for (T, K, target) in ((4, 2, 2.0), (2, 2, 1.0)):
-        rep = solve(T, K)
-        points[f"T{T}_K{K}"] = rep.value
-        if abs(rep.value - target) > rep.grid_slack:
-            failures.append(f"point check T={T} K={K}: value {rep.value} vs {target}")
+    # one solve at budget T holds the game at every smaller budget
+    sweep = {(T, r.config.budget_K): r for T in range(1, 11)
+             for r in mo.exact_minimax_budgets(mo.OracleConfig(T, T))}
+    reports = list(sweep.values())
+    failures = [f"sandwich broken at {r.config}: value={r.value}, "
+                f"[{r.bound_lower}, {r.bound_upper}]" for r in reports
+                if not r.bound_lower - 1e-9 <= r.value <= r.bound_upper + 1e-9]
+    points = {f"T{T}_K{K}": sweep[T, K].value for T, K in ((4, 2), (2, 2))}
+    failures += [f"point check {key}: value {value} vs {target}"
+                 for (key, value), target in zip(points.items(), (2.0, 1.0))
+                 if abs(value - target) > 1e-9]
     for T in range(1, 7):
-        for K in sorted({1, (T + 1) // 2, T}):
-            for Z in (T, -T, 2 * T, -2 * T):
-                rep = solve(T, K, Z)
-                if abs(rep.value - abs(Z)) > 1e-9:
+        for Z in (T, -T, 2 * T, -2 * T, 0.0, 0.5, -0.5):
+            by_budget = mo.exact_minimax_budgets(mo.OracleConfig(T, T, float(Z)))
+            for K in sorted({1, (T + 1) // 2, T}):
+                rep = by_budget[K - 1]
+                reports.append(rep)
+                if abs(Z) >= T and abs(rep.value - abs(Z)) > 1e-9:
                     failures.append(f"bias pin-down T={T} K={K} Z={Z}: {rep.value}")
-            for Z in (0.0, 0.5, -0.5):
-                if solve(T, K, Z).value < abs(Z) - 1e-12:
+                if rep.value < abs(Z) - 1e-12:
                     failures.append(f"value below |Z| at T={T} K={K} Z={Z}")
-    # at K = 1 the oracle plays the one-block game: its player grid can only
-    # raise the value r_1(T, Z), by at most the grid slack
-    one_block = [(r.value - fe.one_block_value(r.config.horizon_T, r.config.initial_bias_Z),
-                  r.grid_slack, r.config) for r in reports if r.config.budget_K == 1]
-    failures += [f"oracle {gap} above the one-block value at {c}"
-                 for gap, slack, c in one_block if not -1e-12 <= gap <= slack]
+    # at K = 1 the oracle plays the one-block game, of value r_1(T, Z)
+    one_block = max(abs(r.value - fe.one_block_value(r.config.horizon_T, r.config.initial_bias_Z))
+                    for r in reports if r.config.budget_K == 1)
+    if one_block > 1e-9:
+        failures.append(f"the oracle misses the one-block value by {one_block}")
     # the adversary loses nothing by playing only +-1: a finer adversary grid
     # gives the same value
-    dense_gap = max(abs(mo.dense_adversary_value(T, K, x_grid=21)
-                        - mo.exact_minimax_1d(mo.OracleConfig(T, K, x_grid=21)).value)
+    dense_gap = max(abs(mo.dense_adversary_value(T, K) - sweep[T, K].value)
                     for T in (1, 2, 3) for K in range(1, T + 1))
     if dense_gap > 1e-12:
         failures.append(f"a dense adversary grid moves the value by {dense_gap}")
-    measured = {"min_lower_margin": min_lower_margin,
-                "min_upper_margin": min_upper_margin, "points": points,
-                "min_one_block_lower_margin": min(gap for gap, _, _ in one_block),
-                "min_one_block_upper_margin": min(slack - gap for gap, slack, _ in one_block),
+    measured = {"min_lower_margin": min(r.value - r.bound_lower for r in sweep.values()),
+                "min_upper_margin": min(r.bound_upper - r.value for r in sweep.values()),
+                "points": points, "max_one_block_error": one_block,
                 "max_dense_adversary_gap": dense_gap}
-    expected = {"points": {"T4_K2": 2.0, "T2_K2": 1.0}, "margins": ">= 0",
-                "max_dense_adversary_gap": "<= 1e-12"}
-    tol = {"sandwich": "grid slack 2T/(x_grid-1)", "bias": 1e-9,
-           "one_block": "[-1e-12, grid slack]", "dense_adversary": 1e-12}
+    expected = {"points": {"T4_K2": 2.0, "T2_K2": 1.0}, "margins": ">= -1e-9",
+                "max_one_block_error": "<= 1e-9", "max_dense_adversary_gap": "<= 1e-12"}
+    tol = {"sandwich": 1e-9, "points": 1e-9, "bias": 1e-9, "one_block": 1e-9,
+           "dense_adversary": 1e-12}
     return measured, expected, tol, failures
 
 
@@ -364,27 +349,20 @@ def check_unequal_blocks():
 # ----------------------------------------------------------------------
 
 def check_unconstrained_closed_form():
-    failures = []
-    errs = {}
-    for K in range(1, 9):
-        rep = mo.exact_minimax_1d(mo.OracleConfig(K, K, x_grid=41))
-        target = mo.unconstrained_regret_closed_form(K)
-        errs[f"K={K}"] = rep.value - target
-        if abs(rep.value - target) > rep.grid_slack:
-            failures.append(f"unconstrained oracle vs R(K) at K={K}: "
-                            f"{rep.value} vs {target}")
-    for K in range(1, 16, 2):
-        a = mo.unconstrained_regret_closed_form(K)
-        b = mo.unconstrained_regret_closed_form(K + 1)
-        if a != b:
-            failures.append(f"R({K}) != R({K + 1}): {a} vs {b}")
-    r3 = mo.unconstrained_regret_closed_form(3) / math.sqrt(3.0)
+    R = mo.unconstrained_regret_closed_form
+    errs = {f"K={K}": mo.exact_minimax_1d(mo.OracleConfig(K, K)).value - R(K)
+            for K in range(1, 9)}
+    failures = [f"unconstrained oracle at {key} is {err} off R(K)"
+                for key, err in errs.items() if abs(err) > 1e-9]
+    failures += [f"R({K}) != R({K + 1}): {R(K)} vs {R(K + 1)}"
+                 for K in range(1, 16, 2) if R(K) != R(K + 1)]
+    r3 = R(3) / math.sqrt(3.0)
     if abs(r3 - math.sqrt(3.0) / 2.0) > 1e-12:
         failures.append(f"R(3)/sqrt(3) = {r3} vs sqrt(3)/2")
     measured = {"oracle_minus_closed_form": errs, "r3_over_sqrt3": r3}
-    expected = {"oracle_minus_closed_form": "within grid slack",
+    expected = {"oracle_minus_closed_form": "within 1e-9",
                 "r3_over_sqrt3": math.sqrt(3.0) / 2.0}
-    tol = {"oracle": "grid slack", "parity": 0.0, "r3": 1e-12}
+    tol = {"oracle": 1e-9, "parity": 0.0, "r3": 1e-12}
     return measured, expected, tol, failures
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,8 +70,8 @@ def test_integer_keys_reject_non_integers():
              (simulate, "repetitions", "2", "repetitions"),
              (fugal, "resolution", 2000.9, "resolution"),
              (fugal, "seed", False, "seed"),
-             (oracle, "x_grid", 41.5, "x_grid"),
-             (oracle, "x_grid", None, "x_grid")]
+             (oracle, "sweep", {"T": [4.5], "K": [2]}, "sweep.T"),
+             (oracle, "sweep", {"T": [4], "K": [None]}, "sweep.K")]
     for base, key, value, name in cases:
         with pytest.raises(ValueError, match=name):
             ExperimentSpec.from_dict(dict(base, **{key: value}))
@@ -137,7 +138,7 @@ def test_simulate_rejects_unknown_player_params(tmp_path):
 
 
 def test_oracle_rejects_fields_it_does_not_read():
-    base = {"mode": "oracle", "sweep": {"T": [4], "K": [2], "Z": [0.0]}, "x_grid": 21}
+    base = {"mode": "oracle", "sweep": {"T": [4], "K": [2], "Z": [0.0]}}
     ExperimentSpec.from_dict(base)
     for key, value in (("resolution", 500), ("seed", 1), ("player_id", "minibatch"),
                        ("only", "oracle")):
@@ -145,6 +146,12 @@ def test_oracle_rejects_fields_it_does_not_read():
             ExperimentSpec.from_dict(dict(base, **{key: value}))
     with pytest.raises(ValueError, match="sweep.n"):
         ExperimentSpec.from_dict(dict(base, sweep={"T": [4], "K": [2], "n": [2]}))
+
+
+def test_oracle_rejects_x_grid():
+    # the oracle's player is exact; it once had an x_grid of actions
+    with pytest.raises(ValueError, match=re.escape("oracle does not use ['x_grid']")):
+        ExperimentSpec.from_dict({"mode": "oracle", "sweep": {"T": [4], "K": [2]}, "x_grid": 21})
 
 
 def test_verify_rejects_fields_it_does_not_read():
@@ -181,7 +188,7 @@ def test_simulate_rows_carry_the_oracle_sandwich():
                          sweep={"T": [T], "K": list(range(1, T + 1)), "n": [1]},
                          player_norm=norm)
             for r in run_simulate(spec):
-                rep = mo.exact_minimax_1d(mo.OracleConfig(T, r.K, x_grid=3))
+                rep = mo.exact_minimax_1d(mo.OracleConfig(T, r.K))
                 assert (r.bound_lower, r.bound_upper) == (rep.bound_lower, rep.bound_upper)
 
 
@@ -289,7 +296,7 @@ def test_fugal_mode_writes_grid_and_policy(tmp_path):
 def test_oracle_mode_writes_table(tmp_path):
     spec = ExperimentSpec.from_dict({
         "mode": "oracle", "sweep": {"T": [2, 4], "K": [2], "Z": [0.0, 1.0]},
-        "x_grid": 21, "out": str(tmp_path / "oracle.csv"),
+        "out": str(tmp_path / "oracle.csv"),
     })
     reports = labctl.run_oracle(spec)
     assert len(reports) == 4
@@ -578,6 +585,33 @@ def test_sign_search_caps_the_stored_states(monkeypatch):
     with pytest.raises(CapacityError):
         run_simulate(_spec(player_id="minibatch", adversary_id="exhaustive_sign",
                            sweep={"T": [12], "K": [2], "n": [1]}, repetitions=1))
+
+
+def _stored_states(factory, cfg, monkeypatch):
+    # the least MAX_SIGN_STATES, up to 2^12, under which the search completes
+    lo, hi = 1, 2 ** 12
+    while lo < hi:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(game_core, "MAX_SIGN_STATES", mid)
+        try:
+            verify.worst_case_sign_regret(factory, cfg)
+            hi = mid
+        except CapacityError:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("player_id, params, counts", [
+    ("constant", {}, (91, 153)), ("minibatch", {}, (278, 540)),
+    ("minibatch", {"step_size": 1.0}, (242, 486)), ("fugal", {}, (147, 259)),
+    ("random_switch", {}, (91, 153))])
+def test_sign_search_stores_the_pinned_state_counts(player_id, params, counts, monkeypatch):
+    # an attribute left bound to the factory player's object is keyed by its
+    # name; a key that told equal states apart would raise these counts
+    for (T, K), count in zip(((12, 3), (16, 3)), counts):
+        cfg = GameConfig(T, K, 1)
+        assert _stored_states(lambda: make_player(player_id, cfg, params), cfg,
+                              monkeypatch) == count, (T, K)
 
 
 def test_sign_search_runs_past_the_old_horizon_cap():

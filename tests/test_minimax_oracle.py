@@ -10,28 +10,45 @@ from switchlab.errors import CapacityError
 SQRT3 = math.sqrt(3.0)
 
 
-def _value(T, K, x_grid=41, Z=0.0):
-    return mo.exact_minimax_1d(mo.OracleConfig(T, K, x_grid=x_grid,
-                                               initial_bias_Z=Z)).value
+def _value(T, K, Z=0.0):
+    return mo.exact_minimax_1d(mo.OracleConfig(T, K, Z)).value
 
 
 def test_point_values():
     assert _value(2, 1) == pytest.approx(2.0, abs=1e-12)
-    assert _value(4, 2) == pytest.approx(2.0, abs=mo.OracleConfig(4, 2).grid_slack)
+    assert _value(4, 2) == pytest.approx(2.0, abs=1e-12)
     assert _value(2, 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_witness_first_action_is_zero_at_zero_bias():
-    rep = mo.exact_minimax_1d(mo.OracleConfig(4, 2, x_grid=41))
+    rep = mo.exact_minimax_1d(mo.OracleConfig(4, 2))
     assert rep.witness_first_action == pytest.approx(0.0)
+
+
+def test_exact_values_are_the_rationals():
+    # V_K(T) solved in exact rational arithmetic
+    exact = {(8, 4): Fraction(44, 15), (12, 4): Fraction(153, 35),
+             (16, 4): Fraction(613, 105), (24, 4): Fraction(131, 15),
+             (12, 3): Fraction(5), (24, 3): Fraction(169, 17), (20, 5): Fraction(507, 77)}
+    for (T, K), value in exact.items():
+        assert _value(T, K) == pytest.approx(float(value), abs=1e-12), (T, K)
+    assert mo.exact_minimax_1d(mo.OracleConfig(4, 2)).witness_first_action == 0.0
+
+
+def test_one_solve_holds_every_smaller_budget():
+    for T, Z in ((8, 0.0), (9, 0.5)):
+        reports = mo.exact_minimax_budgets(mo.OracleConfig(T, 5, Z))
+        assert [r.config for r in reports] == [mo.OracleConfig(T, K, Z) for K in range(1, 6)]
+        for rep in reports:
+            alone = mo.exact_minimax_1d(rep.config)
+            assert rep.value == alone.value and rep.bound_lower == alone.bound_lower
 
 
 def test_sandwich_holds_small_sweep():
     for T in range(1, 8):
         for K in range(1, T + 1):
-            rep = mo.exact_minimax_1d(mo.OracleConfig(T, K, x_grid=41))
-            slack = rep.grid_slack
-            assert rep.bound_lower - slack <= rep.value <= rep.bound_upper + slack
+            rep = mo.exact_minimax_1d(mo.OracleConfig(T, K))
+            assert rep.bound_lower - 1e-9 <= rep.value <= rep.bound_upper + 1e-9
 
 
 def test_monotone_in_horizon_and_budget():
@@ -52,16 +69,9 @@ def test_bias_lower_bound_and_pin_down():
                 assert _value(T, K, Z=Z) == pytest.approx(abs(Z), abs=1e-9)
 
 
-def test_player_grid_refinement_decreases_value():
-    vals = [_value(5, 2, x_grid=g) for g in (21, 41, 81)]
-    assert vals[0] >= vals[1] - 1e-12
-    assert vals[1] >= vals[2] - 1e-12
-
-
 def test_unconstrained_matches_closed_form():
     for K in range(1, 9):
-        rep = mo.exact_minimax_1d(mo.OracleConfig(K, K, x_grid=41))
-        assert abs(rep.value - mo.unconstrained_regret_closed_form(K)) <= rep.grid_slack
+        assert _value(K, K) == pytest.approx(mo.unconstrained_regret_closed_form(K), abs=1e-12)
 
 
 def test_closed_form_regret_values():
@@ -109,42 +119,34 @@ def test_tk_inequality_over_arrays_of_K():
 
 def test_oracle_runs_past_the_old_horizon_cap():
     rep = mo.exact_minimax_1d(mo.OracleConfig(13, 2))
-    assert rep.bound_lower - rep.grid_slack <= rep.value <= rep.bound_upper + rep.grid_slack
+    assert rep.bound_lower - 1e-9 <= rep.value <= rep.bound_upper + 1e-9
 
 
-def test_oracle_caps_the_floats_it_stores(monkeypatch):
-    mo.OracleConfig(96, 4, x_grid=201)
-    with pytest.raises(CapacityError):
-        mo.OracleConfig(200, 8, x_grid=401)
-    # K x x_grid x (2T+3) floats per value array
-    monkeypatch.setattr(mo, "MAX_ORACLE_FLOATS", 2 * 41 * 29)
-    mo.OracleConfig(13, 2)
-    monkeypatch.setattr(mo, "MAX_ORACLE_FLOATS", 2 * 41 * 29 - 1)
-    with pytest.raises(CapacityError):
-        mo.OracleConfig(13, 2)
-
-
-def test_oracle_caps_the_float_steps_it_runs(monkeypatch):
-    # the float cap bounds memory, not time: (8000, 1, 3) stores 48,009
-    # floats but runs 384M float-steps
-    mo.OracleConfig(96, 4, x_grid=201)   # 15.1M, the largest cell a test builds
-    with pytest.raises(CapacityError, match="MAX_ORACLE_FLOAT_STEPS"):
-        mo.OracleConfig(8000, 1, 3)
-    # the value array's K x x_grid x (2T+3) floats, times T
-    monkeypatch.setattr(mo, "MAX_ORACLE_FLOAT_STEPS", 2 * 41 * 29 * 13)
-    mo.OracleConfig(13, 2)
-    monkeypatch.setattr(mo, "MAX_ORACLE_FLOAT_STEPS", 2 * 41 * 29 * 13 - 1)
-    with pytest.raises(CapacityError, match="MAX_ORACLE_FLOAT_STEPS"):
-        mo.OracleConfig(13, 2)
+def test_oracle_caps_the_breakpoints_it_stores(monkeypatch):
+    # (96, 4) is 34.848649 (it was 34.91 on a 201-action player grid)
+    assert mo.exact_minimax_1d(mo.OracleConfig(96, 4)).value == pytest.approx(34.848649, abs=1e-6)
+    monkeypatch.setattr(mo, "MAX_ORACLE_BREAKPOINTS", 1000)
+    mo.exact_minimax_1d(mo.OracleConfig(10, 3))
+    with pytest.raises(CapacityError, match="MAX_ORACLE_BREAKPOINTS"):
+        mo.exact_minimax_1d(mo.OracleConfig(24, 4))
+    with pytest.raises(CapacityError, match="MAX_ORACLE_BREAKPOINTS"):
+        mo.dense_adversary_value(8, 4)
 
 
 def test_capacity_and_config_validation():
     with pytest.raises(ValueError):
         mo.OracleConfig(4, 5)
-    with pytest.raises(ValueError):
-        mo.OracleConfig(4, 2, x_grid=40)
-    with pytest.raises(CapacityError):
-        mo.dense_adversary_value(5, 2)
+    with pytest.raises(ValueError, match="budget_K"):
+        mo.dense_adversary_value(2, 3)
+    assert mo.dense_adversary_value(4, 2) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("T, K, name", [(4.0, 2, "horizon_T"), (True, 1, "horizon_T"),
+                                        (4, 2.0, "budget_K"), (4, False, "budget_K"),
+                                        ("4", 2, "horizon_T")])
+def test_config_rejects_a_non_int_horizon_or_budget(T, K, name):
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        mo.OracleConfig(T, K)
 
 
 def test_oracle_csv_dump(tmp_path):
