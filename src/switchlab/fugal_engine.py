@@ -478,14 +478,20 @@ class FugalPolicy:
         return total
 
     def to_json_dict(self) -> dict:
-        def key(prefix):
-            return "".join("+" if s > 0 else "-" for s in prefix)
+        """The policy as a JSON object, nodes keyed by sign-prefix string.
+        ``write_policy_json`` writes the bytes that ``json.dump`` with
+        ``indent=2, sort_keys=True`` makes of it; the writer does not build
+        it, so it serves as that writer's test oracle."""
         return {
             "budget_K": self.budget_K,
             "resolution": self.resolution,
-            "nodes": {key(p): {"x": n.x, "m_plus": n.m_plus, "m_minus": n.m_minus}
-                      for p, n in sorted(self.nodes.items(), key=lambda kv: (len(kv[0]), kv[0]))},
+            "nodes": {_prefix_key(p): {"x": n.x, "m_plus": n.m_plus, "m_minus": n.m_minus}
+                      for p, n in self.nodes.items()},
         }
+
+
+def _prefix_key(prefix) -> str:
+    return "".join("+" if s > 0 else "-" for s in prefix)
 
 
 def extract_policy(tables: list[GridFunction], budget_K: int) -> FugalPolicy:
@@ -562,16 +568,33 @@ def u_k_solve(budget_K: int, resolution: int = DEFAULT_RESOLUTION
 # ----------------------------------------------------------------------
 
 def write_grid_csv(tables: list[GridFunction], path: str) -> None:
-    grid = tables[0].grid
-    header = "z," + ",".join(f"u_{k}" for k in range(1, len(tables) + 1))
+    """Rows ``z, u_1, ..., u_K`` over the grid nodes, each value ``%.17g``."""
+    rows = np.stack([tables[0].grid] + [t.values for t in tables], axis=1).tolist()
+    header = "z," + ",".join(f"u_{k}" for k in range(1, len(tables) + 1)) + "\n"
+    row = ",".join(["%.17g"] * (len(tables) + 1)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for j, z in enumerate(grid):
-            row = [f"{z:.17g}"] + [f"{t.values[j]:.17g}" for t in tables]
-            fh.write(",".join(row) + "\n")
+        fh.write(header + "".join([row % tuple(r) for r in rows]))
+
+
+#: json's spelling of the floats whose repr is not JSON
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+_JSON_NODE = '\n    "%s": {\n      "m_minus": %s,\n      "m_plus": %s,\n      "x": %s\n    }'
+
+
+def _json_float(v: float) -> str:
+    s = repr(v)
+    return _JSON_SPECIAL.get(s, s)
 
 
 def write_policy_json(policy: FugalPolicy, path: str) -> None:
+    """The bytes of ``json.dump(policy.to_json_dict(), indent=2,
+    sort_keys=True)`` and a newline, formatted node by node in prefix-string
+    order without building that dict."""
+    nodes = sorted((_prefix_key(p), n) for p, n in policy.nodes.items())
+    body = ",".join([_JSON_NODE % (key, _json_float(n.m_minus), _json_float(n.m_plus),
+                                   _json_float(n.x)) for key, n in nodes])
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(policy.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write('{\n  "budget_K": %s,\n  "nodes": %s,\n  "resolution": %s\n}\n'
+                 % (json.dumps(policy.budget_K), "{%s\n  }" % body if body else "{}",
+                    json.dumps(policy.resolution)))

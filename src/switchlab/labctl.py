@@ -136,6 +136,8 @@ class ExperimentSpec:
                 raise ValueError(f"{self.adversary_id} takes no adversary_params")
         if self.mode == "oracle" and (not self.sweep_T or not self.sweep_K):
             raise ValueError("oracle needs sweep.T and sweep.K")
+        if self.mode == "oracle" and min(self.sweep_K) < 1:
+            raise ValueError("oracle needs every sweep.K >= 1")
         if self.mode == "fugal" and not self.sweep_K:
             raise ValueError("fugal needs sweep.K")
         if self.format not in ("csv", "json"):
@@ -233,8 +235,16 @@ def run_fugal(spec: ExperimentSpec) -> tuple[str, str]:
 
 
 def run_oracle(spec: ExperimentSpec) -> list[mo.OracleReport]:
-    reports = [mo.exact_minimax_1d(mo.OracleConfig(T, K, Z))
-               for T in spec.sweep_T for K in spec.sweep_K if K <= T for Z in spec.sweep_Z]
+    """Rows in T -> K -> Z order, each (T, Z) solved once at the largest
+    swept K <= T, which holds every smaller budget."""
+    reports = []
+    for T in spec.sweep_T:
+        Ks = [K for K in spec.sweep_K if K <= T]
+        if not Ks:
+            continue
+        by_budget = [mo.exact_minimax_budgets(mo.OracleConfig(T, max(Ks), Z))
+                     for Z in spec.sweep_Z]
+        reports += [budgets[K - 1] for K in Ks for budgets in by_budget]
     out = spec.out or "oracle_table.csv"
     mo.write_oracle_csv(reports, out)
     print(f"wrote {out} ({len(reports)} rows)")

@@ -459,6 +459,45 @@ def test_grid_csv_dump(tmp_path):
     assert len(lines) == 502
 
 
+def _reference_policy_json(policy) -> bytes:
+    text = json.dumps(policy.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    return text.encode("utf-8")
+
+
+def _reference_grid_csv(tables) -> bytes:
+    # one f-string per cell, independent of the writer's row format
+    lines = ["z," + ",".join(f"u_{k}" for k in range(1, len(tables) + 1))]
+    for j, z in enumerate(tables[0].grid):
+        lines.append(",".join([f"{z:.17g}"] + [f"{t.values[j]:.17g}" for t in tables]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("K", [1, 2, 8])
+def test_writers_match_json_dump_and_the_per_cell_csv(tmp_path, K):
+    tables, pol = fe.u_k_solve(K, 300)
+    fe.write_policy_json(pol, str(tmp_path / "policy.json"))
+    fe.write_grid_csv(tables, str(tmp_path / "grid.csv"))
+    assert (tmp_path / "policy.json").read_bytes() == _reference_policy_json(pol)
+    assert (tmp_path / "grid.csv").read_bytes() == _reference_grid_csv(tables)
+
+
+def test_policy_json_spells_non_finite_and_signed_zero_as_json_does(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    pol = fe.FugalPolicy(budget_K=2, resolution=100, nodes={
+        (): fe.PolicyNode(x=-0.0, m_plus=nan, m_minus=inf),
+        (1,): fe.PolicyNode(x=-inf, m_plus=0.1, m_minus=1e-300),
+        (-1,): fe.PolicyNode(x=1.0, m_plus=-0.0, m_minus=2.5e16)})
+    path = tmp_path / "policy.json"
+    fe.write_policy_json(pol, str(path))
+    text = path.read_text()
+    assert path.read_bytes() == _reference_policy_json(pol)
+    assert '"m_minus": Infinity' in text and '"m_plus": NaN' in text
+    assert '"x": -Infinity' in text and '"x": -0.0' in text
+    empty = fe.FugalPolicy(budget_K=1, resolution=100, nodes={})
+    fe.write_policy_json(empty, str(path))
+    assert path.read_bytes() == _reference_policy_json(empty)
+
+
 def test_operator_witness_on_constant_one():
     N = 500
     ones = fe.GridFunction(N, np.ones(N + 1), k_index=1)
@@ -585,7 +624,7 @@ def test_extract_policy_matches_reference_bit_for_bit(K, N):
     ref = _reference_policy(tables, K).to_json_dict()
     assert new["resolution"] == N
     # compared as JSON text, so that even the sign of a zero fraction counts
-    assert json.dumps(new) == json.dumps(ref)
+    assert json.dumps(new, sort_keys=True) == json.dumps(ref, sort_keys=True)
 
 
 def test_witness_values_match_operator_at_nodes():

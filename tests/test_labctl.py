@@ -304,6 +304,29 @@ def test_oracle_mode_writes_table(tmp_path):
     assert len(lines) == 5
 
 
+def test_oracle_mode_solves_once_per_horizon_and_bias(tmp_path, monkeypatch):
+    # one solve at the largest swept K <= T holds every smaller budget; the
+    # rows keep the per-cell order and bytes
+    sweep = {"T": [12, 3, 1, 9], "K": [4, 1, 2, 6, 2], "Z": [0.0, 1.0, -2.0, 0.5]}
+    cells = [mo.exact_minimax_1d(mo.OracleConfig(T, K, Z))
+             for T in sweep["T"] for K in sweep["K"] if K <= T for Z in sweep["Z"]]
+    mo.write_oracle_csv(cells, str(tmp_path / "cells.csv"))
+    solves = []
+    solve = mo.exact_minimax_budgets
+    monkeypatch.setattr(mo, "exact_minimax_budgets", lambda cfg: solves.append(cfg) or solve(cfg))
+    spec = ExperimentSpec.from_dict({"mode": "oracle", "sweep": sweep,
+                                     "out": str(tmp_path / "oracle.csv")})
+    assert labctl.run_oracle(spec) == cells
+    assert (tmp_path / "oracle.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    assert [(c.horizon_T, c.budget_K, c.initial_bias_Z) for c in solves] == [
+        (T, K, Z) for T, K in ((12, 6), (3, 2), (1, 1), (9, 6)) for Z in sweep["Z"]]
+
+
+def test_oracle_rejects_a_budget_below_one():
+    with pytest.raises(ValueError, match="sweep.K >= 1"):
+        ExperimentSpec.from_dict({"mode": "oracle", "sweep": {"T": [4], "K": [2, 0]}})
+
+
 @pytest.mark.parametrize("Z", ["NaN", "Infinity"])
 def test_oracle_cli_rejects_a_non_finite_bias(tmp_path, Z):
     # json reads NaN and Infinity as floats; a game with such a bias has no
