@@ -14,6 +14,7 @@ hold; a player that declares none plays runs of one round.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -197,32 +198,33 @@ class RandomSwitchPlayer(Player):
     """Baseline that switches at uniformly drawn rounds to random in-ball points.
 
     Draws min(K-1, T-1) distinct switch rounds from {2..T} and one point per
-    segment, all from a generator seeded with ``config.seed``, so
-    trajectories are reproducible.  It holds each point until the next
-    switch round; the sorted switch rounds end with T + 1.
+    segment, all from ``random.Random(config.seed)``, so trajectories are
+    reproducible.  Box points are uniform per coordinate; ball points are a
+    Gaussian direction scaled by a radius drawn as ``random() ** (1/n)``, so
+    they are uniform in the ball.  It holds each point until the next switch
+    round; the sorted switch rounds end with T + 1.  These draws once came
+    from NumPy's default generator; moving to ``random.Random`` kept their
+    distributions but changed the trajectory of every seed.
     """
 
     def __init__(self, config: GameConfig):
-        rng = np.random.default_rng(config.seed)
+        rng = random.Random(config.seed)
         T, K, n = config.horizon_T, config.budget_K, config.dimension_n
-        n_switches = min(K - 1, T - 1)
-        rounds = (rng.choice(np.arange(2, T + 1), size=n_switches, replace=False).tolist()
-                  if n_switches > 0 else [])
+        rounds = rng.sample(range(2, T + 1), min(K - 1, T - 1))
         self._switch_rounds = (*sorted(rounds), T + 1)
         self._points = [self._draw_point(rng, n, config.player_norm_p)
-                        for _ in range(n_switches + 1)]
+                        for _ in range(len(rounds) + 1)]
         self._segment = 0
         self._rounds_seen = 0
 
     @staticmethod
-    def _draw_point(rng: np.random.Generator, n: int, p: float) -> tuple:
+    def _draw_point(rng: random.Random, n: int, p: float) -> tuple:
         if p == INF:
-            pt = rng.uniform(-1.0, 1.0, size=n)
-        else:
-            g = rng.standard_normal(n)
-            g /= max(float(np.linalg.norm(g)), 1e-300)
-            pt = g * rng.uniform() ** (1.0 / n)
-        return tuple((pt + 0.0).tolist())
+            return tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
+        g = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        norm = max(math.hypot(*g), 1e-300)
+        radius = rng.random() ** (1.0 / n)
+        return tuple(x / norm * radius + 0.0 for x in g)
 
     def decide(self):
         if self._switch_rounds[self._segment] == self._rounds_seen + 1:

@@ -10,6 +10,7 @@ are ``tag.short_name``; a ``--only TAG`` filter matches the tag prefix.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, field
 
@@ -162,10 +163,11 @@ def check_operator_closed_form():
 def _forced_regret(adversary_id: str, cells, p: float, tol: float):
     """Play the constant, minibatch and three random-switch players (game
     seeds 0, 1, 2) against one adversary on every (n, T, K, bound) cell.
-    Returns the least regret - bound, the trajectories, and a failure for
-    each regret below bound - tol."""
+    Returns the least regret - bound; per game its config, final loss sum
+    ``cumulative_W`` and ``block_lengths()``; and a failure for each regret
+    below bound - tol.  No trajectory outlives its game."""
     min_margin = math.inf
-    trajectories, failures = [], []
+    games, failures = [], []
     for n, T, K, bound in cells:
         for pid, seed in (("constant", 0), ("minibatch", 0),
                           *(("random_switch", s) for s in range(3))):
@@ -174,23 +176,23 @@ def _forced_regret(adversary_id: str, cells, p: float, tol: float):
             if traj.regret < bound - tol:
                 failures.append(f"{adversary_id} vs {pid}: regret {traj.regret} < "
                                 f"{bound} at n={n} T={T} K={K}")
-            trajectories.append(traj)
-    return min_margin, trajectories, failures
+            games.append((traj.config, traj.cumulative_W, traj.block_lengths()))
+    return min_margin, games, failures
 
 
 def check_highd_lower():
     cells = [(n, T, K, T / math.sqrt(K))
              for n in (2, 3, 5) for T in (100, 1000) for K in (1, 4, 16)]
-    min_margin, trajectories, failures = _forced_regret("orthogonal", cells, 2.0, 1e-6)
+    min_margin, games, failures = _forced_regret("orthogonal", cells, 2.0, 1e-6)
     max_identity_rel = 0.0
-    for traj in trajectories:
-        M = np.array(traj.block_lengths(), dtype=float)
-        lhs = float(np.dot(traj.cumulative_W, traj.cumulative_W))
+    for config, W, blocks in games:
+        M = np.array(blocks, dtype=float)
+        lhs = float(np.dot(W, W))
         rhs = float(np.sum(M * M))
         rel = abs(lhs - rhs) / max(rhs, 1.0)
         max_identity_rel = max(max_identity_rel, rel)
         if rel > 1e-9:
-            failures.append(f"||W_T||^2 vs sum M_i^2 mismatch rel={rel} at {traj.config}")
+            failures.append(f"||W_T||^2 vs sum M_i^2 mismatch rel={rel} at {config}")
     measured = {"min_regret_margin": min_margin, "max_identity_rel_err": max_identity_rel}
     expected = {"min_regret_margin": ">= -1e-6", "max_identity_rel_err": "<= 1e-9"}
     tol = {"regret": 1e-6, "identity_rel": 1e-9}
@@ -389,11 +391,11 @@ def check_linf_decomposition():
 
 def check_core_invariants():
     failures = []
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
 
     # dual norm agrees with its defining sup at the analytic maximizer
     for _ in range(50):
-        w = rng.normal(size=rng.integers(1, 6))
+        w = np.array([rng.gauss(0.0, 1.0) for _ in range(rng.randint(1, 5))])
         d2 = dual_norm(w, 2.0)
         ref2 = float(np.dot(w, w / np.linalg.norm(w))) if np.linalg.norm(w) > 0 else 0.0
         if abs(d2 - ref2) > 1e-10:
@@ -443,10 +445,10 @@ def check_core_invariants():
     N = 200
     grid = fe.make_grid(N)
     for seed in range(5):
-        r = np.random.default_rng(seed)
-        bump = r.uniform(0.0, 1.0, N + 1) * (1.0 - np.abs(grid))
+        r = random.Random(seed)
+        bump = np.array([r.random() for _ in range(N + 1)]) * (1.0 - np.abs(grid))
         g_vals = np.abs(grid) + bump
-        f_vals = np.abs(grid) + r.uniform(0.0, 1.0, N + 1) * bump
+        f_vals = np.abs(grid) + np.array([r.random() for _ in range(N + 1)]) * bump
         tf = fe.fugal_apply(fe.GridFunction(N, f_vals))
         tg = fe.fugal_apply(fe.GridFunction(N, g_vals))
         if np.any(tf.values > tg.values + 1e-9):

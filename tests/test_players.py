@@ -1,6 +1,9 @@
 import copy
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from switchlab import fugal_engine as fe
 from replay import ReplayAdversary, replayed_worst_sign_regret
 from switchlab.adversaries import ConstantAdversary, SignAdversary, make_adversary
 from switchlab.errors import PolicyMissingError
-from switchlab.game_core import GameConfig, play_game, worst_case_sign_regret
+from switchlab.game_core import INF, GameConfig, play_game, worst_case_sign_regret
 from switchlab.players import (PLAYERS, ConstantPlayer, FugalPlayer, MinibatchPlayer,
                                RandomSwitchPlayer, make_player)
 
@@ -203,15 +206,49 @@ def test_constant_player_rejects_point_outside_ball():
         ConstantPlayer(GameConfig(3, 2, 2), [1.0, 1.0])
 
 
+def _random_switch_game(T, K, n, p, seed):
+    cfg = GameConfig(T, K, n, p, seed=seed)
+    return play_game(RandomSwitchPlayer(cfg), ConstantAdversary(cfg, [0.5 / n] * n), cfg)
+
+
 def test_random_switch_budget_ball_and_reproducibility():
-    for K in (1, 3, 6):
-        cfg = GameConfig(30, K, 2, seed=9)
-        t1 = play_game(RandomSwitchPlayer(cfg), ConstantAdversary(cfg, [0.5, 0.5]), cfg)
-        t2 = play_game(RandomSwitchPlayer(cfg), ConstantAdversary(cfg, [0.5, 0.5]), cfg)
-        assert t1.switch_count <= K - 1
-        assert np.all(np.linalg.norm(t1.rounds["action_x"], axis=1) <= 1 + 1e-12)
+    # L2 balls in n = 1, 2, 5 and the Linf box; K = T = 6 switches every round
+    cases = [(30, K, 2, 2.0) for K in (1, 3, 6)] + [
+        (30, 6, 1, 2.0), (30, 6, 5, 2.0), (6, 6, 5, 2.0), (30, 6, 2, INF), (30, 6, 5, INF)]
+    for T, K, n, p in cases:
+        t1, t2 = (_random_switch_game(T, K, n, p, 9) for _ in range(2))
+        X = t1.rounds["action_x"]
+        switch_rounds = np.flatnonzero(t1.rounds["is_moving"])[1:] + 1
+        assert t1.switch_count == len(switch_rounds) == min(K - 1, T - 1)
+        assert set(switch_rounds) <= set(range(2, T + 1))
+        radius = np.abs(X).max(axis=1) if p == INF else np.linalg.norm(X, axis=1)
+        assert np.all(radius <= 1 + 1e-12)
         assert t1.regret == t2.regret
-        assert np.array_equal(t1.rounds["action_x"], t2.rounds["action_x"])
+        assert np.array_equal(X, t2.rounds["action_x"])
+        assert not np.array_equal(_random_switch_game(T, K, n, p, 0).rounds["action_x"],
+                                  _random_switch_game(T, K, n, p, 1).rounds["action_x"])
+
+
+def test_no_numpy_random_in_a_fresh_interpreter():
+    # the random-switch player and the checks draw from the standard library;
+    # this pytest process has numpy.random loaded already, so ask a new one
+    script = "\n".join([
+        "import sys",
+        "from switchlab import verify",
+        "from switchlab.adversaries import make_adversary",
+        "from switchlab.game_core import INF, GameConfig, play_game",
+        "from switchlab.players import make_player",
+        "for cfg, aid in ((GameConfig(50, 4, 3), 'orthogonal'),",
+        "                 (GameConfig(50, 4, 2, INF), 'product')):",
+        "    play_game(make_player('random_switch', cfg), make_adversary(aid, cfg), cfg)",
+        "verify.run_checks('core')",
+        "verify.run_checks('bounds')",
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_switch_budget_invariant_randomized_adversaries():
