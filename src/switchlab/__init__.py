@@ -9,8 +9,7 @@ minimax oracles at desk scale.
 
 from .errors import (BudgetViolationError, CapacityError, NumericStructureError,
                      PolicyMissingError, SwitchLabError, UnsupportedConfigError)
-from .game_core import (GameConfig, Trajectory, count_switches, dual_norm,
-                        play_game)
+from .game_core import GameConfig, Trajectory, dual_norm, play_game
 from .players import (ConstantPlayer, FugalPlayer, MinibatchPlayer, RandomSwitchPlayer,
                       make_player)
 from .adversaries import (ConstantAdversary, OrthogonalAdversary, ProductAdversary,

@@ -68,7 +68,6 @@ class GridFunction:
 
     resolution: int
     values: np.ndarray
-    k_index: int | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -391,8 +390,7 @@ def fugal_apply(f: GridFunction) -> GridFunction:
     nodes = np.arange(1, N)
     out = np.ones(N + 1)
     _, out[nodes], _, _ = _crossing_root(_envelopes(f), z[nodes], nodes, nodes)
-    k_next = None if f.k_index is None else f.k_index + 1
-    return GridFunction(N, out, k_index=k_next)
+    return GridFunction(N, out)
 
 
 # ----------------------------------------------------------------------
@@ -543,7 +541,7 @@ def solve_tables(budget_K: int, resolution: int = DEFAULT_RESOLUTION) -> list[Gr
     if resolution < 100:
         raise ValueError("resolution must be at least 100")
     cached = _table_cache.get(resolution, [])
-    tables = list(cached or [GridFunction(resolution, np.ones(resolution + 1), k_index=1)])
+    tables = list(cached or [GridFunction(resolution, np.ones(resolution + 1))])
     while len(tables) < budget_K:
         tables.append(fugal_apply(tables[-1]))
     if len(tables) > len(cached):   # publish whole: no caller sees a half-extended list
@@ -560,7 +558,7 @@ def u_k_solve(budget_K: int, resolution: int = DEFAULT_RESOLUTION
     if policy is None:
         policy = extract_policy(tables, budget_K)
         _policy_cache[key] = policy
-    return list(tables), policy
+    return tables, policy
 
 
 # ----------------------------------------------------------------------

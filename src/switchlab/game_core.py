@@ -21,8 +21,7 @@ round rule, one round at a time.  Actions, losses and W are immutable
 tuples of n floats; NumPy runs only on a change (the ball check), on a
 run's sum (``add_repeated``) and once at the end of the game, when
 ``Trajectory.from_columns`` gets one row per run with its length.  It is
-the one place that derives the rounds, switch count, loss sum,
-feasibility and regret.
+the one place that derives the rounds, switch count, loss sum and regret.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import copy
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 
 import numpy as np
@@ -118,17 +117,16 @@ class Trajectory:
     """A completed game.  Immutable once returned.
 
     ``rounds`` is a read-only structured array of length T with fields
-    ``action_x`` and ``loss_w`` (shape n each) and ``is_moving``.
-    ``feasible`` is False when the recorded actions used switch number
-    budget_K or more; such trajectories carry ``regret=None``.
+    ``action_x`` and ``loss_w`` (shape n each) and ``is_moving``.  An
+    action sequence that uses switch number budget_K has no trajectory:
+    :meth:`from_columns` raises ``BudgetViolationError``.
     """
 
     config: GameConfig
     rounds: np.ndarray
     switch_count: int
     cumulative_W: np.ndarray
-    regret: float | None
-    feasible: bool = field(default=True)
+    regret: float
 
     @classmethod
     def from_columns(cls, config: GameConfig, actions, losses, counts=None) -> "Trajectory":
@@ -136,7 +134,9 @@ class Trajectory:
         for ``counts[i]`` rounds (ints >= 1 summing to T; one round each by
         default); a list of scalars is one column.  Everything else is
         derived here: the moving flags, switch count and payoffs once per
-        row, then the rows repeated into the T rounds.
+        row, then the rows repeated into the T rounds.  Switch number K
+        raises ``BudgetViolationError`` with ``play_game``'s message and
+        round.
 
         The regret is the payoff plus the dual norm of the sequential loss
         sum.  A row's payoff is one 1 x n @ n x 1 matmul of a stack
@@ -155,19 +155,21 @@ class Trajectory:
                              f"{c.shape} counts, must give shape (T, n) = {(T, n)}")
         moving = _moving_mask(X)   # per row; only a row's first round can move
         switches = int(np.count_nonzero(moving)) - 1
+        starts = np.cumsum(c) - c   # each row's first round, from 0
+        if switches >= config.budget_K:
+            K = config.budget_K
+            raise _over_budget(int(starts[np.flatnonzero(moving)[K]]) + 1, K)
         rounds = np.zeros(T, dtype=[("action_x", float, (n,)), ("loss_w", float, (n,)),
                                     ("is_moving", bool)])
         rounds["action_x"], rounds["loss_w"] = np.repeat(X, c, axis=0), np.repeat(L, c, axis=0)
-        rounds["is_moving"][np.cumsum(c) - c] = moving
+        rounds["is_moving"][starts] = moving
         rounds.setflags(write=False)
         W = np.cumsum(rounds["loss_w"], axis=0)[-1].copy()   # not a view of all T rows
         W.setflags(write=False)
-        feasible = switches < config.budget_K
         payoffs = np.repeat((L[:, None, :] @ X[:, :, None]).ravel(), c)   # w_t . x_t per round
-        regret = (float(np.cumsum(payoffs, out=payoffs)[-1]) + dual_norm(W, config.player_norm_p)
-                  if feasible else None)
+        regret = float(np.cumsum(payoffs, out=payoffs)[-1]) + dual_norm(W, config.player_norm_p)
         return cls(config=config, rounds=rounds, switch_count=switches,
-                   cumulative_W=W, regret=regret, feasible=feasible)
+                   cumulative_W=W, regret=regret)
 
     def block_lengths(self) -> list[int]:
         """Lengths of maximal stationary blocks, from the is_moving flags."""
@@ -175,16 +177,10 @@ class Trajectory:
         return np.diff(starts, append=len(self.rounds)).tolist()
 
 
-def count_switches(actions) -> int:
-    """Number of indices i with x_{i+1} != x_i, by exact vector equality.
-
-    No tolerance: a strategy that intends to stay put must re-emit the
-    identical value.
-    """
-    if len(actions) == 0:
-        raise ValueError("count_switches needs a nonempty sequence")
-    X = np.asarray(actions, dtype=float).reshape(len(actions), -1)
-    return int(np.count_nonzero(_moving_mask(X))) - 1
+def _over_budget(t: int, budget_K: int) -> BudgetViolationError:
+    """The error of a move at round t that is switch number K."""
+    return BudgetViolationError(f"round {t}: switch number {budget_K} with budget "
+                                f"K={budget_K}", round_index=t)
 
 
 def _check_change(v, t: int, n: int, p: float, side: str, prev=None, switches: int = 0,
@@ -202,8 +198,7 @@ def _check_change(v, t: int, n: int, p: float, side: str, prev=None, switches: i
     if prev is not None:
         switches += 1
         if switches >= budget_K:
-            raise BudgetViolationError(f"round {t}: switch number {switches} with budget "
-                                       f"K={budget_K}", round_index=t)
+            raise _over_budget(t, budget_K)
     return switches
 
 

@@ -3,13 +3,14 @@
     labctl simulate --config spec.json [--out rows.csv]
     labctl fugal    --config spec.json [--out grid.csv]
     labctl oracle   --config spec.json [--out table.csv]
-    labctl verify   [--config spec.json] [--out report.json] [--only TAG]
+    labctl verify   [--out report.json] [--only TAG]
 
 Config files are JSON documents mirroring :class:`ExperimentSpec`; each
-mode accepts only the keys it reads (``MODE_KEYS``).  Sweep cells run one
+mode accepts only the keys it reads (``MODE_KEYS``).  ``verify`` reads no
+config, and every output path comes from ``--out``.  Sweep cells run one
 after another in this process (play is pure Python, so threads would only
 queue on the interpreter lock); rows are sorted by (T, K, n, seed) before
-writing, so identical spec + seed produces byte-identical output.
+writing to CSV, so identical spec + seed produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ _PSEUDO_ADVERSARIES = ("exhaustive_sign",)
 MODE_KEYS = {
     "simulate": {"sweep.T", "sweep.K", "sweep.n", "player_id", "player_params",
                  "adversary_id", "adversary_params", "player_norm", "repetitions",
-                 "seed", "out", "format"},
-    "fugal": {"sweep.K", "resolution", "seed", "out"},
-    "oracle": {"sweep.T", "sweep.K", "sweep.Z", "out"},
-    "verify": {"only", "out"},
+                 "seed"},
+    "fugal": {"sweep.K", "resolution", "seed"},
+    "oracle": {"sweep.T", "sweep.K", "sweep.Z"},
 }
 
 
@@ -92,9 +92,6 @@ class ExperimentSpec:
     repetitions: int = 1
     seed: int = 0
     resolution: int = fe.DEFAULT_RESOLUTION
-    out: str | None = None
-    format: str = "csv"
-    only: str | None = None
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -140,8 +137,6 @@ class ExperimentSpec:
             raise ValueError("oracle needs every sweep.K >= 1")
         if self.mode == "fugal" and not self.sweep_K:
             raise ValueError("fugal needs sweep.K")
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 
@@ -160,9 +155,6 @@ class ResultRow:
     bound_lower: float
     bound_upper: float
     within_bounds: bool
-
-    def as_dict(self) -> dict:
-        return {c: getattr(self, c) for c in RESULT_COLUMNS}
 
 
 def _simulate_cell(spec: ExperimentSpec, T: int, K: int, n: int, rep: int) -> ResultRow:
@@ -208,22 +200,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_rows(rows: list[ResultRow], path: str, fmt: str) -> None:
-    if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump([r.as_dict() for r in rows], fh, indent=2)
-            fh.write("\n")
-        return
+def write_rows(rows: list[ResultRow], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(RESULT_COLUMNS) + "\n")
         for r in rows:
             fh.write(",".join(_fmt(getattr(r, c)) for c in RESULT_COLUMNS) + "\n")
 
 
-def run_fugal(spec: ExperimentSpec) -> tuple[str, str]:
+def run_fugal(spec: ExperimentSpec, out: str | None = None) -> tuple[str, str]:
     K = max(spec.sweep_K)
     tables, policy = fe.u_k_solve(K, spec.resolution)
-    out = spec.out or f"fugal_grid_K{K}_N{spec.resolution}.csv"
+    out = out or f"fugal_grid_K{K}_N{spec.resolution}.csv"
     policy_out = os.path.splitext(out)[0] + "_policy.json"
     fe.write_grid_csv(tables, out)
     fe.write_policy_json(policy, policy_out)
@@ -234,7 +221,7 @@ def run_fugal(spec: ExperimentSpec) -> tuple[str, str]:
     return out, policy_out
 
 
-def run_oracle(spec: ExperimentSpec) -> list[mo.OracleReport]:
+def run_oracle(spec: ExperimentSpec, out: str | None = None) -> list[mo.OracleReport]:
     """Rows in T -> K -> Z order, each (T, Z) solved once at the largest
     swept K <= T, which holds every smaller budget."""
     reports = []
@@ -245,7 +232,7 @@ def run_oracle(spec: ExperimentSpec) -> list[mo.OracleReport]:
         by_budget = [mo.exact_minimax_budgets(mo.OracleConfig(T, max(Ks), Z))
                      for Z in spec.sweep_Z]
         reports += [budgets[K - 1] for K in Ks for budgets in by_budget]
-    out = spec.out or "oracle_table.csv"
+    out = out or "oracle_table.csv"
     mo.write_oracle_csv(reports, out)
     print(f"wrote {out} ({len(reports)} rows)")
     return reports
@@ -292,27 +279,25 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
     vp = sub.add_parser("verify")
-    vp.add_argument("--config", default=None)
     vp.add_argument("--out", default=None)
     vp.add_argument("--only", default=None)
     args = parser.parse_args(argv)
 
-    spec = _load_spec(args.config) if args.config else ExperimentSpec(mode="verify")
+    if args.mode == "verify":
+        return run_verify(only=args.only, out=args.out)
+    spec = _load_spec(args.config)
     if spec.mode != args.mode:
         raise ValueError(f"config mode {spec.mode!r} does not match command {args.mode!r}")
-    spec.out = args.out or spec.out
-    if args.mode == "verify":
-        return run_verify(only=args.only or spec.only, out=spec.out)
     if args.mode == "simulate":
         rows = run_simulate(spec)
-        out = spec.out or "simulate_rows.csv"
-        write_rows(rows, out, spec.format)
+        out = args.out or "simulate_rows.csv"
+        write_rows(rows, out)
         print(f"wrote {out} ({len(rows)} rows)")
         return 0
     if args.mode == "fugal":
-        run_fugal(spec)
+        run_fugal(spec, args.out)
         return 0
-    run_oracle(spec)
+    run_oracle(spec, args.out)
     return 0
 
 

@@ -238,11 +238,9 @@ class RandomSwitchPlayer(Player):
         self._rounds_seen += count
 
 
-def fugal(config: GameConfig, policy=None, resolution: int = DEFAULT_RESOLUTION) -> FugalPlayer:
-    """Fugal player; solves the K-switch policy at ``resolution`` when none is given."""
-    if policy is None:
-        _, policy = u_k_solve(config.budget_K, int(resolution))
-    return FugalPlayer(config, policy)
+def fugal(config: GameConfig, resolution: int = DEFAULT_RESOLUTION) -> FugalPlayer:
+    """Fugal player on the K-switch policy solved at ``resolution``."""
+    return FugalPlayer(config, u_k_solve(config.budget_K, int(resolution))[1])
 
 
 #: each player id's constructor; its keyword arguments are the id's params

@@ -435,11 +435,10 @@ def check_core_invariants():
         failures.append("policy action outside [-1, 1]")
 
     # solved tables are even in z
-    grid_tables = fe.solve_tables(4, 500)
-    for t in grid_tables:
+    for k, t in enumerate(fe.solve_tables(4, 500), start=1):
         asym = float(np.max(np.abs(t.values - t.values[::-1])))
         if asym > 1e-6:
-            failures.append(f"u_{t.k_index} asymmetric by {asym}")
+            failures.append(f"u_{k} asymmetric by {asym}")
 
     # operator preserves pointwise order: f <= g implies T f <= T g
     N = 200

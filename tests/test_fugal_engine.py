@@ -189,12 +189,11 @@ def test_u4_exact_constants():
 
 def test_apply_to_ones_gives_parabola():
     N = 400
-    ones = fe.GridFunction(N, np.ones(N + 1), k_index=1)
+    ones = fe.GridFunction(N, np.ones(N + 1))
     out = fe.fugal_apply(ones)
     grid = out.grid
     assert np.allclose(out.values, (grid * grid + 1.0) / 2.0, atol=1e-9)
     assert out.values[0] == 1.0 and out.values[-1] == 1.0
-    assert out.k_index == 2
 
 
 def test_apply_to_u2_hits_sqrt2_minus_1():
@@ -295,8 +294,7 @@ def _reference_apply(f, x_tol=1e-10):
         gp, gm = branch_values(0.5 * (lo + hi))
         out[chunk] = np.maximum(gp, gm)
 
-    k_next = None if f.k_index is None else f.k_index + 1
-    return fe.GridFunction(N, out, k_index=k_next)
+    return fe.GridFunction(N, out)
 
 
 def _random_bump_pairs(N):
@@ -312,7 +310,7 @@ def _random_bump_pairs(N):
 
 def test_apply_matches_dense_reference():
     inputs = []
-    u = fe.GridFunction(1000, np.ones(1001), k_index=1)
+    u = fe.GridFunction(1000, np.ones(1001))
     for _ in range(7):                                   # u_1 .. u_7 at N = 1000
         inputs.append(u)
         u = fe.fugal_apply(u)
@@ -353,9 +351,11 @@ def test_solve_tables_cache_is_safe_across_threads(monkeypatch):
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [pool.submit(fe.solve_tables, 3, 400) for _ in range(4)]
                 results = [fut.result(timeout=60) for fut in futures]
-            assert [t.k_index for t in fe._table_cache[400]] == [1, 2, 3]
+            cached = fe._table_cache[400]
+            assert len(cached) == 3 and np.all(cached[0].values == 1.0)
             for tables in results:
-                assert [t.k_index for t in tables] == [1, 2, 3]
+                assert len(tables) == 3
+                assert all(np.array_equal(t.values, c.values) for t, c in zip(tables, cached))
             assert fe.solve_tables(3, 400)[2].interp(0.0) == pytest.approx(SQRT2 - 1.0, abs=1e-3)
     finally:
         sys.setswitchinterval(interval)
@@ -396,7 +396,7 @@ def test_grid_convergence_of_u3():
     # form z^2 - 1 + sqrt(2 - z^2) by about 4 (linear interpolation order)
     errs = []
     for N in (250, 500, 1000):
-        u3 = fe.fugal_apply(fe.fugal_apply(fe.GridFunction(N, np.ones(N + 1), k_index=1)))
+        u3 = fe.fugal_apply(fe.fugal_apply(fe.GridFunction(N, np.ones(N + 1))))
         grid = u3.grid
         exact = np.array([z * z - 1.0 + math.sqrt(2.0 - z * z) for z in grid])
         exact[0] = exact[-1] = 1.0
@@ -500,7 +500,7 @@ def test_policy_json_spells_non_finite_and_signed_zero_as_json_does(tmp_path):
 
 def test_operator_witness_on_constant_one():
     N = 500
-    ones = fe.GridFunction(N, np.ones(N + 1), k_index=1)
+    ones = fe.GridFunction(N, np.ones(N + 1))
     xs, values, z_plus, z_minus = fe.operator_witness(ones, [0.0])
     assert xs.tolist() == [0.0]
     assert values[0] == pytest.approx(0.5, abs=1e-9)

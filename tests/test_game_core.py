@@ -5,28 +5,9 @@ import pytest
 
 from switchlab.adversaries import Adversary, ConstantAdversary, SignAdversary, make_adversary
 from switchlab.errors import BudgetViolationError
-from switchlab.game_core import (GameConfig, Trajectory, count_switches, dual_norm, play_game,
+from switchlab.game_core import (GameConfig, Trajectory, dual_norm, play_game,
                                  worst_case_sign_regret)
 from switchlab.players import ConstantPlayer, MinibatchPlayer, Player, make_player
-
-
-def test_count_switches_examples():
-    v = np.array([0.3, -0.1])
-    assert count_switches([v, v.copy(), v.copy()]) == 0
-    assert count_switches([0.1, -0.2, -0.2, 0.3]) == 2
-    assert count_switches([v]) == 0
-
-
-def test_count_switches_empty_rejected():
-    with pytest.raises(ValueError):
-        count_switches([])
-
-
-def test_count_switches_exact_equality_no_tolerance():
-    a = np.array([0.5])
-    b = np.array([0.5 + 1e-15])
-    assert count_switches([a, b]) == 1
-    assert count_switches([np.array([0.0]), np.array([-0.0])]) == 0
 
 
 def test_dual_norm_examples():
@@ -77,12 +58,38 @@ def test_linear_regret_examples():
     assert t3.regret == pytest.approx(2.0)
     assert t3.rounds["is_moving"].tolist() == [True, False]
 
+    # switches by exact vector inequality, with no tolerance: one ulp-scale
+    # step moves, -0.0 equals 0.0, and a single row never moves
+    v = [0.3, -0.1]
+    for n, actions, switches in ((2, [v, list(v), list(v)], 0), (1, [0.1, -0.2, -0.2, 0.3], 2),
+                                 (2, [v], 0), (1, [0.5, 0.5 + 1e-15], 1), (1, [0.0, -0.0], 0)):
+        cfg = GameConfig(len(actions), switches + 1, n)
+        traj = Trajectory.from_columns(cfg, actions, [[0.0] * n] * len(actions))
+        assert traj.switch_count == switches, actions
 
-def test_linear_regret_infeasible_is_none():
-    traj = Trajectory.from_columns(GameConfig(3, 2, 1), [0.0, 1.0, 0.0], [1.0, 1.0, 1.0])
-    assert traj.switch_count == 2
-    assert not traj.feasible
-    assert traj.regret is None
+
+def test_over_budget_columns_raise_at_switch_number_k():
+    # the round of switch number K, counted in rounds when rows are held
+    for T, rows, counts, round_index in ((3, [0.0, 1.0, 0.0], None, 3),
+                                         (5, [0, 1, 0], [2, 1, 2], 4)):
+        with pytest.raises(BudgetViolationError,
+                           match=f"^round {round_index}: switch number 2 with budget K=2$") as err:
+            Trajectory.from_columns(GameConfig(T, 2, 1), rows, [1.0] * len(rows), counts)
+        assert err.value.round_index == round_index
+
+
+def test_from_columns_raises_what_play_game_raises():
+    # a scripted player over its budget: the game and its recorded columns
+    # fail at the same round with the same message
+    script = [0.0, 0.0, 0.5, 0.5, -0.5, 0.25, 0.25]
+    for K, round_index in ((1, 3), (2, 5), (3, 6)):
+        cfg = GameConfig(len(script), K, 1)
+        with pytest.raises(BudgetViolationError) as game:
+            play_game(_Scripted(script), ConstantAdversary(cfg, w=1.0), cfg)
+        with pytest.raises(BudgetViolationError) as columns:
+            Trajectory.from_columns(cfg, script, [1.0] * len(script))
+        assert game.value.round_index == columns.value.round_index == round_index
+        assert str(game.value) == str(columns.value)
 
 
 def test_from_columns_rejects_shape_mismatch():
@@ -91,6 +98,8 @@ def test_from_columns_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         Trajectory.from_columns(GameConfig(2, 2, 2), [[0.0, 1.0], [0.0, 1.0]],
                                 [1.0, 1.0])
+    with pytest.raises(ValueError):
+        Trajectory.from_columns(GameConfig(1, 1, 1), [], [])   # no rows
 
 
 def _random_runs(seed, T, n):
@@ -468,7 +477,8 @@ def test_trajectory_is_read_only_and_blocks_cover_the_horizon():
     blocks = traj.block_lengths()
     assert sum(blocks) == 300
     assert len(blocks) == traj.switch_count + 1 == 8
-    assert traj.switch_count == count_switches(list(traj.rounds["action_x"]))
+    actions = traj.rounds["action_x"]
+    assert traj.switch_count == sum((a != b).any() for a, b in zip(actions, actions[1:]))
 
 
 def test_zero_loss_padding_preserves_regret():

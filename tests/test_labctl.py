@@ -41,8 +41,10 @@ def test_spec_validation_rejects_bad_input():
         ExperimentSpec.from_dict({"mode": "bogus"})
     with pytest.raises(ValueError):
         _spec(bogus_key=1)
-    with pytest.raises(ValueError):
-        _spec(format="xml")
+    # rows are CSV only, and the output path comes from --out alone
+    for key, value in (("format", "csv"), ("format", "json"), ("out", "rows.csv")):
+        with pytest.raises(ValueError, match=re.escape(f"simulate does not use ['{key}']")):
+            _spec(**{key: value})
 
 
 def test_malformed_configs_name_the_key():
@@ -95,11 +97,12 @@ def test_simulate_rejects_sweep_z():
 
 
 def test_fugal_rejects_fields_it_does_not_read():
-    base = {"mode": "fugal", "sweep": {"K": [3]}, "resolution": 500, "seed": 3, "out": "g.csv"}
+    base = {"mode": "fugal", "sweep": {"K": [3]}, "resolution": 500, "seed": 3}
     ExperimentSpec.from_dict(base)
     for key, value in (("x_grid", 41), ("player_id", "minibatch"), ("adversary_id", "sign"),
-                       ("player_norm", "inf"), ("repetitions", 2), ("format", "json")):
-        with pytest.raises(ValueError, match=key):
+                       ("player_norm", "inf"), ("repetitions", 2), ("format", "json"),
+                       ("out", "g.csv")):
+        with pytest.raises(ValueError, match=re.escape(f"fugal does not use ['{key}']")):
             ExperimentSpec.from_dict(dict(base, **{key: value}))
     for key in ("T", "Z", "n"):
         with pytest.raises(ValueError, match=f"sweep.{key}"):
@@ -130,10 +133,10 @@ def test_simulate_rejects_unknown_player_params(tmp_path):
     cfg.write_text(json.dumps({
         "mode": "simulate", "sweep": {"T": [10], "K": [2], "n": [1]},
         "player_id": "minibatch", "player_params": {"stepsize": 0.5},
-        "adversary_id": "sign", "out": str(tmp_path / "rows.csv"),
+        "adversary_id": "sign",
     }))
     with pytest.raises(TypeError, match="'stepsize'"):
-        labctl.main(["simulate", "--config", str(cfg)])
+        labctl.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.json"]
 
 
@@ -141,8 +144,8 @@ def test_oracle_rejects_fields_it_does_not_read():
     base = {"mode": "oracle", "sweep": {"T": [4], "K": [2], "Z": [0.0]}}
     ExperimentSpec.from_dict(base)
     for key, value in (("resolution", 500), ("seed", 1), ("player_id", "minibatch"),
-                       ("only", "oracle")):
-        with pytest.raises(ValueError, match=key):
+                       ("only", "oracle"), ("out", "o.csv"), ("format", "csv")):
+        with pytest.raises(ValueError, match=re.escape(f"oracle does not use ['{key}']")):
             ExperimentSpec.from_dict(dict(base, **{key: value}))
     with pytest.raises(ValueError, match="sweep.n"):
         ExperimentSpec.from_dict(dict(base, sweep={"T": [4], "K": [2], "n": [2]}))
@@ -155,10 +158,10 @@ def test_oracle_rejects_x_grid():
 
 
 def test_verify_rejects_fields_it_does_not_read():
-    ExperimentSpec.from_dict({"mode": "verify", "only": "core", "out": "r.json"})
-    for extra, name in (({"seed": 1}, "seed"), ({"resolution": 500}, "resolution"),
-                        ({"sweep": {"K": [3]}}, "sweep.K")):
-        with pytest.raises(ValueError, match=name):
+    # verify reads no config: --only and --out are its only settings
+    for extra in ({}, {"only": "core", "out": "r.json"}, {"seed": 1}, {"resolution": 500},
+                  {"sweep": {"K": [3]}}):
+        with pytest.raises(ValueError, match="unknown mode 'verify'"):
             ExperimentSpec.from_dict(dict(extra, mode="verify"))
 
 
@@ -215,8 +218,8 @@ def test_simulate_reproducible_csv(tmp_path):
     spec = _spec(player_id="random_switch", sweep={"T": [25], "K": [3], "n": [2]},
                  adversary_id="orthogonal", repetitions=3)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_rows(run_simulate(spec), str(p1), "csv")
-    write_rows(run_simulate(spec), str(p2), "csv")
+    write_rows(run_simulate(spec), str(p1))
+    write_rows(run_simulate(spec), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == ",".join(labctl.RESULT_COLUMNS)
@@ -243,7 +246,7 @@ def test_simulate_csv_bytes_are_pinned(tmp_path):
     ]
     rows = [r for s in specs for r in run_simulate(ExperimentSpec.from_dict(s))]
     out = tmp_path / "pin.csv"
-    write_rows(rows, str(out), "csv")
+    write_rows(rows, str(out))
     assert len(rows) == 59
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "c1a81f03621e5edecf8eef393c4b5d46c01bd1326ab05597e5a00949b4c6471d")
@@ -272,22 +275,12 @@ def test_constant_vs_zero_regret_zero():
     assert all(r.regret == 0.0 for r in rows)
 
 
-def test_json_rows_output(tmp_path):
-    spec = _spec(format="json")
-    rows = run_simulate(spec)
-    out = tmp_path / "rows.json"
-    write_rows(rows, str(out), "json")
-    data = json.loads(out.read_text())
-    assert len(data) == len(rows)
-    assert set(data[0]) == set(labctl.RESULT_COLUMNS)
-
-
 def test_fugal_mode_writes_grid_and_policy(tmp_path):
     spec = ExperimentSpec.from_dict({
         "mode": "fugal", "sweep": {"K": [3]}, "resolution": 500, "seed": 3,
-        "out": str(tmp_path / "grid.csv"),
     })
-    grid_path, policy_path = labctl.run_fugal(spec)
+    grid_path, policy_path = labctl.run_fugal(spec, str(tmp_path / "grid.csv"))
+    assert policy_path == str(tmp_path / "grid_policy.json")
     lines = open(grid_path).read().splitlines()
     assert lines[0] == "z,u_1,u_2,u_3"
     policy = json.loads(open(policy_path).read())
@@ -298,9 +291,8 @@ def test_fugal_mode_writes_grid_and_policy(tmp_path):
 def test_oracle_mode_writes_table(tmp_path):
     spec = ExperimentSpec.from_dict({
         "mode": "oracle", "sweep": {"T": [2, 4], "K": [2], "Z": [0.0, 1.0]},
-        "out": str(tmp_path / "oracle.csv"),
     })
-    reports = labctl.run_oracle(spec)
+    reports = labctl.run_oracle(spec, str(tmp_path / "oracle.csv"))
     assert len(reports) == 4
     lines = open(str(tmp_path / "oracle.csv")).read().splitlines()
     assert len(lines) == 5
@@ -316,9 +308,8 @@ def test_oracle_mode_solves_once_per_horizon_and_bias(tmp_path, monkeypatch):
     solves = []
     solve = mo.exact_minimax_budgets
     monkeypatch.setattr(mo, "exact_minimax_budgets", lambda cfg: solves.append(cfg) or solve(cfg))
-    spec = ExperimentSpec.from_dict({"mode": "oracle", "sweep": sweep,
-                                     "out": str(tmp_path / "oracle.csv")})
-    assert labctl.run_oracle(spec) == cells
+    spec = ExperimentSpec.from_dict({"mode": "oracle", "sweep": sweep})
+    assert labctl.run_oracle(spec, str(tmp_path / "oracle.csv")) == cells
     assert (tmp_path / "oracle.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
     assert [(c.horizon_T, c.budget_K, c.initial_bias_Z) for c in solves] == [
         (T, K, Z) for T, K in ((12, 6), (3, 2), (1, 1), (9, 6)) for Z in sweep["Z"]]
@@ -346,23 +337,24 @@ def test_cli_main_end_to_end(tmp_path):
     cfg.write_text(json.dumps({
         "mode": "simulate", "sweep": {"T": [10], "K": [2], "n": [1]},
         "player_id": "minibatch", "adversary_id": "sign",
-        "repetitions": 1, "seed": 0, "out": str(tmp_path / "rows.csv"),
+        "repetitions": 1, "seed": 0,
     }))
-    assert labctl.main(["simulate", "--config", str(cfg)]) == 0
+    assert labctl.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 0
     assert (tmp_path / "rows.csv").exists()
 
 
-def test_verify_rejects_a_simulate_config(tmp_path, monkeypatch):
+def test_verify_rejects_a_simulate_config(tmp_path, monkeypatch, capsys):
+    # verify takes no config file: --config is a usage error, before any check
     ran = []
     monkeypatch.setattr(verify, "CHECKS", (("stub.ok", lambda: ran.append(1) or ({}, {}, {}, []),
                                             None),))
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps({
-        "mode": "simulate", "sweep": {"T": [10], "K": [2], "n": [1]},
-        "out": str(tmp_path / "rows2.csv"),
-    }))
-    with pytest.raises(ValueError, match="does not match"):
-        labctl.main(["verify", "--config", str(cfg)])
+    cfg.write_text(json.dumps({"mode": "simulate", "sweep": {"T": [10], "K": [2], "n": [1]}}))
+    with pytest.raises(SystemExit) as exit_:
+        labctl.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "report.json")])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
     assert not ran and sorted(p.name for p in tmp_path.iterdir()) == ["sim.json"]
 
 
