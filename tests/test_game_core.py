@@ -58,14 +58,32 @@ def test_linear_regret_examples():
     assert t3.regret == pytest.approx(2.0)
     assert t3.rounds["is_moving"].tolist() == [True, False]
 
-    # switches by exact vector inequality, with no tolerance: one ulp-scale
-    # step moves, -0.0 equals 0.0, and a single row never moves
+
+def _switch_count(n, actions):
+    """The switch count from_columns derives for these action rows, with a
+    budget large enough for any of them and zero losses."""
+    cfg = GameConfig(len(actions), len(actions), n)
+    return Trajectory.from_columns(cfg, actions, [[0.0] * n] * len(actions)).switch_count
+
+
+def test_count_switches_examples():
     v = [0.3, -0.1]
-    for n, actions, switches in ((2, [v, list(v), list(v)], 0), (1, [0.1, -0.2, -0.2, 0.3], 2),
-                                 (2, [v], 0), (1, [0.5, 0.5 + 1e-15], 1), (1, [0.0, -0.0], 0)):
-        cfg = GameConfig(len(actions), switches + 1, n)
-        traj = Trajectory.from_columns(cfg, actions, [[0.0] * n] * len(actions))
-        assert traj.switch_count == switches, actions
+    assert _switch_count(2, [v, list(v), list(v)]) == 0
+    assert _switch_count(1, [0.1, -0.2, -0.2, 0.3]) == 2
+    assert _switch_count(2, [v]) == 0   # a single row never moves
+
+
+def test_count_switches_empty_rejected():
+    with pytest.raises(ValueError, match="shape"):
+        Trajectory.from_columns(GameConfig(1, 1, 1), [], [])
+
+
+def test_count_switches_exact_equality_no_tolerance():
+    # switches by exact vector inequality: one ulp-scale step moves,
+    # and -0.0 equals 0.0
+    assert _switch_count(1, [0.5, 0.5 + 1e-15]) == 1
+    assert _switch_count(1, [0.0, -0.0]) == 0
+    assert _switch_count(2, [[1.0, 0.0], [1.0, -0.0]]) == 0
 
 
 def test_over_budget_columns_raise_at_switch_number_k():
@@ -98,8 +116,6 @@ def test_from_columns_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         Trajectory.from_columns(GameConfig(2, 2, 2), [[0.0, 1.0], [0.0, 1.0]],
                                 [1.0, 1.0])
-    with pytest.raises(ValueError):
-        Trajectory.from_columns(GameConfig(1, 1, 1), [], [])   # no rows
 
 
 def _random_runs(seed, T, n):
