@@ -26,19 +26,23 @@ grid cell is a ratio of two affine functions of z', hence monotone there,
 so its infimum over the half-interval is attained at a grid node, where it
 is a line in x, or at z' = z, where it is the constant f(z): g_plus (the
 w=+1 branch value) is a lower envelope of lines over the nodes right of z
-and g_minus over those left of it.  One convex-hull sweep per branch stores
-all these envelopes as root paths of a tree, searched by binary lifting.
-g_plus is nondecreasing in x and g_minus nonincreasing, so h = g_plus -
-g_minus is monotone and piecewise linear; the outer infimum is its root,
-found exactly by Newton steps on the active line pair inside a bisection
-bracket, by one routine for the grid nodes of fugal_apply and for
-operator_witness, which takes a batch of biases: the policy asks once per
-sign-tree level (every bias of a level queries the same u_{k-1}), the
-closed-form check once per floor.  The active line at the root is the argmin
-node.  Because the objective is monotone per cell, no search between nodes
-can beat that node; a three-point parabola through it and its neighbours
-still sharpens the minimizer, as the node alone is only O(grid step)
-accurate, too coarse for the switch-round tolerances the policy has to meet.
+and g_minus over those left of it.  Per branch one tree stores all these
+envelopes as root paths: one NumPy pass over the crossings of consecutive
+lines builds it, with a walk up the tree only where a line leaves the
+envelope, and binary lifting, its table as deep as the tree is high,
+searches it.  g_plus is nondecreasing in x and g_minus nonincreasing, so
+h = g_plus - g_minus is monotone and piecewise linear; the outer infimum
+is its root, found exactly by Newton steps on the active line pair inside
+a bisection bracket (each end keeps its pair's line of h, so a step
+computes only its candidate's).  One routine does this for the grid nodes
+of fugal_apply and for operator_witness, which takes a batch of biases: the
+policy asks once per sign-tree level (every bias of a level queries the
+same u_{k-1}), the closed-form check once per floor.  The active line at
+the root is the argmin node.  Because the objective is monotone per cell,
+no search between nodes can beat that node; a three-point parabola through
+it and its neighbours still sharpens the minimizer, as the node alone is
+only O(grid step) accurate, too coarse for the switch-round tolerances the
+policy has to meet.
 """
 
 from __future__ import annotations
@@ -241,28 +245,45 @@ def u4_exact() -> tuple[float, float]:
 # the operator on grids
 # ----------------------------------------------------------------------
 
-def _hull_tree(c: np.ndarray, s: np.ndarray, order) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Lower envelopes of the lines c_j - t s_j, added in ``order`` (s rising
-    along it), as one tree: the envelope of the lines added up to j is the
-    root path from j, where line j wins for t above b[j], its crossing with
-    parent[j] (b = -inf at a root).  Returns b and the 2^l-th ancestors."""
-    cl, sl = c.tolist(), s.tolist()
-    parent = list(range(c.size))
-    b = [-math.inf] * c.size
-    stack: list[int] = []
-    for j in order:
-        while stack:
-            top = stack[-1]
-            t = (cl[j] - cl[top]) / (sl[j] - sl[top])
-            if t > b[top]:
-                parent[j], b[j] = top, t
-                break
-            stack.pop()
-        stack.append(j)
-    up = [np.array(parent)]
-    for _ in range(c.size.bit_length()):
-        up.append(up[-1][up[-1]])
-    return np.array(b), up
+def _hull_tree(c: np.ndarray, s: np.ndarray, order: np.ndarray
+               ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Lower envelopes of the lines c_j - t s_j, added in the index array
+    ``order`` (s rising along it), as one tree: the envelope of the lines
+    added up to j is the root path from j, where line j wins for t above
+    b[j], its crossing with parent[j] (b = -inf at a root).  Returns b and
+    the 2^l-th ancestors for l = 0, 1, ... until every node's is a root.
+
+    One NumPy pass takes each line's crossing with the line added just
+    before it; where that lies above the earlier line's own breakpoint, the
+    earlier line is the parent.  Elsewhere the earlier line leaves the
+    envelope (a pop), and the new line walks up its root path (the stack of
+    a sequential hull sweep) to its parent, as does the line after each one
+    that popped.  Both make the sweep's divisions on the same operands, so b
+    is the sweep's to the bit."""
+    cs, ss = c[order], s[order]   # by position in order from here on
+    bq = np.full(order.size, -math.inf)
+    bq[1:] = np.diff(cs) / np.diff(ss)
+    pq = np.arange(-1, order.size - 1).clip(0)
+    pops = (np.flatnonzero(~(bq[1:] > bq[:-1])) + 1).tolist()
+    if pops:
+        cl, sl, bl, pl = cs.tolist(), ss.tolist(), bq.tolist(), pq.tolist()
+        done = 0
+        for q in pops:
+            while q > done:   # walk q, then the line after q while the walk pops
+                done, top = q, q - 1
+                while not (t := (cl[q] - cl[top]) / (sl[q] - sl[top])) > bl[top] \
+                        and pl[top] != top:
+                    top = pl[top]
+                pl[q], bl[q] = (top, t) if t > bl[top] else (q, -math.inf)
+                if pl[q] != q - 1 and q + 1 < order.size:
+                    q += 1
+        bq, pq = np.array(bl), np.array(pl)
+    b, parent = np.full(c.size, -math.inf), np.arange(c.size)
+    b[order], parent[order] = bq, order[pq]
+    up = [parent]
+    while not np.array_equal(nxt := up[-1][up[-1]], up[-1]):
+        up.append(nxt)
+    return b, up
 
 
 def _active_line(b, up, nodes, t) -> np.ndarray:
@@ -284,7 +305,7 @@ def _envelopes(f: GridFunction):
     inv_m = 1.0 / np.maximum(1.0 - z, DENOM_CLAMP)   # w = -1 denominators
     fp, fm = v * inv_p, v * inv_m
     return (fp, fm, inv_p, inv_m,
-            _hull_tree(fp, inv_p, range(N, 0, -1)), _hull_tree(fm, inv_m, range(N)))
+            _hull_tree(fp, inv_p, np.arange(N, 0, -1)), _hull_tree(fm, inv_m, np.arange(N)))
 
 
 def _crossing_root(env, z: np.ndarray, j0: np.ndarray, j1: np.ndarray, fz=None):
@@ -322,19 +343,16 @@ def _crossing_root(env, z: np.ndarray, j0: np.ndarray, j1: np.ndarray, fz=None):
             sm, cm = np.where(jm < 0, 1.0, sm), np.where(jm < 0, fz[r], cm)
         return 2.0 - sp - sm, cp - cm
 
-    def h_at(r, x, jp, jm):
-        slope, icpt = h_line(r, jp, jm)
-        return slope * x + icpt
-
-    def newton(r, jp, jm):   # root of that line; nan where it is flat
-        slope, icpt = h_line(r, jp, jm)
+    def newton(slope, icpt):   # root of an h line; nan where it is flat
         return np.divide(-icpt, slope, out=np.full_like(slope, np.nan), where=slope > 0)
 
+    # Each bracket end keeps its active pair and that pair's h line.
     rows = np.arange(z.size)
     lo, hi = np.full(z.size, -1.0), np.ones(z.size)
     lo_p, lo_m = pair(rows, lo)
     hi_p, hi_m = pair(rows, hi)
-    h_lo, h_hi = h_at(rows, lo, lo_p, lo_m), h_at(rows, hi, hi_p, hi_m)
+    (lo_s, lo_c), (hi_s, hi_c) = h_line(rows, lo_p, lo_m), h_line(rows, hi_p, hi_m)
+    h_lo, h_hi = lo_s * lo + lo_c, hi_s * hi + hi_c
     if np.any((h_lo > 1e-9) & (h_hi < -1e-9)):
         raise NumericStructureError(
             "crossing function not monotone at grid resolution "
@@ -342,8 +360,10 @@ def _crossing_root(env, z: np.ndarray, j0: np.ndarray, j1: np.ndarray, fz=None):
     # Where h keeps one sign on [-1, 1] the bracket collapses onto that end;
     # elsewhere h(lo) < 0 <= h(hi) holds from here on.
     left, right = h_lo >= 0.0, h_hi < 0.0
-    hi[left], hi_p[left], hi_m[left] = -1.0, lo_p[left], lo_m[left]
-    lo[right], lo_p[right], lo_m[right] = 1.0, hi_p[right], hi_m[right]
+    hi[left], hi_p[left], hi_m[left], hi_s[left], hi_c[left] = (
+        -1.0, lo_p[left], lo_m[left], lo_s[left], lo_c[left])
+    lo[right], lo_p[right], lo_m[right], lo_s[right], lo_c[right] = (
+        1.0, hi_p[right], hi_m[right], hi_s[right], hi_c[right])
 
     # Once both ends share their active pair, h is that line on the bracket
     # and its root is exact.  Until then step to the root of the pair at lo,
@@ -357,21 +377,24 @@ def _crossing_root(env, z: np.ndarray, j0: np.ndarray, j1: np.ndarray, fz=None):
             break
         a, c = lo[live], hi[live]
         sp, sm = lo_p[live], lo_m[live]
-        cand = newton(live, sp, sm)
+        cand = newton(lo_s[live], lo_c[live])
         miss = ~((a < cand) & (cand < c))
         sp[miss], sm[miss] = hi_p[live[miss]], hi_m[live[miss]]
-        cand[miss] = newton(live[miss], sp[miss], sm[miss])
+        cand[miss] = newton(hi_s[live[miss]], hi_c[live[miss]])
         miss = ~((a < cand) & (cand < c)) | (step >= 8 and step % 2 == 1)
         cand[miss] = 0.5 * (a[miss] + c[miss])
         cp, cm = pair(live, cand)
-        h = h_at(live, cand, cp, cm)
+        cs, cc = h_line(live, cp, cm)
+        h = cs * cand + cc
         hit = ((cp == sp) & (cm == sm) & ~miss) | (np.abs(h) <= 1e-15)
         up = hit | (h >= 0.0)
         dn = hit | ~up
-        hi[live[up]], hi_p[live[up]], hi_m[live[up]] = cand[up], cp[up], cm[up]
-        lo[live[dn]], lo_p[live[dn]], lo_m[live[dn]] = cand[dn], cp[dn], cm[dn]
+        r = live[up]
+        hi[r], hi_p[r], hi_m[r], hi_s[r], hi_c[r] = cand[up], cp[up], cm[up], cs[up], cc[up]
+        r = live[dn]
+        lo[r], lo_p[r], lo_m[r], lo_s[r], lo_c[r] = cand[dn], cp[dn], cm[dn], cs[dn], cc[dn]
 
-    x = np.clip(np.nan_to_num(newton(rows, hi_p, hi_m)), lo, hi)
+    x = np.clip(np.nan_to_num(newton(hi_s, hi_c)), lo, hi)
     gp, gm = g(rows, x, hi_p, hi_m)
     if fz is not None:
         gp, gm = np.where(hi_p < 0, fz, gp), np.where(hi_m < 0, fz, gm)

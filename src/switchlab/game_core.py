@@ -63,6 +63,14 @@ def dual_norm(w: np.ndarray, player_norm_p: float) -> float:
     raise ValueError(f"unsupported norm p={player_norm_p!r}; expected 2 or inf")
 
 
+def as_integer(key: str, v) -> int:
+    """``v`` as an int if it is one or an integral float; ``ValueError``
+    naming ``key`` for anything else (a bool, a string, 2.5, None)."""
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """One game instance: horizon, switch budget, dimension, geometry, seed.

@@ -28,7 +28,7 @@ from . import fugal_engine as fe
 from . import minimax_oracle as mo
 from .adversaries import ADVERSARY_IDS, make_adversary
 from .errors import BudgetViolationError
-from .game_core import GameConfig, play_game, worst_case_sign_regret
+from .game_core import GameConfig, as_integer, play_game, worst_case_sign_regret
 from .players import PLAYER_IDS, make_player
 from .verify import run_checks
 
@@ -50,14 +50,8 @@ MODE_KEYS = {
 }
 
 
-def _integer(key: str, v) -> int:
-    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
-        raise ValueError(f"{key} must be an integer, got {v!r}")
-    return int(v)
-
-
 def _integers(key: str, vs) -> list[int]:
-    return [_integer(key, v) for v in vs]
+    return [as_integer(key, v) for v in vs]
 
 
 def _params(key: str, v) -> dict:
@@ -73,7 +67,7 @@ _PARSE = {
     "sweep.Z": lambda key, vs: [float(z) for z in vs],
     "player_params": _params, "adversary_params": _params,
     "player_norm": lambda key, v: float(v),
-    "repetitions": _integer, "seed": _integer, "resolution": _integer,
+    "repetitions": as_integer, "seed": as_integer, "resolution": as_integer,
 }
 
 

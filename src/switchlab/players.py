@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import PolicyMissingError, UnsupportedConfigError
 from .fugal_engine import DEFAULT_RESOLUTION, u_k_solve
-from .game_core import INF, GameConfig, add_repeated, outside_ball
+from .game_core import INF, GameConfig, add_repeated, as_integer, outside_ball
 
 #: ball diameter / gradient bound behind the default mini-batch step size
 BALL_DIAMETER = 2.0
@@ -239,8 +239,9 @@ class RandomSwitchPlayer(Player):
 
 
 def fugal(config: GameConfig, resolution: int = DEFAULT_RESOLUTION) -> FugalPlayer:
-    """Fugal player on the K-switch policy solved at ``resolution``."""
-    return FugalPlayer(config, u_k_solve(config.budget_K, int(resolution))[1])
+    """Fugal player on the K-switch policy solved at ``resolution``, an
+    integer or an integral float."""
+    return FugalPlayer(config, u_k_solve(config.budget_K, as_integer("resolution", resolution))[1])
 
 
 #: each player id's constructor; its keyword arguments are the id's params

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -324,6 +325,77 @@ def test_apply_matches_dense_reference():
         assert float(np.max(np.abs(new.values - ref.values))) <= 1e-9
         assert np.all(new.values <= f.values + 1e-12)
         assert new.values[0] == 1.0 and new.values[-1] == 1.0
+
+
+def _reference_hull_tree(c, s, order):
+    """The sequential monotone hull sweep: one stack over all lines, popping
+    while the new line's crossing with the top does not rise above the top's
+    breakpoint.  Returns b, parent and the lifting table doubled
+    bit_length(c.size) times."""
+    cl, sl = c.tolist(), s.tolist()
+    parent = list(range(c.size))
+    b = [-math.inf] * c.size
+    stack = []
+    for j in order:
+        while stack:
+            top = stack[-1]
+            t = (cl[j] - cl[top]) / (sl[j] - sl[top])
+            if t > b[top]:
+                parent[j], b[j] = top, t
+                break
+            stack.pop()
+        stack.append(j)
+    up = [np.array(parent)]
+    for _ in range(c.size.bit_length()):
+        up.append(up[-1][up[-1]])
+    return np.array(b), up
+
+
+def _hull_inputs():
+    """(c, s, order) of both branch trees of u_1 .. u_32 at N = 500 and 2000
+    and of the bump functions the core.invariants check applies the operator
+    to at N = 200; then seeded random lines, and lines all through t = 2."""
+    fs = fe.solve_tables(32, 500) + fe.solve_tables(32, 2000)
+    grid = fe.make_grid(200)
+    for seed in range(5):   # as verify.check_core_invariants draws them
+        r = random.Random(seed)
+        bump = np.array([r.random() for _ in range(201)]) * (1.0 - np.abs(grid))
+        g_vals = np.abs(grid) + bump
+        f_vals = np.abs(grid) + np.array([r.random() for _ in range(201)]) * bump
+        fs += [fe.GridFunction(200, f_vals), fe.GridFunction(200, g_vals)]
+    for f in fs:
+        fp, fm, inv_p, inv_m = fe._envelopes(f)[:4]
+        N = f.resolution
+        yield fp, inv_p, np.arange(N, 0, -1)
+        yield fm, inv_m, np.arange(N)
+    rng = np.random.default_rng(5)
+    s = rng.uniform(0.0, 10.0, 300)
+    yield rng.uniform(-1.0, 1.0, 300), s, np.argsort(s)
+    s = 0.25 * np.arange(1, 65)
+    yield 3.0 + 2.0 * s, s, np.arange(64)
+
+
+def test_hull_tree_matches_the_sequential_sweep_bit_for_bit():
+    rng = np.random.default_rng(0)
+    popped = []
+    for c, s, order in _hull_inputs():
+        b, up = fe._hull_tree(c, s, order)
+        b_ref, up_ref = _reference_hull_tree(c, s, order)
+        assert np.array_equal(b, b_ref) and np.array_equal(up[0], up_ref[0])
+        # the table stops at the first level whose ancestors are all roots
+        roots = up[0][up[-1]] == up[-1]
+        assert roots.all() and (len(up) == 1 or not (up[0][up[-2]] == up[-2]).all())
+        finite = b[np.isfinite(b)]
+        nodes = rng.choice(order, 400)
+        t = np.concatenate((rng.uniform(finite.min() - 1.0, finite.max() + 1.0, 200),
+                            rng.choice(finite, 200)))   # half of them exact breakpoints
+        assert np.array_equal(fe._active_line(b, up, nodes, t),
+                              fe._active_line(b_ref, up_ref, nodes, t))
+        # lines whose predecessor in order left the envelope for them
+        popped.append(int(np.sum(up[0][order[1:]] != order[:-1])))
+    assert popped[0] == 498 and popped[-1] == 62   # u_1 and the collinear star: all
+    assert popped[2 * 10] == 0                       # u_11 at N = 500: a chain
+    assert 0 < popped[2 * 11] < 20                   # u_12 at N = 500: a few
 
 
 def test_tables_to_k32_keep_floor_cap_order_and_symmetry():

@@ -288,6 +288,22 @@ def test_fugal_mode_writes_grid_and_policy(tmp_path):
     assert frac == pytest.approx(1.0 - math.sqrt(2.0) / 2.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("K, N, grid_sha, policy_sha", [
+    (8, 2000, "15b54155f55166ad500e91d6ce7af5414e371695074de9a8f62a9acb122e4e7e",
+     "1e2fd54267466c439cb2259f902ea36169c7683d382f7fe47c59aaa9bc3e8535"),
+    (12, 500, "0888e6d2ca109381d293256a59791c27769f84f6a2cd4c3724eb9b6b549727b6",
+     "0dfb1881c3a376de57d44e15e148a656cf626e628702570e7af00af4db9aca9f"),
+])
+def test_fugal_output_bytes_are_pinned(tmp_path, K, N, grid_sha, policy_sha):
+    # sha256 of the grid CSV and policy JSON of the benchmark's two fugal
+    # specs: a change to the operator, its hull trees or the root finder that
+    # moves any last bit of u_k or of the policy fails here
+    spec = ExperimentSpec.from_dict({"mode": "fugal", "sweep": {"K": [K]}, "resolution": N})
+    paths = labctl.run_fugal(spec, str(tmp_path / "grid.csv"))
+    digests = [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths]
+    assert digests == [grid_sha, policy_sha]
+
+
 def test_oracle_mode_writes_table(tmp_path):
     spec = ExperimentSpec.from_dict({
         "mode": "oracle", "sweep": {"T": [2, 4], "K": [2], "Z": [0.0, 1.0]},

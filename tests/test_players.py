@@ -285,6 +285,16 @@ def test_make_player_rejects_unknown_params(pid):
         make_player(pid, GameConfig(6, 2, 1), {"stepsize": 0.5})
 
 
+def test_fugal_resolution_param_must_be_an_integer():
+    # 300.9 and "300" used to play the N = 300 policy through int()
+    cfg = GameConfig(10, 3, 1)
+    for bad in (300.9, "300", True, None):
+        with pytest.raises(ValueError, match="resolution"):
+            make_player("fugal", cfg, {"resolution": bad})
+    for good in (300, 300.0):
+        assert make_player("fugal", cfg, {"resolution": good}).policy.resolution == 300
+
+
 #: where a loss in {-1, -1/2, 0, 1/2, 1} beats every +-1 sequence: (case, T,
 #: K) -> worst regret over that set minus the worst +-1 regret, and a
 #: sequence that attains it
