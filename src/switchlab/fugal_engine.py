@@ -498,18 +498,6 @@ class FugalPolicy:
             total += self.m_fraction(signs[:i], signs[i])
         return total
 
-    def to_json_dict(self) -> dict:
-        """The policy as a JSON object, nodes keyed by sign-prefix string.
-        ``write_policy_json`` writes the bytes that ``json.dump`` with
-        ``indent=2, sort_keys=True`` makes of it; the writer does not build
-        it, so it serves as that writer's test oracle."""
-        return {
-            "budget_K": self.budget_K,
-            "resolution": self.resolution,
-            "nodes": {_prefix_key(p): {"x": n.x, "m_plus": n.m_plus, "m_minus": n.m_minus}
-                      for p, n in self.nodes.items()},
-        }
-
 
 def _prefix_key(prefix) -> str:
     return "".join("+" if s > 0 else "-" for s in prefix)
@@ -609,9 +597,11 @@ def _json_float(v: float) -> str:
 
 
 def write_policy_json(policy: FugalPolicy, path: str) -> None:
-    """The bytes of ``json.dump(policy.to_json_dict(), indent=2,
-    sort_keys=True)`` and a newline, formatted node by node in prefix-string
-    order without building that dict."""
+    """The policy as the JSON object ``{"budget_K", "nodes", "resolution"}``,
+    ``nodes`` mapping each sign-prefix string (``"+-"``) to ``{"m_minus",
+    "m_plus", "x"}``: the bytes ``json.dump`` writes of that dict with
+    ``indent=2, sort_keys=True``, and a newline, formatted node by node in
+    prefix-string order without building the dict."""
     nodes = sorted((_prefix_key(p), n) for p, n in policy.nodes.items())
     body = ",".join([_JSON_NODE % (key, _json_float(n.m_minus), _json_float(n.m_plus),
                                    _json_float(n.x)) for key, n in nodes])

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per verification criterion, each printing a
 pass/fail line with its headline measurements."""
 
+import math
 import tracemalloc
 
 import pytest
@@ -39,12 +40,25 @@ PINNED = {
 }
 
 
+BUDGETS = {name: budget for name, _, budget in verify.CHECKS}
+
+
+def test_criteria_cover_every_check():
+    assert [name for _, name in CRITERIA] == list(BUDGETS)
+
+
 @pytest.mark.parametrize("label,check_name", CRITERIA, ids=[c[1] for c in CRITERIA])
 def test_acceptance(label, check_name):
     [result] = verify.run_checks(check_name)
     status = "PASS" if result.status == "pass" else "FAIL"
     print(f"[acceptance {label}] {status} in {result.elapsed_s:.1f}s "
           f"measured={result.measured}")
+    # every measured key has its expected value and tolerance, a check that
+    # records nothing does not pass, and runtime_s is there iff CHECKS sets
+    # a budget
+    keys = set(result.measured)
+    assert keys and keys == set(result.expected) == set(result.tolerance) - {"runtime_s"}
+    assert ("runtime_s" in result.tolerance) == (BUDGETS[check_name] is not None)
     assert result.status == "pass", "\n".join(result.failures)
     if check_name in PINNED:
         assert result.measured == PINNED[check_name]
@@ -57,8 +71,16 @@ def test_lower_bound_checks_keep_no_finished_trajectory(check):
     # its 75 or 90 finished trajectories peaked at 2.8-4.8 MiB
     tracemalloc.start()
     try:
-        check()
+        check(verify.CheckResult(check.__name__))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2 ** 20
+
+
+def test_a_nan_constant_fails_its_check(monkeypatch):
+    # an abs(x - t) > tol test lets a NaN through; the bounds do not
+    monkeypatch.setattr(verify.fe, "u4_exact", lambda: (math.nan, math.nan))
+    [result] = verify.run_checks("fugal.constants_exact")
+    assert result.status == "fail"
+    assert [f.split(":")[0] for f in result.failures] == ["u4_closed_form", "z0"]

@@ -512,12 +512,24 @@ def test_policy_fractions_sum_to_one_and_actions_in_ball():
         assert all(abs(n.x) <= 1.0 + 1e-12 for n in pol.nodes.values())
 
 
+def _policy_json_dict(policy) -> dict:
+    """The policy as the dict whose ``json.dump(indent=2, sort_keys=True)``
+    ``write_policy_json`` writes; the writer never builds it."""
+    return {
+        "budget_K": policy.budget_K,
+        "resolution": policy.resolution,
+        "nodes": {"".join("+" if s > 0 else "-" for s in p):
+                  {"x": n.x, "m_plus": n.m_plus, "m_minus": n.m_minus}
+                  for p, n in policy.nodes.items()},
+    }
+
+
 def test_policy_json_roundtrip(tmp_path):
     _, pol = fe.u_k_solve(3, 500)
     path = tmp_path / "policy.json"
     fe.write_policy_json(pol, str(path))
     back = json.loads(path.read_text())
-    assert back == pol.to_json_dict()   # floats survive the dump bit for bit
+    assert back == _policy_json_dict(pol)   # floats survive the dump bit for bit
     assert back["budget_K"] == pol.budget_K and len(back["nodes"]) == len(pol.nodes)
     assert back["nodes"]["+-"]["m_plus"] == pol.m_fraction((1, -1), 1)
 
@@ -532,7 +544,7 @@ def test_grid_csv_dump(tmp_path):
 
 
 def _reference_policy_json(policy) -> bytes:
-    text = json.dumps(policy.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_policy_json_dict(policy), indent=2, sort_keys=True) + "\n"
     return text.encode("utf-8")
 
 
@@ -692,8 +704,8 @@ def _reference_policy(tables, budget_K):
 @pytest.mark.parametrize("K,N", [(2, 500), (3, 500), (4, 500), (3, 2000), (8, 500)])
 def test_extract_policy_matches_reference_bit_for_bit(K, N):
     tables = fe.solve_tables(K, N)
-    new = fe.extract_policy(tables, K).to_json_dict()
-    ref = _reference_policy(tables, K).to_json_dict()
+    new = _policy_json_dict(fe.extract_policy(tables, K))
+    ref = _policy_json_dict(_reference_policy(tables, K))
     assert new["resolution"] == N
     # compared as JSON text, so that even the sign of a zero fraction counts
     assert json.dumps(new, sort_keys=True) == json.dumps(ref, sort_keys=True)

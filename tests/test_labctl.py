@@ -362,8 +362,7 @@ def test_cli_main_end_to_end(tmp_path):
 def test_verify_rejects_a_simulate_config(tmp_path, monkeypatch, capsys):
     # verify takes no config file: --config is a usage error, before any check
     ran = []
-    monkeypatch.setattr(verify, "CHECKS", (("stub.ok", lambda: ran.append(1) or ({}, {}, {}, []),
-                                            None),))
+    monkeypatch.setattr(verify, "CHECKS", (("stub.ok", lambda res: ran.append(1), None),))
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"mode": "simulate", "sweep": {"T": [10], "K": [2], "n": [1]}}))
@@ -375,21 +374,48 @@ def test_verify_rejects_a_simulate_config(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_reporting_shape():
-    result = verify._execute("stub.fails", lambda: ({"v": 1.0}, {"v": 2.0},
-                                                    {"v": 0.5}, ["v off"]), None)
+    result = verify._execute("stub.fails", lambda res: res.near("v", 1.0, 2.0, 0.5), None)
     assert result.status == "fail"
     d = result.to_report_dict()
     assert set(d) == {"check_name", "status", "measured", "expected", "tolerance"}
-    ok = verify._execute("stub.passes", lambda: ({}, {}, {}, []), None)
+    assert (d["measured"], d["expected"], d["tolerance"]) == ({"v": 1.0}, {"v": 2.0}, {"v": 0.5})
+    ok = verify._execute("stub.passes", lambda res: res.near("v", 1.0, 2.0, 1.0), None)
     assert ok.status == "pass"
+
+
+@pytest.mark.parametrize("bound", ["near", "at_least", "at_most"])
+def test_a_nan_misses_every_bound(bound):
+    # each bound is written not (value <= limit), so a NaN fails it, and a
+    # NaN stays the worst value against any number before or after it
+    res = verify.CheckResult("stub")
+    for value in (0.0, math.nan, 0.0):
+        getattr(res, bound)("v", value, 0.0, 1.0)
+    assert res.status == "fail" and len(res.failures) == 1
+    assert math.isnan(res.measured["v"])
+
+
+def test_repeated_bounds_keep_the_worst_value_and_name_the_miss():
+    res = verify.CheckResult("stub")
+    # only "b" misses; "c" sits on each limit
+    for where, err, x in (("a", 0.25, 1.25), ("b", 0.75, 0.25), ("c", 0.5, 1.5)):
+        res.at_most("err", err, 0.0, 0.5, where=where)
+        res.at_least("margin", -err, 0.0, 0.5, where=where)
+        res.near("x", x, 1.0, 0.5, where=where)
+    assert res.measured == {"err": 0.75, "margin": -0.75, "x": 0.25}
+    assert res.expected == {"err": "<= 0.0", "margin": ">= 0.0", "x": 1.0}
+    assert res.tolerance == {"err": 0.5, "margin": 0.5, "x": 0.5}
+    assert [f.split(":")[0] for f in res.failures] == ["err at b", "margin at b", "x at b"]
+    tie = verify.CheckResult("stub")
+    tie.near("y", 2.0, 1.0, 0.0, where="first")
+    tie.near("y", 0.0, 1.0, 0.0, where="second")
+    assert tie.measured == {"y": 2.0} and len(tie.failures) == 2
 
 
 def test_verify_budget_enforced():
     import time
 
-    def slow():
+    def slow(res):
         time.sleep(0.05)
-        return {}, {}, {}, []
 
     res = verify._execute("stub.slow", slow, 0.01)
     assert res.status == "fail"
@@ -398,11 +424,11 @@ def test_verify_budget_enforced():
 
 def test_verify_budget_is_reported_as_a_tolerance():
     # the budget is written once, in CHECKS, and reported as runtime_s
-    res = verify._execute("stub.budget", lambda: ({}, {}, {"v": 0.5}, []), 5.0)
+    res = verify._execute("stub.budget", lambda res: res.at_most("v", 0.0, 1.0, 0.5), 5.0)
     assert res.status == "pass"
     assert res.tolerance == {"v": 0.5, "runtime_s": 5.0}
-    assert "runtime_s" not in verify._execute("stub.none", lambda: ({}, {}, {}, []),
-                                              None).tolerance
+    assert "runtime_s" not in res.measured and "runtime_s" not in res.expected
+    assert "runtime_s" not in verify._execute("stub.none", lambda res: None, None).tolerance
 
 
 def test_verify_only_filter():
@@ -413,7 +439,7 @@ def test_verify_only_filter():
 
 def test_verify_cli_writes_report(tmp_path, monkeypatch):
     monkeypatch.setattr(verify, "CHECKS",
-                        (("stub.ok", lambda: ({"x": 1}, {"x": 1}, {}, []), None),))
+                        (("stub.ok", lambda res: res.near("x", 1, 1, 0), None),))
     out = tmp_path / "report.json"
     code = labctl.run_verify(only="stub", out=str(out))
     assert code == 0

@@ -1,6 +1,7 @@
 """The benchmark's tracer binds switchlab functions and methods by name, and
-its verify checker lists the acceptance checks by name.  A rename inside
-switchlab would otherwise break only a traced benchmark run."""
+its verify checker lists the acceptance checks by name and reads their
+headline values by key.  A rename inside switchlab would otherwise break
+only a benchmark run."""
 
 import importlib
 import importlib.util
@@ -40,6 +41,13 @@ def test_traced_methods_exist(monkeypatch):
 def test_verify_check_names_match(monkeypatch):
     checks = _load("checks", monkeypatch)
     assert tuple(name for name, _, _ in verify.CHECKS) == checks.VERIFY_CHECKS
+
+
+def test_verify_checker_accepts_the_report(monkeypatch):
+    # the checker reads the headline values from the measured dicts by key
+    checks = _load("checks", monkeypatch)
+    report = [r.to_report_dict() for r in verify.run_checks()]
+    assert checks.check_verify(report, 0) == ([], 0)
 
 
 def test_verify_binds_the_walk_itself():
