@@ -29,20 +29,21 @@ w=+1 branch value) is a lower envelope of lines over the nodes right of z
 and g_minus over those left of it.  Per branch one tree stores all these
 envelopes as root paths: one NumPy pass over the crossings of consecutive
 lines builds it, with a walk up the tree only where a line leaves the
-envelope, and binary lifting, its table as deep as the tree is high,
-searches it.  g_plus is nondecreasing in x and g_minus nonincreasing, so
-h = g_plus - g_minus is monotone and piecewise linear; the outer infimum
-is its root, found exactly by Newton steps on the active line pair inside
-a bisection bracket (each end keeps its pair's line of h, so a step
-computes only its candidate's).  One routine does this for the grid nodes
-of fugal_apply and for operator_witness, which takes a batch of biases: the
-policy asks once per sign-tree level (every bias of a level queries the
-same u_{k-1}), the closed-form check once per floor.  The active line at
-the root is the argmin node.  Because the objective is monotone per cell,
-no search between nodes can beat that node; a three-point parabola through
-it and its neighbours still sharpens the minimizer, as the node alone is
-only O(grid step) accurate, too coarse for the switch-round tolerances the
-policy has to meet.
+envelope (none for u_1's concurrent lines).  A query lifts over segments,
+runs of lines each the parent of the next (not at all on a chain), and
+makes one searchsorted.  g_plus is nondecreasing in x and g_minus
+nonincreasing, so h = g_plus - g_minus is monotone and piecewise linear;
+the outer infimum is its root, found exactly by Newton steps on the active
+line pair inside a bisection bracket (each end keeps its pair's line of h,
+so a step computes only its candidate's).  One routine does this for the
+grid nodes of fugal_apply and for operator_witness, which takes a batch of
+biases: the policy asks once per sign-tree level (every bias of a level
+queries the same u_{k-1}), the closed-form check once per floor.  The
+active line at the root is the argmin node.  Because the objective is
+monotone per cell, no search between nodes can beat that node; a
+three-point parabola through it and its neighbours still sharpens the
+minimizer, as the node alone is only O(grid step) accurate, too coarse for
+the switch-round tolerances the policy has to meet.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,7 +90,8 @@ class GridFunction:
         return make_grid(self.resolution)
 
     def interp(self, z: float) -> float:
-        return float(np.interp(z, self.grid, self.values))
+        """The value at z; ``ValueError`` where z is NaN or |z| > 1."""
+        return float(np.interp(_on_domain(z, "interp"), self.grid, self.values))
 
 
 def grid_of(fn, resolution: int) -> GridFunction:
@@ -245,13 +248,24 @@ def u4_exact() -> tuple[float, float]:
 # the operator on grids
 # ----------------------------------------------------------------------
 
-def _hull_tree(c: np.ndarray, s: np.ndarray, order: np.ndarray
-               ) -> tuple[np.ndarray, list[np.ndarray]]:
+class _HullTree(NamedTuple):
+    """A :func:`_hull_tree`, by position q in the order the lines are added."""
+    order: np.ndarray    # the line at each position
+    pos: np.ndarray      # the position of each line of order
+    b: np.ndarray        # the crossing with the parent (-inf at a root)
+    parent: np.ndarray   # the parent's position (its own at a root)
+    seg: np.ndarray      # the segment, numbered in order
+    head_b: np.ndarray   # by segment: the head's breakpoint
+    entry: np.ndarray    # by segment: the head's parent position
+    up: list             # by segment: the 2^l-th next segment down the root path
+    key: np.ndarray      # seg + i b: ascending as NumPy orders complex
+
+
+def _hull_tree(c: np.ndarray, s: np.ndarray, order: np.ndarray) -> _HullTree:
     """Lower envelopes of the lines c_j - t s_j, added in the index array
     ``order`` (s rising along it), as one tree: the envelope of the lines
-    added up to j is the root path from j, where line j wins for t above
-    b[j], its crossing with parent[j] (b = -inf at a root).  Returns b and
-    the 2^l-th ancestors for l = 0, 1, ... until every node's is a root.
+    added up to position q is the root path from q, where line order[q]
+    wins for t above b[q], its crossing with its parent.
 
     One NumPy pass takes each line's crossing with the line added just
     before it; where that lies above the earlier line's own breakpoint, the
@@ -259,14 +273,21 @@ def _hull_tree(c: np.ndarray, s: np.ndarray, order: np.ndarray
     envelope (a pop), and the new line walks up its root path (the stack of
     a sequential hull sweep) to its parent, as does the line after each one
     that popped.  Both make the sweep's divisions on the same operands, so b
-    is the sweep's to the bit."""
-    cs, ss = c[order], s[order]   # by position in order from here on
-    bq = np.full(order.size, -math.inf)
-    bq[1:] = np.diff(cs) / np.diff(ss)
-    pq = np.arange(-1, order.size - 1).clip(0)
-    pops = (np.flatnonzero(~(bq[1:] > bq[:-1])) + 1).tolist()
-    if pops:
-        cl, sl, bl, pl = cs.tolist(), ss.tolist(), bq.tolist(), pq.tolist()
+    is the sweep's to the bit.  Concurrent lines (u_1's), each crossing the
+    line before it and the first line at b[1] by the walk's divisions, make
+    a star without a walk.  A segment is a maximal run of positions each the
+    parent of the next; a chain or a star needs no lifting level."""
+    n = order.size
+    cs, ss = c[order], s[order]
+    b = np.full(n, -math.inf)
+    b[1:] = np.diff(cs) / np.diff(ss)
+    parent = np.arange(-1, n - 1).clip(0)
+    pops = (np.flatnonzero(~(b[1:] > b[:-1])) + 1).tolist()
+    if pops[:1] == [2] and (b[2:] == b[1]).all() \
+            and ((cs[2:] - cs[0]) / (ss[2:] - ss[0]) == b[1]).all():
+        parent[2:] = 0
+    elif pops:
+        cl, sl, bl, pl = cs.tolist(), ss.tolist(), b.tolist(), parent.tolist()
         done = 0
         for q in pops:
             while q > done:   # walk q, then the line after q while the walk pops
@@ -275,31 +296,41 @@ def _hull_tree(c: np.ndarray, s: np.ndarray, order: np.ndarray
                         and pl[top] != top:
                     top = pl[top]
                 pl[q], bl[q] = (top, t) if t > bl[top] else (q, -math.inf)
-                if pl[q] != q - 1 and q + 1 < order.size:
+                if pl[q] != q - 1 and q + 1 < n:
                     q += 1
-        bq, pq = np.array(bl), np.array(pl)
-    b, parent = np.full(c.size, -math.inf), np.arange(c.size)
-    b[order], parent[order] = bq, order[pq]
-    up = [parent]
-    while not np.array_equal(nxt := up[-1][up[-1]], up[-1]):
-        up.append(nxt)
-    return b, up
+        b, parent = np.array(bl), np.array(pl)
+    is_head = parent != np.arange(-1, n - 1)
+    seg, head = np.cumsum(is_head) - 1, np.flatnonzero(is_head)
+    nxt = seg[parent[head]]   # a root segment is its own next
+    up, jump = [], nxt
+    while not np.array_equal(nxt[jump], jump):
+        up.append(jump)
+        jump = jump[jump]
+    pos = np.empty(c.size, dtype=int)
+    pos[order] = np.arange(n)
+    key = np.column_stack((seg, b)).view(complex).ravel()
+    return _HullTree(order, pos, b, parent, seg, b[head], parent[head], up, key)
 
 
-def _active_line(b, up, nodes, t) -> np.ndarray:
-    """The line active at t[r] on the envelope (root path) of nodes[r]."""
-    cur = nodes
-    for jump in reversed(up):   # climb to the last node with breakpoint >= t
-        nxt = jump[cur]
-        cur = np.where(b[nxt] >= t, nxt, cur)
-    return np.where(b[nodes] < t, nodes, up[0][cur])
+def _active_line(tree: _HullTree, nodes, t) -> np.ndarray:
+    """The line active at t[r] on the envelope (root path) of nodes[r], a
+    line of the tree's order: climb the segments whose head has b >= t, to
+    the last one's head's parent q, then search (seg[q], t) in the key for
+    the last position of that segment with b < t, capped at q."""
+    q = tree.pos[nodes]
+    s = tree.seg[q]
+    for jump in reversed(tree.up):
+        nxt = jump[s]
+        s = np.where(tree.head_b[nxt] >= t, nxt, s)
+    q = np.where(tree.head_b[s] >= t, tree.entry[s], q)
+    return tree.order[np.minimum(np.searchsorted(tree.key, tree.seg[q] + 1j * t) - 1, q)]
 
 
 def _envelopes(f: GridFunction):
     """The branch lines of f and their hull trees: w = +1 takes the lines
     fp_j - x inv_p_j over j >= i, w = -1 takes fm_j - y inv_m_j over j <= i
     in y = -x, both added in slope order.  Returns
-    (fp, fm, inv_p, inv_m, (b_p, up_p), (b_m, up_m))."""
+    (fp, fm, inv_p, inv_m, tree_p, tree_m), each tree a :class:`_HullTree`."""
     z, v, N = f.grid, f.values, f.resolution
     inv_p = 1.0 / np.maximum(1.0 + z, DENOM_CLAMP)   # w = +1 denominators
     inv_m = 1.0 / np.maximum(1.0 - z, DENOM_CLAMP)   # w = -1 denominators
@@ -319,7 +350,7 @@ def _crossing_root(env, z: np.ndarray, j0: np.ndarray, j1: np.ndarray, fz=None):
     :class:`NumericStructureError` where the signs of h at x = -1 and 1
     contradict its monotonicity (grid too coarse for the method).
     """
-    fp, fm, inv_p, inv_m, (b_p, up_p), (b_m, up_m) = env
+    fp, fm, inv_p, inv_m, tree_p, tree_m = env
     one_plus, one_minus = 1.0 + z, 1.0 - z
 
     def g(r, x, jp, jm):   # the branch values at x on the node lines jp, jm
@@ -327,8 +358,8 @@ def _crossing_root(env, z: np.ndarray, j0: np.ndarray, j1: np.ndarray, fz=None):
                 -x + one_minus[r] * (fm[jm] + x * inv_m[jm]))
 
     def pair(r, x):
-        jp = _active_line(b_p, up_p, j0[r], x)
-        jm = _active_line(b_m, up_m, j1[r], -x)
+        jp = _active_line(tree_p, j0[r], x)
+        jm = _active_line(tree_m, j1[r], -x)
         if fz is None:
             return jp, jm
         gp, gm = g(r, x, jp, jm)

@@ -375,27 +375,112 @@ def _hull_inputs():
     yield 3.0 + 2.0 * s, s, np.arange(64)
 
 
+def _reference_active_line(b, up, nodes, t):
+    """The line active at t[r] on the root path of nodes[r], by binary
+    lifting over the sweep's nodes: climb to the last node with breakpoint
+    >= t; its parent is active, or nodes[r] itself where b < t there."""
+    cur = nodes
+    for jump in reversed(up):
+        nxt = jump[cur]
+        cur = np.where(b[nxt] >= t, nxt, cur)
+    return np.where(b[nodes] < t, nodes, up[0][cur])
+
+
+def _by_line(tree, size):
+    """The tree's breakpoints and parents indexed by line, as the sweep
+    returns them (a line off the order is a root)."""
+    b, parent = np.full(size, -math.inf), np.arange(size)
+    b[tree.order], parent[tree.order] = tree.b, tree.order[tree.parent]
+    return b, parent
+
+
 def test_hull_tree_matches_the_sequential_sweep_bit_for_bit():
     rng = np.random.default_rng(0)
     popped = []
     for c, s, order in _hull_inputs():
-        b, up = fe._hull_tree(c, s, order)
+        tree = fe._hull_tree(c, s, order)
+        b, parent = _by_line(tree, c.size)
         b_ref, up_ref = _reference_hull_tree(c, s, order)
-        assert np.array_equal(b, b_ref) and np.array_equal(up[0], up_ref[0])
-        # the table stops at the first level whose ancestors are all roots
-        roots = up[0][up[-1]] == up[-1]
-        assert roots.all() and (len(up) == 1 or not (up[0][up[-2]] == up[-2]).all())
+        assert np.array_equal(b, b_ref) and np.array_equal(parent, up_ref[0])
         finite = b[np.isfinite(b)]
-        nodes = rng.choice(order, 400)
+        nodes = rng.choice(order, 600)
         t = np.concatenate((rng.uniform(finite.min() - 1.0, finite.max() + 1.0, 200),
-                            rng.choice(finite, 200)))   # half of them exact breakpoints
-        assert np.array_equal(fe._active_line(b, up, nodes, t),
-                              fe._active_line(b_ref, up_ref, nodes, t))
+                            rng.choice(finite, 200),            # exact breakpoints
+                            np.repeat([-1.0, 1.0], 100)))       # the bracket's ends
+        assert np.array_equal(fe._active_line(tree, nodes, t),
+                              _reference_active_line(b_ref, up_ref, nodes, t))
         # lines whose predecessor in order left the envelope for them
-        popped.append(int(np.sum(up[0][order[1:]] != order[:-1])))
+        popped.append(int(np.sum(tree.parent[1:] != np.arange(order.size - 1))))
     assert popped[0] == 498 and popped[-1] == 62   # u_1 and the collinear star: all
     assert popped[2 * 10] == 0                       # u_11 at N = 500: a chain
     assert 0 < popped[2 * 11] < 20                   # u_12 at N = 500: a few
+
+
+def _u1_branches(N):
+    """(c, s, order) of both branch trees of u_1, whose lines all meet at t = 1."""
+    fp, fm, inv_p, inv_m = fe._envelopes(fe.GridFunction(N, np.ones(N + 1)))[:4]
+    return (fp, inv_p, np.arange(N, 0, -1)), (fm, inv_m, np.arange(N))
+
+
+@pytest.mark.parametrize("N", [100, 500, 2000])
+@pytest.mark.parametrize("toward", [None, math.inf, -math.inf])
+def test_concurrent_lines_make_the_sweeps_tree(N, toward):
+    # u_1's lines all meet at t = 1: the check sets their star without a
+    # walk.  With one intercept one ulp off the check fails and the walk runs.
+    for c, s, order in _u1_branches(N):
+        if toward is not None:
+            j = order[order.size // 2]
+            c = c.copy()
+            c[j] = np.nextafter(c[j], toward)
+        tree = fe._hull_tree(c, s, order)
+        b_ref, up_ref = _reference_hull_tree(c, s, order)
+        b, parent = _by_line(tree, c.size)
+        assert np.array_equal(b, b_ref) and np.array_equal(parent, up_ref[0])
+        assert (tree.parent == 0).all() == (toward is None)
+        assert tree.up == [] or toward is not None   # a star needs no lifting level
+
+
+@pytest.mark.parametrize("s", [[2.0, 17.0, 29.0], [2.0, 16.0, 20.0]])
+def test_lines_through_a_point_off_by_rounding_take_the_walk(s):
+    # the lines 1 + 0.1 s meet at t = 0.1, but their crossings round apart:
+    # at s = 2, 17, 29 both consecutive ones to 0.1 + 1 ulp and the last
+    # line's with the first to 0.1; at s = 2, 16, 20 the consecutive ones to
+    # 0.1 and 0.1 - 2 ulp and that with the first to 0.1.  The check fails
+    # either way, and the walk parents the last line to the first.
+    s = np.array(s)
+    c, order = 1.0 + 0.1 * s, np.arange(3)
+    tree = fe._hull_tree(c, s, order)
+    b_ref, up_ref = _reference_hull_tree(c, s, order)
+    b, parent = _by_line(tree, c.size)
+    assert np.array_equal(b, b_ref) and np.array_equal(parent, up_ref[0])
+    assert tree.b[2] == 0.1 and list(tree.parent) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_apply_and_witness_on_the_smallest_grids(N):
+    # branch trees of 1 to 4 lines, each a chain or a star
+    grid = fe.make_grid(N)
+    zs = np.linspace(-0.95, 0.95, 21)
+    for v in (np.ones(N + 1), np.abs(grid) + 0.5 * (1.0 - grid * grid),
+              fe.quadratic_floor(2, grid)):
+        f = fe.GridFunction(N, v)
+        new, ref = fe.fugal_apply(f), _reference_apply(f)
+        assert float(np.max(np.abs(new.values - ref.values))) <= 1e-9
+        xs, values, z_plus, z_minus = fe.operator_witness(f, zs)
+        for r, z in enumerate(zs):
+            # at N = 2 the two root finders can part by an ulp in x, and at
+            # z = 0 the inner objective ties between nodes
+            x, value, z_next = _reference_witness(f, float(z))
+            assert xs[r] == pytest.approx(x, abs=1e-15)
+            assert values[r] == pytest.approx(value, abs=1e-12)
+            for w, mine in ((1, z_plus[r]), (-1, z_minus[r])):
+                assert _objective(f, z, w, mine, x) == pytest.approx(
+                    _objective(f, z, w, z_next[w], x), abs=1e-12)
+
+
+def _objective(f, z, w, z_next, x):
+    """The inner objective of the operator's branch w at bias z."""
+    return ((1.0 + w * z) * f.interp(z_next) + x * (z_next - z)) / (1.0 + w * z_next)
 
 
 def test_tables_to_k32_keep_floor_cap_order_and_symmetry():
@@ -483,6 +568,18 @@ def test_gridfunction_validation():
         fe.GridFunction(10, np.ones(5))
     with pytest.raises(ValueError):
         fe.GridFunction(10, np.full(11, np.nan))
+
+
+@pytest.mark.parametrize("z", [1.5, -2.0, math.nan])
+def test_interp_rejects_biases_off_the_domain(z):
+    # u_k(z) = |z| for |z| >= 1, not the endpoint value np.interp would hold
+    with pytest.raises(ValueError, match="interp domain"):
+        fe.solve_tables(3, 200)[2].interp(z)
+
+
+def test_interp_returns_the_endpoint_values_at_plus_minus_one():
+    f = fe.GridFunction(4, np.array([1.0, 0.7, 0.5, 0.8, 0.9]))
+    assert (f.interp(-1.0), f.interp(1.0), f.interp(0.25)) == (1.0, 0.9, 0.65)
 
 
 # ------------------------------------------------------------- policy
@@ -744,12 +841,9 @@ def test_tied_inner_minimizers_have_the_reference_value():
     z = 0.333
     xs, _, z_plus, z_minus = fe.operator_witness(f, np.array([z]))
     ref_x, _, ref_z_next = _reference_witness(f, z)
-
-    def objective(w, z_next, x):
-        return ((1.0 + w * z) * f.interp(z_next) + x * (z_next - z)) / (1.0 + w * z_next)
-
     for w, mine in ((1, z_plus[0]), (-1, z_minus[0])):
-        assert abs(objective(w, mine, xs[0]) - objective(w, ref_z_next[w], ref_x)) <= 1e-12
+        assert abs(_objective(f, z, w, mine, xs[0])
+                   - _objective(f, z, w, ref_z_next[w], ref_x)) <= 1e-12
 
 
 def test_policy_k10_sums_to_one_and_is_mirror_symmetric():
