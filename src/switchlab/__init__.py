@@ -8,7 +8,7 @@ minimax oracles at desk scale.
 """
 
 from .errors import (BudgetViolationError, CapacityError, NumericStructureError,
-                     PolicyMissingError, SwitchLabError, UnsupportedConfigError)
+                     SwitchLabError, UnsupportedConfigError)
 from .game_core import GameConfig, Trajectory, dual_norm, play_game
 from .players import (ConstantPlayer, FugalPlayer, MinibatchPlayer, RandomSwitchPlayer,
                       make_player)

@@ -214,7 +214,6 @@ def zero(config: GameConfig) -> ConstantAdversary:
 #: each adversary id's constructor; its keyword arguments are the id's params
 ADVERSARIES = {"orthogonal": OrthogonalAdversary, "stopping": stopping, "sign": SignAdversary,
                "product": ProductAdversary, "constant": ConstantAdversary, "zero": zero}
-ADVERSARY_IDS = tuple(ADVERSARIES)
 
 
 def make_adversary(adversary_id: str, config: GameConfig, params: dict | None = None) -> Adversary:

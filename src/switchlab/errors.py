@@ -22,10 +22,6 @@ class UnsupportedConfigError(SwitchLabError):
     """A strategy was instantiated for a game shape it does not support."""
 
 
-class PolicyMissingError(SwitchLabError):
-    """The fugal player needs a solved policy for its switch budget."""
-
-
 class NumericStructureError(SwitchLabError):
     """A numeric routine detected structure its method relies on is absent
     (e.g. a non-monotone crossing function), usually meaning the grid is

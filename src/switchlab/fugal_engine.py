@@ -306,17 +306,18 @@ def _hull_tree(c: np.ndarray, s: np.ndarray, order: np.ndarray) -> _HullTree:
     while not np.array_equal(nxt[jump], jump):
         up.append(jump)
         jump = jump[jump]
-    pos = np.empty(c.size, dtype=int)
+    pos = np.full(c.size, n)   # a line outside order has no position: querying it raises
     pos[order] = np.arange(n)
     key = np.column_stack((seg, b)).view(complex).ravel()
     return _HullTree(order, pos, b, parent, seg, b[head], parent[head], up, key)
 
 
 def _active_line(tree: _HullTree, nodes, t) -> np.ndarray:
-    """The line active at t[r] on the envelope (root path) of nodes[r], a
-    line of the tree's order: climb the segments whose head has b >= t, to
-    the last one's head's parent q, then search (seg[q], t) in the key for
-    the last position of that segment with b < t, capped at q."""
+    """The line active at t[r] on the envelope (root path) of nodes[r],
+    which must be a line of the tree's order (any other raises IndexError):
+    climb the segments whose head has b >= t, to the last one's head's
+    parent q, then search (seg[q], t) in the key for the last position of
+    that segment with b < t, capped at q."""
     q = tree.pos[nodes]
     s = tree.seg[q]
     for jump in reversed(tree.up):

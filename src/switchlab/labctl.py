@@ -20,21 +20,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, field, fields
 
 from . import fugal_engine as fe
 from . import minimax_oracle as mo
-from .adversaries import ADVERSARY_IDS, make_adversary
+from .adversaries import ADVERSARIES, make_adversary
 from .errors import BudgetViolationError
 from .game_core import GameConfig, as_integer, play_game, worst_case_sign_regret
-from .players import PLAYER_IDS, make_player
+from .players import PLAYERS, make_player
 from .verify import run_checks
-
-RESULT_COLUMNS = ("T", "K", "n", "player_id", "adversary_id", "seed", "regret",
-                  "switch_count", "normalized", "bound_lower", "bound_upper",
-                  "within_bounds")
 
 _PSEUDO_ADVERSARIES = ("exhaustive_sign",)
 
@@ -118,10 +112,9 @@ class ExperimentSpec:
                 for K in self.sweep_K:
                     if K > T:
                         raise ValueError(f"sweep pair K={K} > T={T}")
-            if self.player_id not in PLAYER_IDS:
+            if self.player_id not in PLAYERS:
                 raise ValueError(f"unknown player id {self.player_id!r}")
-            known = ADVERSARY_IDS + _PSEUDO_ADVERSARIES
-            if self.adversary_id not in known:
+            if self.adversary_id not in (*ADVERSARIES, *_PSEUDO_ADVERSARIES):
                 raise ValueError(f"unknown adversary id {self.adversary_id!r}")
             if self.adversary_id in _PSEUDO_ADVERSARIES and self.adversary_params:
                 raise ValueError(f"{self.adversary_id} takes no adversary_params")
@@ -149,6 +142,9 @@ class ResultRow:
     bound_lower: float
     bound_upper: float
     within_bounds: bool
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _simulate_cell(spec: ExperimentSpec, T: int, K: int, n: int, rep: int) -> ResultRow:
@@ -245,18 +241,10 @@ def run_verify(only: str | None = None, out: str | None = None) -> int:
     report = [r.to_report_dict() for r in results]
     out = out or "verify_report.json"
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, default=_json_default)
+        json.dump(report, fh, indent=2)
         fh.write("\n")
     print(f"wrote {out}")
     return 0 if all(r.status == "pass" for r in results) else 1
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return str(obj)
 
 
 def _load_spec(path: str) -> ExperimentSpec:

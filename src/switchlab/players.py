@@ -18,7 +18,7 @@ import random
 
 import numpy as np
 
-from .errors import PolicyMissingError, UnsupportedConfigError
+from .errors import UnsupportedConfigError
 from .fugal_engine import DEFAULT_RESOLUTION, u_k_solve
 from .game_core import INF, GameConfig, add_repeated, as_integer, outside_ball
 
@@ -132,7 +132,10 @@ class MinibatchPlayer(Player):
 
 
 class FugalPlayer(Player):
-    """1-d player driven by a solved fugal policy (switch budget K).
+    """1-d player driven by the fugal policy for its switch budget K.  The
+    constructor refuses n != 1 before it solves anything, then takes the
+    policy solved at ``resolution`` (an integer or an integral float) from
+    ``u_k_solve``'s cache, so players of one (K, resolution) share it.
 
     Round one plays the policy's root action.  Afterwards the player keeps
     W_t, the loss sum since its last move (move round included), and the
@@ -149,19 +152,16 @@ class FugalPlayer(Player):
     regardless.
     """
 
-    def __init__(self, config: GameConfig, policy):
+    def __init__(self, config: GameConfig, resolution: int = DEFAULT_RESOLUTION):
         if config.dimension_n != 1:
             raise UnsupportedConfigError("fugal player is one-dimensional")
-        if policy is None or getattr(policy, "budget_K", None) != config.budget_K:
-            raise PolicyMissingError(
-                f"need a solved fugal policy for K={config.budget_K}")
+        self.policy = u_k_solve(config.budget_K, as_integer("resolution", resolution))[1]
         self._T = config.horizon_T
         self._K = config.budget_K
-        self.policy = policy
         self.recorded_signs: tuple[int, ...] = ()
         self.block_start_W = 0.0
         self._rounds_seen = 0
-        self._x = (policy.x_star(()),)
+        self._x = (self.policy.x_star(()),)
 
     def _thresholds(self) -> tuple[float, float]:
         """(U, L) of the current block."""
@@ -238,16 +238,9 @@ class RandomSwitchPlayer(Player):
         self._rounds_seen += count
 
 
-def fugal(config: GameConfig, resolution: int = DEFAULT_RESOLUTION) -> FugalPlayer:
-    """Fugal player on the K-switch policy solved at ``resolution``, an
-    integer or an integral float."""
-    return FugalPlayer(config, u_k_solve(config.budget_K, as_integer("resolution", resolution))[1])
-
-
 #: each player id's constructor; its keyword arguments are the id's params
-PLAYERS = {"constant": ConstantPlayer, "minibatch": MinibatchPlayer, "fugal": fugal,
+PLAYERS = {"constant": ConstantPlayer, "minibatch": MinibatchPlayer, "fugal": FugalPlayer,
            "random_switch": RandomSwitchPlayer}
-PLAYER_IDS = tuple(PLAYERS)
 
 
 def make_player(player_id: str, config: GameConfig, params: dict | None = None) -> Player:

@@ -24,10 +24,10 @@ import numpy as np
 
 from . import fugal_engine as fe
 from . import minimax_oracle as mo
-from .adversaries import ConstantAdversary, make_adversary
+from .adversaries import make_adversary
 from .game_core import (INF, GameConfig, Trajectory, dual_norm, play_game,
                         worst_case_sign_regret)
-from .players import FugalPlayer, MinibatchPlayer, make_player
+from .players import make_player
 
 SQRT2 = math.sqrt(2.0)
 
@@ -235,7 +235,8 @@ def check_upper_bounds(res: CheckResult) -> None:
     # the ball since |W| <= ceil(T/2)
     for T in range(2, 17):
         cfg = GameConfig(horizon_T=T, budget_K=2, dimension_n=1)
-        worst, _ = worst_case_sign_regret(lambda: MinibatchPlayer(cfg, step_size=1.0), cfg)
+        worst, _ = worst_case_sign_regret(
+            lambda: make_player("minibatch", cfg, {"step_size": 1.0}), cfg)
         res.at_most("halfsplit_worst_excess_over_cap", worst - math.ceil(T / 2), 0.0, 1e-10,
                     where=f"T={T}")
 
@@ -292,8 +293,7 @@ def check_unequal_blocks(res: CheckResult) -> None:
                  FIRST_BLOCK_K3, 1e-3)
     T = 10_000
     cfg = GameConfig(horizon_T=T, budget_K=3, dimension_n=1)
-    traj = play_game(FugalPlayer(cfg, policy),
-                     ConstantAdversary(cfg, w=1.0), cfg)
+    traj = _run("fugal", "constant", cfg, {"w": 1.0})   # plays the policy above, N = 2000
     moving_rounds = np.flatnonzero(traj.rounds["is_moving"]) + 1
     first_switch = int(moving_rounds[1]) if len(moving_rounds) > 1 else -1
     res.near("first_switch_round", first_switch, math.ceil(FIRST_BLOCK_K3 * T), 2)

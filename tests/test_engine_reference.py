@@ -12,7 +12,6 @@ import pytest
 
 from reference_engine import reference_play_game
 from switchlab.adversaries import ADVERSARIES, Adversary, ProductAdversary, make_adversary
-from switchlab import fugal_engine as fe
 from switchlab.errors import UnsupportedConfigError
 from switchlab.game_core import BALL_SLACK, GameConfig, play_game
 from switchlab.players import PLAYERS, FugalPlayer, Player, make_player
@@ -277,7 +276,8 @@ def test_fugal_holds_honestly_at_the_balls_edge(T, K):
     # the fugal hold bounds each loss by 1 + BALL_SLACK, the ball's edge: the
     # walks cross each threshold in a run the hold must cut, or creep up on
     # it, and random stretches of +-(1 + BALL_SLACK) end the holds anywhere
-    policy = fe.u_k_solve(K, 200)[1]
+    cfg = GameConfig(T, K, 1)
+    policy = FugalPlayer(cfg, resolution=200).policy
     edge = 1.0 + BALL_SLACK
     rng = np.random.default_rng(T + K)
     walks = [_walk_to_thresholds(policy, T, sign, step, creep)
@@ -285,11 +285,10 @@ def test_fugal_holds_honestly_at_the_balls_edge(T, K):
     signs = rng.choice((-edge, edge), T)
     lengths = rng.integers(1, max(2, T // K), T).tolist()
     walks.append([w for w, n in zip(signs.tolist(), lengths) for _ in range(n)][:T])
-    cfg = GameConfig(T, K, 1)
     for i, losses in enumerate(walks):
         stretches = [(w, len(list(run))) for w, run in groupby(losses)]
-        ref = reference_play_game(FugalPlayer(cfg, policy), _Stretches(stretches), cfg)
-        traj = play_game(FugalPlayer(cfg, policy), _Stretches(stretches), cfg)
+        ref = reference_play_game(FugalPlayer(cfg, resolution=200), _Stretches(stretches), cfg)
+        traj = play_game(FugalPlayer(cfg, resolution=200), _Stretches(stretches), cfg)
         assert traj.rounds.tobytes() == ref.rounds.tobytes(), (i, T, K)
         assert traj.regret.hex() == ref.regret.hex()
         if i < 4:   # the walks reach every threshold

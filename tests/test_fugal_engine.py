@@ -416,6 +416,17 @@ def test_hull_tree_matches_the_sequential_sweep_bit_for_bit():
     assert 0 < popped[2 * 11] < 20                   # u_12 at N = 500: a few
 
 
+def test_querying_a_line_outside_the_trees_order_raises():
+    # the plus tree takes lines N..1 and the minus tree 0..N-1; node 0 of
+    # the one and node N of the other have no position, and no active line
+    N = 200
+    tree_p, tree_m = fe._envelopes(fe.solve_tables(3, N)[1])[4:]
+    for tree, node in ((tree_p, 0), (tree_m, N)):
+        assert tree.pos[node] == N
+        with pytest.raises(IndexError):
+            fe._active_line(tree, np.array([node]), np.array([0.0]))
+
+
 def _u1_branches(N):
     """(c, s, order) of both branch trees of u_1, whose lines all meet at t = 1."""
     fp, fm, inv_p, inv_m = fe._envelopes(fe.GridFunction(N, np.ones(N + 1)))[:4]

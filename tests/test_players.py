@@ -8,10 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from switchlab import fugal_engine as fe
 from replay import ReplayAdversary, replayed_worst_sign_regret
+from switchlab import players
 from switchlab.adversaries import ConstantAdversary, SignAdversary, make_adversary
-from switchlab.errors import PolicyMissingError
+from switchlab.errors import UnsupportedConfigError
 from switchlab.game_core import INF, GameConfig, play_game, worst_case_sign_regret
 from switchlab.players import (PLAYERS, ConstantPlayer, FugalPlayer, MinibatchPlayer,
                                RandomSwitchPlayer, make_player)
@@ -121,68 +121,61 @@ def test_halfsplit_worst_sign_regret_is_the_cap_beyond_the_replay():
 
 # ----------------------------------------------------------------- fugal
 
-@pytest.fixture(scope="module")
-def policy_k2():
-    return fe.u_k_solve(2, 500)[1]
-
-
-@pytest.fixture(scope="module")
-def policy_k3():
-    return fe.u_k_solve(3, 1000)[1]
-
-
-def test_fugal_k2_matches_halfsplit_on_constant_signs(policy_k2):
+def test_fugal_k2_matches_halfsplit_on_constant_signs():
     for T in (8, 12):
         for sign in (1.0, -1.0):
             cfg = GameConfig(T, 2, 1)
-            f = play_game(FugalPlayer(cfg, policy_k2), ConstantAdversary(cfg, w=sign), cfg)
+            f = play_game(FugalPlayer(cfg, resolution=500), ConstantAdversary(cfg, w=sign), cfg)
             h = play_game(_half_split(cfg), ConstantAdversary(cfg, w=sign), cfg)
             assert _actions(f) == pytest.approx(_actions(h))
             assert f.regret == pytest.approx(h.regret)
 
 
-def test_fugal_zero_adversary_never_switches(policy_k3):
+def test_fugal_zero_adversary_never_switches():
     cfg = GameConfig(50, 3, 1)
-    traj = play_game(FugalPlayer(cfg, policy_k3), ConstantAdversary(cfg), cfg)
+    traj = play_game(FugalPlayer(cfg, resolution=1000), ConstantAdversary(cfg), cfg)
     assert traj.switch_count == 0
     assert traj.regret == pytest.approx(0.0)
 
 
-def test_fugal_k3_first_switch_fraction(policy_k3):
+def test_fugal_k3_first_switch_fraction():
     target = 1.0 - math.sqrt(2.0) / 2.0
     for T in (1000, 10_000):
         cfg = GameConfig(T, 3, 1)
-        traj = play_game(FugalPlayer(cfg, policy_k3), ConstantAdversary(cfg, w=1.0), cfg)
+        traj = play_game(FugalPlayer(cfg, resolution=1000), ConstantAdversary(cfg, w=1.0), cfg)
         moving = np.flatnonzero(traj.rounds["is_moving"]) + 1
         assert len(moving) >= 2
         assert abs(moving[1] / T - target) <= 2.0 / T
 
 
-def test_fugal_requires_matching_policy(policy_k2):
-    with pytest.raises(PolicyMissingError):
-        FugalPlayer(GameConfig(10, 3, 1), policy_k2)
-    with pytest.raises(PolicyMissingError):
-        FugalPlayer(GameConfig(10, 3, 1), None)
+def test_fugal_refuses_n_above_one_before_solving(monkeypatch):
+    def unsolvable(*args):
+        raise AssertionError("a table was solved")
+    monkeypatch.setattr(players, "u_k_solve", unsolvable)
+    with pytest.raises(UnsupportedConfigError):
+        FugalPlayer(GameConfig(10, 3, 2))
+    with pytest.raises(UnsupportedConfigError):
+        make_player("fugal", GameConfig(10, 3, 2), {"resolution": 300})
 
 
-def test_fugal_budget_respected_on_random_sequences(policy_k3):
+def test_fugal_budget_respected_on_random_sequences():
     rng = np.random.default_rng(2)
     cfg = GameConfig(40, 3, 1)
     for _ in range(200):
         seq = rng.choice([-1.0, 1.0], size=40)
-        traj = play_game(FugalPlayer(cfg, policy_k3), ReplayAdversary(seq), cfg)
+        traj = play_game(FugalPlayer(cfg, resolution=1000), ReplayAdversary(seq), cfg)
         assert traj.switch_count <= 2
 
 
-def test_fugal_thresholds_bracket_zero(policy_k3):
+def test_fugal_thresholds_bracket_zero():
     # U = T m_plus and L = -T m_minus of every block the player moved out of
     cfg = GameConfig(30, 3, 1)
-    player = FugalPlayer(cfg, policy_k3)
+    player = FugalPlayer(cfg, resolution=1000)
     play_game(player, SignAdversary(cfg), cfg)
     signs = player.recorded_signs
     assert len(signs) == 2
     for i in range(len(signs)):
-        node = policy_k3.nodes[signs[:i]]
+        node = player.policy.nodes[signs[:i]]
         assert -cfg.horizon_T * node.m_minus <= 0.0 <= cfg.horizon_T * node.m_plus
 
 
@@ -255,12 +248,11 @@ def test_switch_budget_invariant_randomized_adversaries():
     # every player stays inside the budget against 10^3 randomized adversaries
     rng = np.random.default_rng(0)
     T = 16
-    policy = fe.u_k_solve(2, 500)[1]
     cfg2 = GameConfig(T, 2, 1)
     builders = [
         lambda: MinibatchPlayer(cfg2),
         lambda: _half_split(cfg2),
-        lambda: FugalPlayer(cfg2, policy),
+        lambda: FugalPlayer(cfg2, resolution=500),
         lambda: RandomSwitchPlayer(GameConfig(T, 2, 1, seed=int(rng.integers(2 ** 31)))),
     ]
     for build in builders:
