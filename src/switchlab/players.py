@@ -19,7 +19,7 @@ import random
 import numpy as np
 
 from .errors import UnsupportedConfigError
-from .fugal_engine import DEFAULT_RESOLUTION, u_k_solve
+from .fugal_engine import DEFAULT_RESOLUTION, child_row, u_k_solve
 from .game_core import INF, GameConfig, add_repeated, as_integer, outside_ball
 
 #: ball diameter / gradient bound behind the default mini-batch step size
@@ -143,13 +143,14 @@ class FugalPlayer(Player):
 
         U = T * M_frac(prefix, +1),    L = -T * M_frac(prefix, -1),
 
-    where prefix is the tuple of recorded block signs.  When W_t >= U it
-    records +1, advances to the next policy action; when W_t <= L it
-    records -1 and advances.  Otherwise it repeats its action, and it holds
-    while no loss in the ball can bring W_t to a threshold.  Against
-    any |w|<=1 adversary the recorded block lengths exhaust the horizon
-    before more than K-1 advances can occur; a guard enforces the budget
-    regardless.
+    where prefix is the sequence of recorded block signs, kept as its row
+    in ``policy.nodes``.  When W_t >= U it records +1, advances to the next
+    policy action; when W_t <= L it records -1 and advances.  Otherwise it
+    repeats its action, and it holds while no loss in the ball can bring
+    W_t to a threshold.  Against any |w|<=1 adversary the recorded block
+    lengths exhaust the horizon before more than K-1 advances can occur; a
+    guard enforces the budget regardless.  ``CapacityError`` past
+    ``fugal_engine.MAX_POLICY_NODES``, from ``u_k_solve``.
     """
 
     def __init__(self, config: GameConfig, resolution: int = DEFAULT_RESOLUTION):
@@ -157,24 +158,24 @@ class FugalPlayer(Player):
             raise UnsupportedConfigError("fugal player is one-dimensional")
         self.policy = u_k_solve(config.budget_K, as_integer("resolution", resolution))[1]
         self._T = config.horizon_T
-        self._K = config.budget_K
-        self.recorded_signs: tuple[int, ...] = ()
+        self._last_level = (1 << (config.budget_K - 1)) - 1   # the row that opens the last block
+        self.row = 0   # the policy row of the recorded signs
         self.block_start_W = 0.0
         self._rounds_seen = 0
         self._x = (self.policy.x_star(()),)
 
     def _thresholds(self) -> tuple[float, float]:
         """(U, L) of the current block."""
-        node = self.policy.nodes[self.recorded_signs]   # its block fractions, as m_fraction reads them
-        return self._T * node.m_plus, -self._T * node.m_minus
+        nodes, row = self.policy.nodes, self.row
+        return self._T * nodes.item(row, 1), -self._T * nodes.item(row, 2)
 
     def decide(self):
-        if self._rounds_seen and len(self.recorded_signs) < self._K - 1:
+        if self._rounds_seen and self.row < self._last_level:
             U, L = self._thresholds()
             sign = +1 if self.block_start_W >= U else -1 if self.block_start_W <= L else 0
             if sign != 0:
-                self.recorded_signs += (sign,)
-                self._x = (self.policy.x_star(self.recorded_signs) + 0.0,)
+                self.row = child_row(self.row, sign)
+                self._x = (self.policy.nodes.item(self.row, 0) + 0.0,)
                 self.block_start_W = 0.0
         return self._x
 
@@ -184,7 +185,7 @@ class FugalPlayer(Player):
         # at most 1 + BALL_SLACK, and c = int(d) keeps the sum short of a
         # threshold d away.  One round less absorbs that slack and the
         # rounding of the sums while d < 1e11.
-        if len(self.recorded_signs) == self._K - 1:
+        if self.row >= self._last_level:
             return self._T
         U, L = self._thresholds()
         return max(1, int(min(U - self.block_start_W, self.block_start_W - L)) - 1)

@@ -369,7 +369,7 @@ def check_core_invariants(res: CheckResult) -> None:
     for path in ((1, 1, 1), (1, -1, 1), (-1, 1, -1), (-1, -1, -1)):
         res.at_most("max_path_fraction_sum_error", abs(policy.path_fraction_sum(path) - 1.0),
                     0.0, 1e-6, where=f"path {path}")
-    res.at_most("max_policy_action_abs", max(abs(node.x) for node in policy.nodes.values()),
+    res.at_most("max_policy_action_abs", float(np.max(np.abs(policy.nodes[:, 0]))),
                 1.0, 1e-12)
 
     # solved tables are even in z

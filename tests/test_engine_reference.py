@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from reference_engine import reference_play_game
+from switchlab import fugal_engine as fe
 from switchlab.adversaries import ADVERSARIES, Adversary, ProductAdversary, make_adversary
 from switchlab.errors import UnsupportedConfigError
 from switchlab.game_core import BALL_SLACK, GameConfig, play_game
@@ -249,10 +250,9 @@ def _walk_to_thresholds(policy, T, sign, step, creep):
     of its steps, which extend the last block's stretch; with ``creep`` the
     last unit goes in 1/16 steps instead.  The sum is added in round order,
     as the player adds it, so each block ends where the player moves."""
-    losses, prefix = [], ()
-    while len(losses) < T and len(prefix) < policy.budget_K - 1:
-        node = policy.nodes[prefix]
-        d = T * (node.m_plus if sign > 0 else node.m_minus)
+    losses, row = [], 0
+    while len(losses) < T and row < 2 ** (policy.budget_K - 1) - 1:
+        d = T * policy.nodes.item(row, 1 if sign > 0 else 2)
         whole = math.floor(d)
         sizes, b = [], 0.0
         for _ in range(whole // 4):
@@ -266,7 +266,7 @@ def _walk_to_thresholds(policy, T, sign, step, creep):
             sizes.append(1 / 16 if creep and d - b <= 1.0 else step)
             b += sizes[-1]
         losses += [sign * size for size in sizes]
-        prefix += (sign,)
+        row = fe.child_row(row, sign)
     return (losses + [sign * step] * T)[:T]
 
 

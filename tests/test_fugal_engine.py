@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from switchlab import fugal_engine as fe
+from switchlab.errors import CapacityError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -617,7 +619,16 @@ def test_policy_fractions_sum_to_one_and_actions_in_ball():
         for code in range(2 ** K):
             path = tuple(1 if (code >> i) & 1 else -1 for i in range(K))
             assert pol.path_fraction_sum(path) == pytest.approx(1.0, abs=1e-6)
-        assert all(abs(n.x) <= 1.0 + 1e-12 for n in pol.nodes.values())
+        assert np.all(np.abs(pol.nodes[:, 0]) <= 1.0 + 1e-12)
+
+
+def _prefixes(K):
+    """Every sign prefix shorter than K."""
+    return [p for length in range(K) for p in itertools.product((1, -1), repeat=length)]
+
+
+def _prefix_string(prefix) -> str:
+    return "".join("+" if s > 0 else "-" for s in prefix)
 
 
 def _policy_json_dict(policy) -> dict:
@@ -626,10 +637,45 @@ def _policy_json_dict(policy) -> dict:
     return {
         "budget_K": policy.budget_K,
         "resolution": policy.resolution,
-        "nodes": {"".join("+" if s > 0 else "-" for s in p):
-                  {"x": n.x, "m_plus": n.m_plus, "m_minus": n.m_minus}
-                  for p, n in policy.nodes.items()},
+        "nodes": {_prefix_string(p): dict(zip(("x", "m_plus", "m_minus"),
+                                             policy.nodes[fe.policy_row(p)].tolist()))
+                  for p in _prefixes(policy.budget_K)},
     }
+
+
+def test_policy_rows_are_level_order_and_children_follow_the_formula():
+    # the level-by-level walk lists a level's +1 children, then its -1
+    # children, each in the level's order
+    assert (fe.policy_row(()), fe.policy_row((1,)), fe.policy_row((-1,))) == (0, 1, 2)
+    assert [fe.policy_row(p) for p in ((1, 1), (-1, 1), (1, -1), (-1, -1))] == [3, 4, 5, 6]
+    for K in range(1, 5):
+        walk, level = [], [()]
+        for _ in range(K):
+            walk += level
+            level = [p + (s,) for s in (1, -1) for p in level]
+        assert [fe.policy_row(p) for p in walk] == list(range(2 ** K - 1))
+        for p in walk:
+            for s in (1, -1):
+                assert fe.child_row(fe.policy_row(p), s) == fe.policy_row(p + (s,))
+        _, pol = fe.u_k_solve(K, 300)
+        assert pol.nodes.shape == (2 ** K - 1, 3) and not pol.nodes.flags.writeable
+        for p in walk:
+            row = pol.nodes[fe.policy_row(p)].tolist()
+            assert [pol.x_star(p), pol.m_fraction(p, 1), pol.m_fraction(p, -1)] == row
+
+
+def test_policy_past_max_nodes_raises_before_any_table_is_solved(monkeypatch):
+    K = fe.MAX_POLICY_NODES.bit_length() + 1   # the first budget over the cap
+    assert 2 ** (K - 1) - 1 <= fe.MAX_POLICY_NODES < 2 ** K - 1
+
+    def unsolvable(*args):
+        raise AssertionError("a table was solved")
+    monkeypatch.setattr(fe, "solve_tables", unsolvable)
+    monkeypatch.setattr(fe, "fugal_apply", unsolvable)
+    with pytest.raises(CapacityError, match="MAX_POLICY_NODES"):
+        fe.u_k_solve(K, 500)
+    with pytest.raises(CapacityError, match="MAX_POLICY_NODES"):
+        fe.extract_policy([], K)
 
 
 def test_policy_json_roundtrip(tmp_path):
@@ -674,20 +720,20 @@ def test_writers_match_json_dump_and_the_per_cell_csv(tmp_path, K):
 
 
 def test_policy_json_spells_non_finite_and_signed_zero_as_json_does(tmp_path):
+    # 0.0 and -0.0 share the x and m_plus columns: a writer that spelled
+    # each distinct value, not each distinct bit pattern, once would merge them
     nan, inf = float("nan"), float("inf")
-    pol = fe.FugalPolicy(budget_K=2, resolution=100, nodes={
-        (): fe.PolicyNode(x=-0.0, m_plus=nan, m_minus=inf),
-        (1,): fe.PolicyNode(x=-inf, m_plus=0.1, m_minus=1e-300),
-        (-1,): fe.PolicyNode(x=1.0, m_plus=-0.0, m_minus=2.5e16)})
+    pol = fe.FugalPolicy(budget_K=2, resolution=100, nodes=np.array([
+        [-0.0, nan, inf],            # ()
+        [-inf, 0.0, 1e-300],         # (+1,)
+        [0.0, -0.0, 2.5e16]]))       # (-1,)
     path = tmp_path / "policy.json"
     fe.write_policy_json(pol, str(path))
     text = path.read_text()
     assert path.read_bytes() == _reference_policy_json(pol)
     assert '"m_minus": Infinity' in text and '"m_plus": NaN' in text
-    assert '"x": -Infinity' in text and '"x": -0.0' in text
-    empty = fe.FugalPolicy(budget_K=1, resolution=100, nodes={})
-    fe.write_policy_json(empty, str(path))
-    assert path.read_bytes() == _reference_policy_json(empty)
+    assert '"x": -Infinity' in text and '"x": -0.0' in text and '"x": 0.0' in text
+    assert '"m_plus": 0.0' in text and '"m_plus": -0.0' in text and '"m_minus": 1e-300' in text
 
 
 def test_operator_witness_on_constant_one():
@@ -784,39 +830,44 @@ def _reference_witness(f, z):
 
 
 def _reference_policy(tables, budget_K):
-    """The sign tree walked depth first, one reference witness per node."""
+    """The sign tree walked depth first, one reference witness per node:
+    each prefix string mapped to its node's ``x``, ``m_plus`` and ``m_minus``."""
     nodes = {}
+
+    def record(prefix, x, m_plus, m_minus):
+        nodes[_prefix_string(prefix)] = {"x": x, "m_plus": m_plus, "m_minus": m_minus}
 
     def visit(prefix, z, tau):
         blocks_left = budget_K - len(prefix)
         if abs(z) >= 1.0 - 1e-12:
-            nodes[prefix] = fe.PolicyNode(x=-math.copysign(1.0, z), m_plus=tau, m_minus=tau)
+            record(prefix, -math.copysign(1.0, z), tau, tau)
             if blocks_left > 1:
                 visit(prefix + (1,), z, 0.0)
                 visit(prefix + (-1,), z, 0.0)
             return
         if blocks_left == 1:
-            nodes[prefix] = fe.PolicyNode(x=-z + 0.0, m_plus=tau, m_minus=tau)
+            record(prefix, -z + 0.0, tau, tau)
             return
         x, _, z_next = _reference_witness(tables[blocks_left - 2], z)
         frac = {s: float(tau * min(max((z_next[s] - z) / (s + z_next[s]), 0.0), 1.0))
                 for s in (1, -1)}
-        nodes[prefix] = fe.PolicyNode(x=float(x), m_plus=frac[1], m_minus=frac[-1])
+        record(prefix, float(x), frac[1], frac[-1])
         for s in (1, -1):
             visit(prefix + (s,), z_next[s], tau - frac[s])
 
     visit((), 0.0, 1.0)
-    return fe.FugalPolicy(budget_K=budget_K, resolution=tables[0].resolution, nodes=nodes)
+    return nodes
 
 
 @pytest.mark.parametrize("K,N", [(2, 500), (3, 500), (4, 500), (3, 2000), (8, 500)])
 def test_extract_policy_matches_reference_bit_for_bit(K, N):
     tables = fe.solve_tables(K, N)
     new = _policy_json_dict(fe.extract_policy(tables, K))
-    ref = _policy_json_dict(_reference_policy(tables, K))
-    assert new["resolution"] == N
-    # compared as JSON text, so that even the sign of a zero fraction counts
-    assert json.dumps(new, sort_keys=True) == json.dumps(ref, sort_keys=True)
+    ref = _reference_policy(tables, K)
+    assert new["resolution"] == N and len(new["nodes"]) == len(ref) == 2 ** K - 1
+    # every prefix, compared as JSON text, so that even the sign of a zero
+    # fraction counts
+    assert json.dumps(new["nodes"], sort_keys=True) == json.dumps(ref, sort_keys=True)
 
 
 def test_witness_values_match_operator_at_nodes():
@@ -864,17 +915,18 @@ def test_policy_k10_sums_to_one_and_is_mirror_symmetric():
     for code in range(2 ** K):
         path = tuple(1 if (code >> i) & 1 else -1 for i in range(K))
         assert pol.path_fraction_sum(path) == pytest.approx(1.0, abs=1e-6)
-    for prefix, node in pol.nodes.items():
-        mirror = pol.nodes[tuple(-s for s in prefix)]
-        assert node.x == pytest.approx(-mirror.x, abs=1e-6)
-        assert node.m_plus == pytest.approx(mirror.m_minus, abs=1e-6)
-        assert abs(node.x) <= 1.0 + 1e-12
+    for prefix in _prefixes(K):
+        x, m_plus, _ = pol.nodes[fe.policy_row(prefix)]
+        mirror_x, _, mirror_m_minus = pol.nodes[fe.policy_row(tuple(-s for s in prefix))]
+        assert x == pytest.approx(-mirror_x, abs=1e-6)
+        assert m_plus == pytest.approx(mirror_m_minus, abs=1e-6)
+        assert abs(x) <= 1.0 + 1e-12
     # The witness on u_1 sends the bias to the boundary z' = w, so every
     # node of the last level is absorbing: it plays -sign(z) = -w and its
     # block takes all that is left of the horizon whatever the sign.
     for code in range(2 ** (K - 1)):
         prefix = tuple(1 if (code >> i) & 1 else -1 for i in range(K - 1))
-        node = pol.nodes[prefix]
+        x, m_plus, m_minus = pol.nodes[fe.policy_row(prefix)]
         left = 1.0 - sum(pol.m_fraction(prefix[:i], prefix[i]) for i in range(K - 1))
-        assert node.x == -prefix[-1]
-        assert node.m_plus == node.m_minus == pytest.approx(left, abs=1e-6)
+        assert x == -prefix[-1]
+        assert m_plus == m_minus == pytest.approx(left, abs=1e-6)

@@ -288,6 +288,21 @@ def test_fugal_mode_writes_grid_and_policy(tmp_path):
     assert frac == pytest.approx(1.0 - math.sqrt(2.0) / 2.0, abs=1e-3)
 
 
+def test_fugal_and_simulate_past_max_policy_nodes_fail_before_solving(tmp_path, monkeypatch):
+    def unsolvable(*args):
+        raise AssertionError("a table was solved")
+    monkeypatch.setattr(fe, "solve_tables", unsolvable)
+    K = fe.MAX_POLICY_NODES.bit_length() + 1   # the first budget over the cap
+    for spec in ({"mode": "fugal", "sweep": {"K": [3, K]}, "resolution": 500},
+                 {"mode": "simulate", "player_id": "fugal", "adversary_id": "sign",
+                  "sweep": {"T": [100], "K": [K], "n": [1]}}):
+        config = tmp_path / f"{spec['mode']}.json"
+        config.write_text(json.dumps(spec))
+        with pytest.raises(CapacityError, match="MAX_POLICY_NODES"):
+            labctl.main([spec["mode"], "--config", str(config), "--out", str(tmp_path / "out")])
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("K, N, grid_sha, policy_sha", [
     (8, 2000, "15b54155f55166ad500e91d6ce7af5414e371695074de9a8f62a9acb122e4e7e",
      "1e2fd54267466c439cb2259f902ea36169c7683d382f7fe47c59aaa9bc3e8535"),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from replay import ReplayAdversary, replayed_worst_sign_regret
+from switchlab import fugal_engine as fe
 from switchlab import players
 from switchlab.adversaries import ConstantAdversary, SignAdversary, make_adversary
 from switchlab.errors import UnsupportedConfigError
@@ -158,6 +159,23 @@ def test_fugal_refuses_n_above_one_before_solving(monkeypatch):
         make_player("fugal", GameConfig(10, 3, 2), {"resolution": 300})
 
 
+def test_fugal_plays_at_the_largest_budget_under_the_cap():
+    K = fe.MAX_POLICY_NODES.bit_length()
+    cfg = GameConfig(1000, K, 1)
+    player = FugalPlayer(cfg, resolution=100)
+    assert len(player.policy.nodes) == 2 ** K - 1 == fe.MAX_POLICY_NODES
+    traj = play_game(player, SignAdversary(cfg), cfg)
+    assert 0 < traj.switch_count <= K - 1
+
+
+def test_fugal_worst_sign_regret_keeps_its_bits():
+    # the search keys the player by its policy row; these regrets were
+    # pinned while it kept the tuple of recorded signs instead
+    for (T, K), regret in {(12, 3): 5.757358397499989, (16, 4): 6.561566120952341}.items():
+        cfg = GameConfig(T, K, 1)
+        assert worst_case_sign_regret(lambda: FugalPlayer(cfg), cfg)[0] == regret
+
+
 def test_fugal_budget_respected_on_random_sequences():
     rng = np.random.default_rng(2)
     cfg = GameConfig(40, 3, 1)
@@ -172,11 +190,13 @@ def test_fugal_thresholds_bracket_zero():
     cfg = GameConfig(30, 3, 1)
     player = FugalPlayer(cfg, resolution=1000)
     play_game(player, SignAdversary(cfg), cfg)
-    signs = player.recorded_signs
-    assert len(signs) == 2
+    # two moves end on the last level, rows 3..6, whose code holds the signs
+    assert 3 <= player.row <= 6
+    code = player.row - 3
+    signs = tuple(-1 if code >> j & 1 else 1 for j in range(2))
     for i in range(len(signs)):
-        node = player.policy.nodes[signs[:i]]
-        assert -cfg.horizon_T * node.m_minus <= 0.0 <= cfg.horizon_T * node.m_plus
+        _, m_plus, m_minus = player.policy.nodes[fe.policy_row(signs[:i])]
+        assert -cfg.horizon_T * m_minus <= 0.0 <= cfg.horizon_T * m_plus
 
 
 # ----------------------------------------------------------------- baselines
