@@ -18,6 +18,7 @@ here: it is ``game_core.worst_case_sign_regret``, a memoized state search.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -46,7 +47,7 @@ class ConstantAdversary(Adversary):
         n = config.dimension_n
         self._w = (0.0,) * n if w is None else tuple(
             (np.asarray(w, dtype=float).reshape(n) + 0.0).tolist())
-        if outside_ball(self._w, config.adversary_norm_q):
+        if outside_ball(self._w, config.player_norm_p):
             raise ValueError("constant loss leaves the adversary ball")
         self._T = config.horizon_T
 
@@ -88,7 +89,7 @@ class ProductAdversary(Adversary):
     """
 
     def __init__(self, config: GameConfig):
-        if config.dimension_n > 1 and config.adversary_norm_q != math.inf:
+        if config.dimension_n > 1 and config.player_norm_p != math.inf:
             raise UnsupportedConfigError(
                 "product adversary needs the Linf pairing for n > 1")
         threshold = config.horizon_T / math.sqrt(config.budget_K)
@@ -160,12 +161,7 @@ def _orthogonal_unit(x: np.ndarray, W: np.ndarray) -> np.ndarray:
     x_zero = float(np.linalg.norm(x)) <= _ZERO_TOL
     w_zero = float(np.linalg.norm(W)) <= _ZERO_TOL
 
-    if x_zero and w_zero:
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        return e1
-
-    if n == 2:
+    if n == 2 and not (x_zero and w_zero):
         base = x if w_zero else W
         v = np.array([-base[1], base[0]])   # counterclockwise quarter turn
         v = v / np.linalg.norm(v)
@@ -173,27 +169,18 @@ def _orthogonal_unit(x: np.ndarray, W: np.ndarray) -> np.ndarray:
             v = -v
         return v + 0.0
 
+    # x and W extend the basis; the first e_j with a residual is the answer
     basis: list[np.ndarray] = []
-    for src in (x, W):
-        u = src.astype(float).copy()
-        for b in basis:
-            u -= np.dot(u, b) * b
-        for b in basis:  # second pass keeps the basis orthogonal to roundoff
+    for i, src in enumerate(itertools.chain((x, W), np.eye(n))):
+        u = src.astype(float)
+        for b in basis * 2:   # a second pass keeps u orthogonal to roundoff
             u -= np.dot(u, b) * b
         nu = float(np.linalg.norm(u))
-        if nu > _ZERO_TOL:
-            basis.append(u / nu)
-
-    for j in range(n):
-        r = np.zeros(n)
-        r[j] = 1.0
-        for b in basis:
-            r -= np.dot(r, b) * b
-        for b in basis:
-            r -= np.dot(r, b) * b
-        nr = float(np.linalg.norm(r))
-        if nr > 1e-9:
-            w = r / nr
+        if i < 2:
+            if nu > _ZERO_TOL:
+                basis.append(u / nu)
+        elif nu > 1e-9:
+            w = u / nu
             nz = np.nonzero(np.abs(w) > _ZERO_TOL)[0]
             if nz.size and w[nz[-1]] < 0:
                 w = -w

@@ -507,13 +507,6 @@ def operator_witness(f: GridFunction, z):
 MAX_POLICY_NODES = 2 ** 16 - 1
 
 
-def policy_row(prefix) -> int:
-    """Row of the sign prefix (s_1..s_l) in ``FugalPolicy.nodes``: the
-    level-l code c = sum_j [s_j = -1] 2^(j-1), after the 2^l - 1 rows of
-    the shorter prefixes."""
-    return (1 << len(prefix)) - 1 + sum(1 << j for j, s in enumerate(prefix) if s < 0)
-
-
 def child_row(row: int, sign: int) -> int:
     """Row of the child on ``sign`` of the node at ``row``: level-l code c
     goes to level l + 1 with code c + [sign = -1] 2^l."""
@@ -527,18 +520,14 @@ class FugalPolicy:
     fractions M*_i/T (valid for every horizon by T-independence).  ``nodes``
     is a read-only (2^K - 1, 3) array of rows (x, m_plus, m_minus): the
     action of the block the prefix opens and its fraction if the recorded
-    sign is +1 or -1, the prefix at row :func:`policy_row`, so level by
-    level with the children of a level's code c at c and c + 2^l."""
+    sign is +1 or -1.  The prefix (s_1..s_l) sits at row
+    2^l - 1 + sum_j [s_j = -1] 2^(j-1), so level by level with the children
+    of a level's code c at c and c + 2^l (:func:`child_row`); the root, the
+    empty prefix, is row 0."""
 
     budget_K: int
     resolution: int
     nodes: np.ndarray
-
-    def x_star(self, prefix) -> float:
-        return self.nodes.item(policy_row(prefix), 0)
-
-    def m_fraction(self, prefix, sign: int) -> float:
-        return self.nodes.item(policy_row(prefix), 1 if sign > 0 else 2)
 
     def path_fraction_sum(self, signs) -> float:
         """Sum of block fractions along one full sign path (should be 1)."""

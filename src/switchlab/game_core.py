@@ -78,7 +78,8 @@ class GameConfig:
     ``budget_K`` is a hard cap: feasible action sequences contain strictly
     fewer than K switches.  K > T is rejected up front (a T-round sequence
     can never use more than T-1 switches, so larger budgets only relax an
-    already-vacuous constraint).
+    already-vacuous constraint).  Losses lie in the same unit p-ball as
+    actions, so ``player_norm_p`` is the adversary's norm too.
     """
 
     horizon_T: int
@@ -104,11 +105,6 @@ class GameConfig:
             raise ValueError("player_norm_p must be 2 or inf")
         if self.seed < 0:
             raise ValueError("seed must be unsigned")
-
-    @property
-    def adversary_norm_q(self) -> float:
-        # L2 pairs with L2; Linf pairs with Linf losses (regret then uses L1).
-        return self.player_norm_p
 
 
 def _moving_mask(actions: np.ndarray) -> np.ndarray:
@@ -255,7 +251,6 @@ def play_game(player, adversary, config: GameConfig) -> Trajectory:
     Both strategies must be freshly initialized for ``config``.
     """
     T, n, p, K = config.horizon_T, config.dimension_n, config.player_norm_p, config.budget_K
-    q = config.adversary_norm_q
     decide, respond, observe = player.decide, adversary.respond, player.observe
     hold, repeats = player.hold, adversary.repeats
     xs, ws, counts = [], [], []   # per run: the n floats of x and of w, and c
@@ -269,7 +264,7 @@ def play_game(player, adversary, config: GameConfig) -> Trajectory:
             switches = _check_change(x, t, n, p, "player action", prev, switches, K)
         w = respond(x, moving, W)
         if (w != prev_w) is not False:
-            _check_change(w, t, n, q, "adversary loss")
+            _check_change(w, t, n, p, "adversary loss")
         c = _run_length(hold(), repeats(W, w), T - t + 1, t)
         W = add_repeated(W, w, c)
         prev, prev_w = x, w
@@ -363,7 +358,7 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
                 except Exception as exc:
                     failures.append((code, exc))
                     continue
-                W_next = W + 2 * bit - 1
+                W_next = W + loss[0]
                 state = (W_next,) if t == T else (
                     W_next, x[0], used,
                     tuple(name if constants.get(name) is v else (name, _state_key(v, alive))
@@ -384,7 +379,7 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
 
     best = [(abs(W), 0) for _, W, *_ in frontier]   # (value, -code) of each state
     for level in reversed(levels):
-        best = [max(((2 * bit - 1) * x + best[j][0], 2 * best[j][1] - bit)
+        best = [max((SIGN_LOSSES[bit][0] * x + best[j][0], 2 * best[j][1] - bit)
                     for bit, j in enumerate(children)) for x, children in level]
     code, j, actions = -best[0][1], 0, []
     for i, level in enumerate(levels):
@@ -392,5 +387,5 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
         actions.append(x)
         j = children[code >> i & 1]
     traj = Trajectory.from_columns(config, actions,
-                                   [1.0 if code >> i & 1 else -1.0 for i in range(T)])
+                                   [SIGN_LOSSES[code >> i & 1][0] for i in range(T)])
     return traj.regret, traj

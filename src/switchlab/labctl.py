@@ -105,9 +105,9 @@ class ExperimentSpec:
         return spec
 
     def validate(self) -> None:
+        if self.mode in ("simulate", "oracle") and (not self.sweep_T or not self.sweep_K):
+            raise ValueError(f"{self.mode} needs sweep.T and sweep.K")
         if self.mode == "simulate":
-            if not self.sweep_T or not self.sweep_K:
-                raise ValueError("simulate needs sweep.T and sweep.K")
             for T in self.sweep_T:
                 for K in self.sweep_K:
                     if K > T:
@@ -118,8 +118,6 @@ class ExperimentSpec:
                 raise ValueError(f"unknown adversary id {self.adversary_id!r}")
             if self.adversary_id in _PSEUDO_ADVERSARIES and self.adversary_params:
                 raise ValueError(f"{self.adversary_id} takes no adversary_params")
-        if self.mode == "oracle" and (not self.sweep_T or not self.sweep_K):
-            raise ValueError("oracle needs sweep.T and sweep.K")
         if self.mode == "oracle" and min(self.sweep_K) < 1:
             raise ValueError("oracle needs every sweep.K >= 1")
         if self.mode == "fugal" and not self.sweep_K:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .fugal_engine import quadratic_floor
+from .game_core import GameConfig
 
 #: most breakpoints the value functions of one solve store: a bound on its
 #: memory and, at about 4 us each (2-core host), on its time, about 1 s
@@ -44,12 +45,7 @@ class OracleConfig:
     initial_bias_Z: float = 0.0
 
     def __post_init__(self):
-        for name in ("horizon_T", "budget_K"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, not {type(value).__name__}")
-        if not 1 <= self.budget_K <= self.horizon_T:
-            raise ValueError("budget_K must satisfy 1 <= K <= T")
+        GameConfig(self.horizon_T, self.budget_K)   # T and K follow the game's rules
         if not math.isfinite(self.initial_bias_Z):
             raise ValueError(f"initial_bias_Z must be finite, got {self.initial_bias_Z}")
 

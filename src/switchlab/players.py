@@ -162,7 +162,7 @@ class FugalPlayer(Player):
         self.row = 0   # the policy row of the recorded signs
         self.block_start_W = 0.0
         self._rounds_seen = 0
-        self._x = (self.policy.x_star(()),)
+        self._x = (self.policy.nodes.item(0, 0),)   # the root action
 
     def _thresholds(self) -> tuple[float, float]:
         """(U, L) of the current block."""
@@ -203,9 +203,7 @@ class RandomSwitchPlayer(Player):
     reproducible.  Box points are uniform per coordinate; ball points are a
     Gaussian direction scaled by a radius drawn as ``random() ** (1/n)``, so
     they are uniform in the ball.  It holds each point until the next switch
-    round; the sorted switch rounds end with T + 1.  These draws once came
-    from NumPy's default generator; moving to ``random.Random`` kept their
-    distributions but changed the trajectory of every seed.
+    round; the sorted switch rounds end with T + 1.
     """
 
     def __init__(self, config: GameConfig):

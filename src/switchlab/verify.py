@@ -288,8 +288,8 @@ def check_oracle_sandwich(res: CheckResult) -> None:
 
 def check_unequal_blocks(res: CheckResult) -> None:
     _, policy = fe.u_k_solve(3, 2000)
-    for name, sign in (("plus", +1), ("minus", -1)):
-        res.near(f"first_block_fraction_{name}", policy.m_fraction((), sign),
+    for name, column in (("plus", 1), ("minus", 2)):   # the root row's fractions
+        res.near(f"first_block_fraction_{name}", policy.nodes.item(0, column),
                  FIRST_BLOCK_K3, 1e-3)
     T = 10_000
     cfg = GameConfig(horizon_T=T, budget_K=3, dimension_n=1)

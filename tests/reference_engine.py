@@ -4,7 +4,10 @@ n-vectors, stores them as rows of preallocated (T, n) arrays, keeps W as
 an array summed with ``W + w`` and compares ``tolist()`` keys for the
 moving flag; a changed action or loss is ball-checked.  The strategies get
 what the other side returned, and W as a tuple of floats; every round is a
-run of one (``observe(w, 1)``), and ``hold`` and ``repeats`` go unasked."""
+run of one (``observe(w, 1)``), and ``hold`` and ``repeats`` go unasked.
+
+``policy_row`` states the fugal policy's row layout apart from
+``fugal_engine``, which only steps from a row to its child."""
 
 import numpy as np
 
@@ -14,7 +17,6 @@ from switchlab.game_core import Trajectory, outside_ball
 
 def reference_play_game(player, adversary, config) -> Trajectory:
     T, n, p, K = config.horizon_T, config.dimension_n, config.player_norm_p, config.budget_K
-    q = config.adversary_norm_q
     X, L = np.empty((2, T, n))   # actions, losses
     W = np.zeros(n)
     prev, prev_w, switches = None, None, 0
@@ -37,11 +39,18 @@ def reference_play_game(player, adversary, config) -> Trajectory:
         X[i] = x
         raw_w = adversary.respond(raw_x, is_moving, tuple(W.tolist()))
         w = np.asarray(raw_w, dtype=float).reshape(n)
-        if (key_w := w.tolist()) != prev_w and outside_ball(w, q):
-            raise ValueError(f"round {t}: adversary loss leaves the unit {q}-ball "
+        if (key_w := w.tolist()) != prev_w and outside_ball(w, p):
+            raise ValueError(f"round {t}: adversary loss leaves the unit {p}-ball "
                              f"in n = {n}: {raw_w}")
         prev_w = key_w
         L[i] = w
         W = W + w
         player.observe(raw_w, 1)
     return Trajectory.from_columns(config, X, L)
+
+
+def policy_row(prefix) -> int:
+    """Row of the sign prefix (s_1..s_l) in ``FugalPolicy.nodes``: the
+    level-l code c = sum_j [s_j = -1] 2^(j-1), after the 2^l - 1 rows of
+    the shorter prefixes."""
+    return (1 << len(prefix)) - 1 + sum(1 << j for j, s in enumerate(prefix) if s < 0)

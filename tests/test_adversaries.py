@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from switchlab.adversaries import (ADVERSARIES, ConstantAdversary, OrthogonalAdversary,
-                                   ProductAdversary, SignAdversary, make_adversary)
+                                   ProductAdversary, SignAdversary, _orthogonal_unit,
+                                   make_adversary)
 from switchlab.errors import UnsupportedConfigError
 from switchlab.game_core import GameConfig, play_game
 from switchlab.players import ConstantPlayer, MinibatchPlayer, RandomSwitchPlayer
@@ -57,6 +58,79 @@ def test_orthogonal_moving_emissions_are_unit_and_orthogonal():
                 assert float(np.dot(w, x)) >= -1e-9
                 assert abs(float(np.dot(w, prev_W))) <= 1e-9 * max(1.0, np.linalg.norm(prev_W))
             prev_W = tuple(a + b for a, b in zip(prev_W, w))
+
+
+def _reference_orthogonal_unit(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The two-loop form: a basis of x and W, then the residual of each
+    standard basis vector in turn, after an early return where both are 0."""
+    n = x.shape[0]
+    x_zero = float(np.linalg.norm(x)) <= 1e-12
+    w_zero = float(np.linalg.norm(W)) <= 1e-12
+    if x_zero and w_zero:
+        e1 = np.zeros(n)
+        e1[0] = 1.0
+        return e1
+    if n == 2:
+        base = x if w_zero else W
+        v = np.array([-base[1], base[0]])
+        v = v / np.linalg.norm(v)
+        if float(np.dot(v, x)) < 0.0:
+            v = -v
+        return v + 0.0
+    basis = []
+    for src in (x, W):
+        u = src.astype(float).copy()
+        for b in basis:
+            u -= np.dot(u, b) * b
+        for b in basis:
+            u -= np.dot(u, b) * b
+        nu = float(np.linalg.norm(u))
+        if nu > 1e-12:
+            basis.append(u / nu)
+    for j in range(n):
+        r = np.zeros(n)
+        r[j] = 1.0
+        for b in basis:
+            r -= np.dot(r, b) * b
+        for b in basis:
+            r -= np.dot(r, b) * b
+        nr = float(np.linalg.norm(r))
+        if nr > 1e-9:
+            w = r / nr
+            nz = np.nonzero(np.abs(w) > 1e-12)[0]
+            if nz.size and w[nz[-1]] < 0:
+                w = -w
+            return w + 0.0
+    raise AssertionError("no orthogonal direction")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_orthogonal_unit_matches_the_two_loop_form_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+
+    def signed_zeros():
+        return np.where(rng.random(n) < 0.5, -0.0, 0.0)
+
+    draws = {   # each kind of (x, W) draw
+        "random": lambda x, W: (x, W),
+        "x zero": lambda x, W: (np.zeros(n), W),
+        "W zero": lambda x, W: (x, np.zeros(n)),
+        "both zero": lambda x, W: (np.zeros(n), np.zeros(n)),
+        "W parallel to x": lambda x, W: (x, rng.normal() * x),
+        "integer valued": lambda x, W: (np.round(3 * x), np.round(3 * W)),
+        "signed zeros": lambda x, W: (signed_zeros(), signed_zeros()),
+        "signed zero x": lambda x, W: (signed_zeros(), W),
+        "x below the zero tolerance": lambda x, W: (1e-13 * x, W),
+        "W nearly parallel to x": lambda x, W: (x, x + 1e-14 * W),
+    }
+    count = 0
+    for _ in range(250):
+        for draw in draws.values():
+            x, W = draw(rng.normal(size=n), rng.normal(size=n))
+            mine, ref = _orthogonal_unit(x, W), _reference_orthogonal_unit(x, W)
+            assert mine.tobytes() == ref.tobytes(), (x, W)
+            count += 1
+    assert count >= 2000
 
 
 def test_orthogonal_block_identity_and_forced_regret():
@@ -224,7 +298,7 @@ def test_all_emissions_respect_ball_exactly():
     for adv, cfg in cases:
         traj = play_game(RandomSwitchPlayer(cfg), adv, cfg)
         losses = traj.rounds["loss_w"]
-        if cfg.adversary_norm_q == 2:
+        if cfg.player_norm_p == 2:
             assert np.all(np.linalg.norm(losses, axis=1) <= 1.0 + 1e-12)
         else:
             assert np.all(np.abs(losses) <= 1.0)

@@ -8,8 +8,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from reference_engine import policy_row
 from switchlab import fugal_engine as fe
-from switchlab.errors import CapacityError
+from switchlab.errors import CapacityError, NumericStructureError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -531,6 +532,20 @@ def test_solve_tables_cache_is_safe_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_crossing_root_raises_where_h_falls_on_the_bracket():
+    # u_2's lines at N = 100 with both slopes scaled by 10: h is then
+    # positive at x = -1 and negative at x = 1 for some bias
+    N = 100
+    f = fe.solve_tables(2, N)[1]
+    fp, fm, inv_p, inv_m, _, _ = fe._envelopes(f)
+    inv_p, inv_m = 10.0 * inv_p, 10.0 * inv_m
+    env = (fp, fm, inv_p, inv_m, fe._hull_tree(fp, inv_p, np.arange(N, 0, -1)),
+           fe._hull_tree(fm, inv_m, np.arange(N)))
+    nodes = np.arange(1, N)
+    with pytest.raises(NumericStructureError, match=f"N={N}"):
+        fe._crossing_root(env, f.grid[nodes], nodes, nodes)
+
+
 # ------------------------------------------------------------- u_k tables
 
 def test_solve_tables_basic_values():
@@ -599,18 +614,20 @@ def test_interp_returns_the_endpoint_values_at_plus_minus_one():
 
 def test_policy_k2_is_halfsplit_threshold():
     _, pol = fe.u_k_solve(2, 500)
-    assert pol.x_star(()) == 0.0
-    assert pol.m_fraction((), +1) == pytest.approx(0.5, abs=1e-12)
-    assert pol.m_fraction((), -1) == pytest.approx(0.5, abs=1e-12)
-    assert pol.x_star((1,)) == pytest.approx(-1.0)
-    assert pol.x_star((-1,)) == pytest.approx(1.0)
+    (x, m_plus, m_minus), (x_plus, *_), (x_minus, *_) = pol.nodes[:3].tolist()
+    assert x == 0.0
+    assert m_plus == pytest.approx(0.5, abs=1e-12)
+    assert m_minus == pytest.approx(0.5, abs=1e-12)
+    assert x_plus == pytest.approx(-1.0)
+    assert x_minus == pytest.approx(1.0)
 
 
 def test_policy_k3_first_block_fraction():
     _, pol = fe.u_k_solve(3, 1000)
     target = 1.0 - SQRT2 / 2.0
-    assert pol.m_fraction((), +1) == pytest.approx(target, abs=1e-3)
-    assert pol.m_fraction((), -1) == pytest.approx(target, abs=1e-3)
+    _, m_plus, m_minus = pol.nodes[0]   # the root row
+    assert m_plus == pytest.approx(target, abs=1e-3)
+    assert m_minus == pytest.approx(target, abs=1e-3)
 
 
 def test_policy_fractions_sum_to_one_and_actions_in_ball():
@@ -638,7 +655,7 @@ def _policy_json_dict(policy) -> dict:
         "budget_K": policy.budget_K,
         "resolution": policy.resolution,
         "nodes": {_prefix_string(p): dict(zip(("x", "m_plus", "m_minus"),
-                                             policy.nodes[fe.policy_row(p)].tolist()))
+                                             policy.nodes[policy_row(p)].tolist()))
                   for p in _prefixes(policy.budget_K)},
     }
 
@@ -646,22 +663,19 @@ def _policy_json_dict(policy) -> dict:
 def test_policy_rows_are_level_order_and_children_follow_the_formula():
     # the level-by-level walk lists a level's +1 children, then its -1
     # children, each in the level's order
-    assert (fe.policy_row(()), fe.policy_row((1,)), fe.policy_row((-1,))) == (0, 1, 2)
-    assert [fe.policy_row(p) for p in ((1, 1), (-1, 1), (1, -1), (-1, -1))] == [3, 4, 5, 6]
+    assert (policy_row(()), policy_row((1,)), policy_row((-1,))) == (0, 1, 2)
+    assert [policy_row(p) for p in ((1, 1), (-1, 1), (1, -1), (-1, -1))] == [3, 4, 5, 6]
     for K in range(1, 5):
         walk, level = [], [()]
         for _ in range(K):
             walk += level
             level = [p + (s,) for s in (1, -1) for p in level]
-        assert [fe.policy_row(p) for p in walk] == list(range(2 ** K - 1))
+        assert [policy_row(p) for p in walk] == list(range(2 ** K - 1))
         for p in walk:
             for s in (1, -1):
-                assert fe.child_row(fe.policy_row(p), s) == fe.policy_row(p + (s,))
+                assert fe.child_row(policy_row(p), s) == policy_row(p + (s,))
         _, pol = fe.u_k_solve(K, 300)
         assert pol.nodes.shape == (2 ** K - 1, 3) and not pol.nodes.flags.writeable
-        for p in walk:
-            row = pol.nodes[fe.policy_row(p)].tolist()
-            assert [pol.x_star(p), pol.m_fraction(p, 1), pol.m_fraction(p, -1)] == row
 
 
 def test_policy_past_max_nodes_raises_before_any_table_is_solved(monkeypatch):
@@ -685,7 +699,7 @@ def test_policy_json_roundtrip(tmp_path):
     back = json.loads(path.read_text())
     assert back == _policy_json_dict(pol)   # floats survive the dump bit for bit
     assert back["budget_K"] == pol.budget_K and len(back["nodes"]) == len(pol.nodes)
-    assert back["nodes"]["+-"]["m_plus"] == pol.m_fraction((1, -1), 1)
+    assert back["nodes"]["+-"]["m_plus"] == pol.nodes.item(policy_row((1, -1)), 1)
 
 
 def test_grid_csv_dump(tmp_path):
@@ -916,8 +930,8 @@ def test_policy_k10_sums_to_one_and_is_mirror_symmetric():
         path = tuple(1 if (code >> i) & 1 else -1 for i in range(K))
         assert pol.path_fraction_sum(path) == pytest.approx(1.0, abs=1e-6)
     for prefix in _prefixes(K):
-        x, m_plus, _ = pol.nodes[fe.policy_row(prefix)]
-        mirror_x, _, mirror_m_minus = pol.nodes[fe.policy_row(tuple(-s for s in prefix))]
+        x, m_plus, _ = pol.nodes[policy_row(prefix)]
+        mirror_x, _, mirror_m_minus = pol.nodes[policy_row(tuple(-s for s in prefix))]
         assert x == pytest.approx(-mirror_x, abs=1e-6)
         assert m_plus == pytest.approx(mirror_m_minus, abs=1e-6)
         assert abs(x) <= 1.0 + 1e-12
@@ -926,7 +940,8 @@ def test_policy_k10_sums_to_one_and_is_mirror_symmetric():
     # block takes all that is left of the horizon whatever the sign.
     for code in range(2 ** (K - 1)):
         prefix = tuple(1 if (code >> i) & 1 else -1 for i in range(K - 1))
-        x, m_plus, m_minus = pol.nodes[fe.policy_row(prefix)]
-        left = 1.0 - sum(pol.m_fraction(prefix[:i], prefix[i]) for i in range(K - 1))
+        x, m_plus, m_minus = pol.nodes[policy_row(prefix)]
+        left = 1.0 - sum(pol.nodes.item(policy_row(prefix[:i]), 1 if prefix[i] > 0 else 2)
+                         for i in range(K - 1))
         assert x == -prefix[-1]
         assert m_plus == m_minus == pytest.approx(left, abs=1e-6)

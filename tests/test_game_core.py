@@ -518,4 +518,3 @@ def test_config_validation():
         GameConfig(3, 2, 1, player_norm_p=1.0)
     with pytest.raises(ValueError):
         GameConfig(3, 2, 1, seed=-1)
-    assert GameConfig(3, 2, 1, player_norm_p=math.inf).adversary_norm_q == math.inf

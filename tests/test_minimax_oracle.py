@@ -6,6 +6,7 @@ import pytest
 
 from switchlab import minimax_oracle as mo
 from switchlab.errors import CapacityError
+from switchlab.game_core import GameConfig
 
 SQRT3 = math.sqrt(3.0)
 
@@ -147,6 +148,20 @@ def test_capacity_and_config_validation():
 def test_config_rejects_a_non_int_horizon_or_budget(T, K, name):
     with pytest.raises(ValueError, match=f"{name} must be an int"):
         mo.OracleConfig(T, K)
+
+
+@pytest.mark.parametrize("T, K, name", [(4, 2, None), (3, 3, None), (1, 1, None),
+                                        (True, 1, "horizon_T"), (4, True, "budget_K"),
+                                        (4.0, 2, "horizon_T"), (4, 2.0, "budget_K"),
+                                        (4, 0, "budget_K"), (3, 4, "budget_K"),
+                                        (0, 1, "horizon_T")])
+def test_oracle_and_game_configs_take_the_same_horizons_and_budgets(T, K, name):
+    if name is None:
+        assert (mo.OracleConfig(T, K).budget_K, GameConfig(T, K).budget_K) == (K, K)
+        return
+    for make in (mo.OracleConfig, GameConfig):
+        with pytest.raises(ValueError, match=name):
+            make(T, K)
 
 
 def test_oracle_csv_dump(tmp_path):

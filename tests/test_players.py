@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from reference_engine import policy_row
 from replay import ReplayAdversary, replayed_worst_sign_regret
 from switchlab import fugal_engine as fe
 from switchlab import players
@@ -195,7 +196,7 @@ def test_fugal_thresholds_bracket_zero():
     code = player.row - 3
     signs = tuple(-1 if code >> j & 1 else 1 for j in range(2))
     for i in range(len(signs)):
-        _, m_plus, m_minus = player.policy.nodes[fe.policy_row(signs[:i])]
+        _, m_plus, m_minus = player.policy.nodes[policy_row(signs[:i])]
         assert -cfg.horizon_T * m_minus <= 0.0 <= cfg.horizon_T * m_plus
 
 
