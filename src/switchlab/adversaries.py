@@ -3,7 +3,10 @@
 Every adversary answers ``respond(player_x, is_moving, W) -> w`` and says
 with ``repeats(W, w)`` for how many rounds it would answer w again while
 the player stays put; ``player_x``, ``W`` and ``w`` are immutable tuples of
-n floats, and NumPy runs only on the orthogonal adversary's moving rounds.
+n floats.  NumPy runs only on the orthogonal adversary's moving rounds: its
+Gram-Schmidt keeps NumPy's dot, whose fused multiply-adds a Python sum does
+not reproduce, and takes each norm by np.linalg.norm's formula for a 1-d
+array, ``sqrt(u.dot(u))``.
 The game engine (``game_core.play_game``) derives the moving flag from
 exact action equality and keeps W, the sum of the losses before this
 round; adversaries never re-derive either.  It plays a run of rounds with
@@ -18,7 +21,6 @@ here: it is ``game_core.worst_case_sign_regret``, a memoized state search.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -158,33 +160,34 @@ class OrthogonalAdversary(Adversary):
 
 def _orthogonal_unit(x: np.ndarray, W: np.ndarray) -> np.ndarray:
     n = x.shape[0]
-    x_zero = float(np.linalg.norm(x)) <= _ZERO_TOL
-    w_zero = float(np.linalg.norm(W)) <= _ZERO_TOL
-
-    if n == 2 and not (x_zero and w_zero):
-        base = x if w_zero else W
-        v = np.array([-base[1], base[0]])   # counterclockwise quarter turn
-        v = v / np.linalg.norm(v)
-        if float(np.dot(v, x)) < 0.0:
-            v = -v
-        return v + 0.0
+    if n == 2:
+        x_zero, w_zero = math.sqrt(x.dot(x)) <= _ZERO_TOL, math.sqrt(W.dot(W)) <= _ZERO_TOL
+        if not (x_zero and w_zero):
+            base = x if w_zero else W
+            v = np.array([-base[1], base[0]])   # counterclockwise quarter turn
+            v = v / math.sqrt(v.dot(v))
+            if float(np.dot(v, x)) < 0.0:
+                v = -v
+            return v + 0.0
 
     # x and W extend the basis; the first e_j with a residual is the answer
     basis: list[np.ndarray] = []
-    for i, src in enumerate(itertools.chain((x, W), np.eye(n))):
-        u = src.astype(float)
+    for i in range(n + 2):
+        if i < 2:   # copied only when it is reduced in place
+            u = (x, W)[i].copy() if basis else (x, W)[i]
+        else:
+            u = np.zeros(n)
+            u[i - 2] = 1.0
         for b in basis * 2:   # a second pass keeps u orthogonal to roundoff
-            u -= np.dot(u, b) * b
-        nu = float(np.linalg.norm(u))
+            u -= u.dot(b) * b
+        nu = math.sqrt(u.dot(u))
         if i < 2:
             if nu > _ZERO_TOL:
                 basis.append(u / nu)
         elif nu > 1e-9:
             w = u / nu
-            nz = np.nonzero(np.abs(w) > _ZERO_TOL)[0]
-            if nz.size and w[nz[-1]] < 0:
-                w = -w
-            return w + 0.0
+            nonzero = [a for a in w.tolist() if abs(a) > _ZERO_TOL]
+            return (-w if nonzero and nonzero[-1] < 0 else w) + 0.0
     raise RuntimeError("no orthogonal direction found (unreachable for n > 2)")
 
 

@@ -17,11 +17,15 @@ adversaries hold no copy of it.  It advances by runs of rounds whose action
 and loss stay bit-identical, as long as the player says it holds and the
 adversary says it repeats.  ``worst_case_sign_regret``, the lab's one
 exhaustive +-1 search, decides each distinct game state once with the same
-round rule, one round at a time.  Actions, losses and W are immutable
-tuples of n floats; NumPy runs only on a change (the ball check), on a
-run's sum (``add_repeated``) and once at the end of the game, when
-``Trajectory.from_columns`` gets one row per run with its length.  It is
-the one place that derives the rounds, switch count, loss sum and regret.
+round rule, one round at a time.
+
+Actions, losses and W are immutable tuples of n floats.  Per run, NumPy
+runs only for the L2 ball check at n >= 2 (``np.dot``'s BLAS kernel is a
+sequential fused multiply-add where the CPU has one, which Python 3.11
+cannot reproduce) and for a run's sum of non-integer losses
+(``add_repeated``).  ``Trajectory.from_columns`` gets one row per run with
+its length; it is the one place that derives the switch count, loss sum
+and regret, and it builds the T rounds only when they are read.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from __future__ import annotations
 import copy
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add
 
 import numpy as np
@@ -44,11 +49,13 @@ BALL_SLACK = 1e-12
 
 def outside_ball(v, p: float) -> bool:
     """Whether the vector v leaves the unit p-ball, p = 2 or inf as a
-    ``GameConfig`` holds it, by more than ``BALL_SLACK``.  ``not norm <=
-    bound`` puts a NaN entry outside.  The L2 norm is np.linalg.norm's."""
-    v = np.asarray(v, dtype=float)
-    norm = math.sqrt(float(v.dot(v))) if p == 2 else float(np.abs(v).max())
-    return not norm <= 1.0 + BALL_SLACK
+    ``GameConfig`` holds it, by more than ``BALL_SLACK``.  A failed ``<=``
+    puts a NaN entry outside.  The L2 norm has np.linalg.norm's bits: at
+    n = 1 that is ``sqrt(v0 * v0)``, above it np.dot's fused multiply-adds."""
+    if p == 2:
+        norm = math.sqrt(v[0] * v[0] if len(v) == 1 else (a := np.array(v, float)).dot(a))
+        return not norm <= 1.0 + BALL_SLACK
+    return not all(abs(a) <= 1.0 + BALL_SLACK for a in v)
 
 
 def dual_norm(w: np.ndarray, player_norm_p: float) -> float:
@@ -120,65 +127,77 @@ def _moving_mask(actions: np.ndarray) -> np.ndarray:
 class Trajectory:
     """A completed game.  Immutable once returned.
 
-    ``rounds`` is a read-only structured array of length T with fields
-    ``action_x`` and ``loss_w`` (shape n each) and ``is_moving``.  An
-    action sequence that uses switch number budget_K has no trajectory:
+    ``runs`` keeps one row per run: the actions and losses (read-only
+    (R, n) arrays), the rounds each lasts and whether its first round
+    moves.  ``rounds``, a read-only structured array of length T with
+    fields ``action_x`` and ``loss_w`` (shape n each) and ``is_moving``, is
+    built from them on first read.  An action sequence that uses switch
+    number budget_K has no trajectory:
     :meth:`from_columns` raises ``BudgetViolationError``.
     """
 
     config: GameConfig
-    rounds: np.ndarray
     switch_count: int
     cumulative_W: np.ndarray
     regret: float
+    runs: tuple = field(repr=False)
 
     @classmethod
     def from_columns(cls, config: GameConfig, actions, losses, counts=None) -> "Trajectory":
         """Build a trajectory from its rows of actions and losses, row i held
         for ``counts[i]`` rounds (ints >= 1 summing to T; one round each by
         default); a list of scalars is one column.  Everything else is
-        derived here: the moving flags, switch count and payoffs once per
-        row, then the rows repeated into the T rounds.  Switch number K
-        raises ``BudgetViolationError`` with ``play_game``'s message and
-        round.
+        derived here, once per row: the moving flags, switch count and
+        payoffs.  Switch number K raises ``BudgetViolationError`` with
+        ``play_game``'s message and round.
 
-        The regret is the payoff plus the dual norm of the sequential loss
-        sum.  A row's payoff is one 1 x n @ n x 1 matmul of a stack
+        W and the regret have the bits of a round-by-round loop, since
+        ``cumsum`` is strictly sequential: W is the ``cumsum`` of the losses
+        repeated into T rows.  The regret is the payoff plus the dual norm
+        of W.  A row's payoff is one 1 x n @ n x 1 matmul of a stack
         (``np.dot``'s kernel), the same in every round it covers, and the
-        repeated payoffs are summed by ``cumsum``, which is strictly
-        sequential: bit for bit the loop ``payoff += np.dot(w_t, x_t)``.
-        Any other order (or ``einsum``) moves results in the last bit.
+        repeated payoffs are summed by ``cumsum``: bit for bit the loop
+        ``payoff += np.dot(w_t, x_t)``.  Any other order (or ``einsum``)
+        moves results in the last bit.
         """
         T, n = config.horizon_T, config.dimension_n
-        X = np.asarray(actions, dtype=float).reshape(len(actions), -1)
-        L = np.asarray(losses, dtype=float).reshape(len(losses), -1)
-        c = np.ones(len(X), dtype=int) if counts is None else np.asarray(counts)
+        X = np.array(actions, dtype=float).reshape(len(actions), -1)   # copies: rounds reads
+        L = np.array(losses, dtype=float).reshape(len(losses), -1)     # them later
+        c = np.ones(len(X), dtype=int) if counts is None else np.array(counts)
         if (X.shape != L.shape or X.shape[1:] != (n,) or c.shape != X.shape[:1]
                 or c.dtype.kind not in "iu" or not (c >= 1).all() or c.sum() != T):
             raise ValueError(f"actions {X.shape} and losses {L.shape}, held for "
                              f"{c.shape} counts, must give shape (T, n) = {(T, n)}")
         moving = _moving_mask(X)   # per row; only a row's first round can move
         switches = int(np.count_nonzero(moving)) - 1
-        starts = np.cumsum(c) - c   # each row's first round, from 0
         if switches >= config.budget_K:
             K = config.budget_K
-            raise _over_budget(int(starts[np.flatnonzero(moving)[K]]) + 1, K)
-        rounds = np.zeros(T, dtype=[("action_x", float, (n,)), ("loss_w", float, (n,)),
-                                    ("is_moving", bool)])
-        rounds["action_x"], rounds["loss_w"] = np.repeat(X, c, axis=0), np.repeat(L, c, axis=0)
-        rounds["is_moving"][starts] = moving
-        rounds.setflags(write=False)
-        W = np.cumsum(rounds["loss_w"], axis=0)[-1].copy()   # not a view of all T rows
-        W.setflags(write=False)
+            raise _over_budget(int((np.cumsum(c) - c)[np.flatnonzero(moving)[K]]) + 1, K)
+        W = np.repeat(L, c, axis=0)
+        W = np.cumsum(W, axis=0, out=W)[-1].copy()   # not a view of all T rows
         payoffs = np.repeat((L[:, None, :] @ X[:, :, None]).ravel(), c)   # w_t . x_t per round
         regret = float(np.cumsum(payoffs, out=payoffs)[-1]) + dual_norm(W, config.player_norm_p)
-        return cls(config=config, rounds=rounds, switch_count=switches,
-                   cumulative_W=W, regret=regret)
+        for a in (X, L, c, moving, W):
+            a.setflags(write=False)
+        return cls(config=config, switch_count=switches, cumulative_W=W, regret=regret,
+                   runs=(X, L, c, moving))
+
+    @cached_property
+    def rounds(self) -> np.ndarray:
+        """The T rounds, each row repeated for its count; built on first read."""
+        X, L, c, moving = self.runs
+        n = self.config.dimension_n
+        rounds = np.zeros(self.config.horizon_T, dtype=[
+            ("action_x", float, (n,)), ("loss_w", float, (n,)), ("is_moving", bool)])
+        rounds["action_x"], rounds["loss_w"] = np.repeat(X, c, axis=0), np.repeat(L, c, axis=0)
+        rounds["is_moving"][np.cumsum(c) - c] = moving   # each row's first round
+        rounds.setflags(write=False)
+        return rounds
 
     def block_lengths(self) -> list[int]:
-        """Lengths of maximal stationary blocks, from the is_moving flags."""
-        starts = np.flatnonzero(self.rounds["is_moving"])
-        return np.diff(starts, append=len(self.rounds)).tolist()
+        """Lengths of maximal stationary blocks, from the rows' moving flags."""
+        _, _, c, moving = self.runs
+        return np.diff((np.cumsum(c) - c)[moving], append=self.config.horizon_T).tolist()
 
 
 def _over_budget(t: int, budget_K: int) -> BudgetViolationError:
@@ -208,12 +227,18 @@ def _check_change(v, t: int, n: int, p: float, side: str, prev=None, switches: i
 
 def add_repeated(W: tuple, w: tuple, count: int) -> tuple:
     """W plus ``count`` copies of w, added one at a time in round order.
-    ``np.add.accumulate`` over the rows W, w, ..., w is sequential, so the
-    bits are those of ``count`` tuple additions."""
+    If every entry is an integer-valued float and the largest magnitude
+    times ``count + 1`` is below 2^53, each partial sum is an integer that
+    a float holds exactly, so the sum is ``W_j + count * w_j``, signed
+    zeros included.  Otherwise (NaN and inf too) ``np.add.accumulate``
+    over the rows W, w, ..., w, which is sequential, gives those bits."""
     if count == 1:
         # built at size n; tuple(map(...)) would shrink a 10-tuple, and the old
         # tuples would pile up (2000 per size) on a free list it never reads
         return (*map(add, W, w),)
+    if (all(type(a) is float and a.is_integer() for a in W + w)
+            and max(map(abs, W + w)) * (count + 1) < 2.0 ** 53):
+        return (*(a + count * b for a, b in zip(W, w)),)
     rows = np.empty((count + 1, len(W)))
     rows[0], rows[1:] = W, w
     return tuple(np.add.accumulate(rows, out=rows)[-1].tolist())
@@ -289,17 +314,20 @@ MAX_SIGN_STATES = 2 ** 17
 def _state_key(value, alive: dict):
     """A hashable snapshot of one player attribute: arrays by dtype, shape
     and bytes, floats by their bits (-0.0 is not 0.0), ints by value,
-    tuples, lists and sets by content.  Anything else is keyed by identity
+    tuples and lists of floats by their packed bits, other tuples, lists
+    and sets by content.  Anything else is keyed by identity
     and held in ``alive``, which the search keeps for its whole length,
     since CPython reuses the id of a freed object."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
-    if isinstance(value, float):
-        return struct.pack("d", value)
+    if isinstance(value, (tuple, list)):   # the commonest first; no value is two of these
+        if all([isinstance(v, float) for v in value]):   # the bits of all of them at once
+            return type(value), struct.pack(f"{len(value)}d", *value)
+        return type(value), tuple([_state_key(v, alive) for v in value])
     if isinstance(value, int):
         return value
-    if isinstance(value, (tuple, list)):
-        return type(value), tuple(_state_key(v, alive) for v in value)
+    if isinstance(value, float):
+        return struct.pack("d", value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, (set, frozenset)):
         return frozenset(_state_key(v, alive) for v in value)
     alive[id(value)] = value
@@ -361,8 +389,8 @@ def worst_case_sign_regret(player_factory, config: GameConfig) -> tuple[float, T
                 W_next = W + loss[0]
                 state = (W_next,) if t == T else (
                     W_next, x[0], used,
-                    tuple(name if constants.get(name) is v else (name, _state_key(v, alive))
-                          for name, v in vars(child).items()))
+                    tuple([name if constants.get(name) is v else (name, _state_key(v, alive))
+                           for name, v in vars(child).items()]))
                 j = index.setdefault(state, len(nxt))
                 if j < len(nxt):
                     nxt[j][4] = min(nxt[j][4], code)

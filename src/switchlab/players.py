@@ -4,8 +4,8 @@ All players follow the same stateful contract as adversaries: ``decide()``
 emits the action for the upcoming round, ``hold()`` says for how many
 rounds from that one it stays, and ``observe(loss_w, count)`` feeds back a
 run of ``count`` rounds of one loss.  Actions and losses are immutable
-tuples of n floats, so NumPy runs only off the round path
-(``MinibatchPlayer``'s projection at an epoch end, and the sum over a run).
+tuples of n floats.  NumPy runs only for the L2 norm at n >= 2 (``np.dot``'s
+fused multiply-adds) and a run's sum of non-integer losses (``add_repeated``).
 Players that intend to stay put re-emit an equal tuple, since the engine
 detects switches by exact equality.  Every registered player declares its
 hold; a player that declares none plays runs of one round.
@@ -39,6 +39,12 @@ class Player:
     ``play_game`` calls ``decide`` once per run, then ``hold``, then
     ``observe`` once with the run's loss and length.
     """
+
+    def __copy__(self):
+        # what copy.copy does by default, without the __reduce_ex__ round trip
+        fork = type(self).__new__(type(self))
+        fork.__dict__.update(self.__dict__)
+        return fork
 
     def decide(self) -> tuple:
         raise NotImplementedError
@@ -75,12 +81,14 @@ class ConstantPlayer(Player):
         return self._T
 
 
-def project_to_ball(x: np.ndarray, p: float) -> np.ndarray:
+def project_to_ball(x: tuple, p: float) -> tuple:
+    """The tuple x projected onto the unit p-ball, with the bits of
+    ``x / np.linalg.norm(x)`` (L2) or ``np.clip(x, -1.0, 1.0)`` (Linf)."""
     if p == 2:
-        nrm = float(np.linalg.norm(x))
-        return x if nrm <= 1.0 else x / nrm
+        nrm = math.sqrt(x[0] * x[0] if len(x) == 1 else (a := np.array(x, float)).dot(a))
+        return x if nrm <= 1.0 else tuple([a / nrm for a in x])
     if p == INF:
-        return np.clip(x, -1.0, 1.0)
+        return tuple([min(max(a, -1.0), 1.0) for a in x])
     raise ValueError(f"unsupported norm p={p!r}")
 
 
@@ -124,10 +132,11 @@ class MinibatchPlayer(Player):
         self._rounds_seen += count
         # the next epoch's point; no round plays one after round T
         if self._rounds_seen % self.epoch_length == 0 and self._rounds_seen < self._config.horizon_T:
-            avg = np.array(self.accumulated_gradient) / self.epoch_length
-            nxt = project_to_ball(np.array(self.current_point) - self.step_size * avg,
+            # list comprehensions: generator expressions here raised verify's peak RSS
+            nxt = project_to_ball(tuple([x - self.step_size * (g / self.epoch_length) for x, g
+                                         in zip(self.current_point, self.accumulated_gradient)]),
                                   self._config.player_norm_p)
-            self.current_point = tuple((nxt + 0.0).tolist())
+            self.current_point = tuple([a + 0.0 for a in nxt])
             self.accumulated_gradient = (0.0,) * len(nxt)
 
 

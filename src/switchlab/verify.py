@@ -294,8 +294,8 @@ def check_unequal_blocks(res: CheckResult) -> None:
     T = 10_000
     cfg = GameConfig(horizon_T=T, budget_K=3, dimension_n=1)
     traj = _run("fugal", "constant", cfg, {"w": 1.0})   # plays the policy above, N = 2000
-    moving_rounds = np.flatnonzero(traj.rounds["is_moving"]) + 1
-    first_switch = int(moving_rounds[1]) if len(moving_rounds) > 1 else -1
+    blocks = traj.block_lengths()
+    first_switch = blocks[0] + 1 if len(blocks) > 1 else -1
     res.near("first_switch_round", first_switch, math.ceil(FIRST_BLOCK_K3 * T), 2)
 
 

@@ -4,18 +4,20 @@ round protocol of every registered strategy, and the honesty of the runs
 that ``play_game`` advances by: what players hold and adversaries repeat."""
 
 import math
+import struct
 from itertools import groupby
 from operator import add
 
 import numpy as np
 import pytest
 
-from reference_engine import reference_play_game
+from reference_engine import (eager_block_lengths, eager_rounds, reference_add_repeated,
+                              reference_epoch_step, reference_outside_ball, reference_play_game)
 from switchlab import fugal_engine as fe
 from switchlab.adversaries import ADVERSARIES, Adversary, ProductAdversary, make_adversary
-from switchlab.errors import UnsupportedConfigError
-from switchlab.game_core import BALL_SLACK, GameConfig, play_game
-from switchlab.players import PLAYERS, FugalPlayer, Player, make_player
+from switchlab.errors import BudgetViolationError, UnsupportedConfigError
+from switchlab.game_core import BALL_SLACK, GameConfig, add_repeated, outside_ball, play_game
+from switchlab.players import PLAYERS, FugalPlayer, MinibatchPlayer, Player, make_player
 
 #: horizon -> the budgets K <= T played at it
 HORIZONS = {1: (1,), 7: (1, 2, 4), 1000: (1, 2, 4, 16)}
@@ -391,4 +393,126 @@ def test_registered_strategies_speak_tuples_of_floats():
                 assert len(seen) == 2 * len(counts) and sum(counts) == cfg.horizon_T
                 assert all(_is_floats(v, n) for v in seen), (pid, aid, cfg, seen)
                 played += 1
+    assert played > 100
+
+
+# ------------------------------------------------ tuple arithmetic against NumPy
+
+#: signed zeros, NaN, infinities, integers at and past 2^53, huge and tiny values
+_SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 2.0 ** 53 - 1, 2.0 ** 53,
+            2.0 ** 53 + 2, -(2.0 ** 52), 1e300, -1e200, 5e-324, 1.0 + BALL_SLACK)
+
+#: run lengths: one round, two, and a long run
+_COUNTS = (1, 2, 10_000)
+
+
+def _integer(rng, count):
+    """An integer-valued float: small, or at or just past the guard
+    ``max|.| * (count + 1) < 2^53`` of add_repeated's exact sum."""
+    inside = (2 ** 53 - 1) // (count + 1)
+    value = (int(rng.integers(-5, 6)), inside, inside + 1, 0)[rng.integers(4)]
+    return float(value) * (-1.0, 1.0)[rng.integers(2)]
+
+
+def _entry(rng, count, integers):
+    if integers:
+        return _integer(rng, count)
+    kind = rng.integers(5)
+    return (float(rng.choice(_SPECIAL)) if kind == 0 else _integer(rng, count) if kind == 1
+            else float(rng.normal() * 10.0 ** rng.integers(-300, 300)) if kind == 2
+            else float(rng.uniform(-1.5, 1.5)))
+
+
+def _vector(rng, n, count, integers=False):
+    return tuple(_entry(rng, count, integers) for _ in range(n))
+
+
+def _bits(v):
+    assert type(v) is tuple and all(type(a) is float for a in v), v
+    return struct.pack(f"{len(v)}d", *v)
+
+
+def _near_the_edge(rng, n, p):
+    """A vector on the ball's edge, moved out or in by a few BALL_SLACKs."""
+    u = rng.normal(size=n)
+    u /= np.linalg.norm(u) if p == 2 else np.abs(u).max()
+    return tuple((u * (1.0 + BALL_SLACK * rng.choice((-1.0, 0.0, 0.5, 1.0, 1.5, 2.0)))).tolist())
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_tuple_arithmetic_matches_numpy_bit_for_bit(n, p):
+    # add_repeated, the mini-batch epoch step with project_to_ball, and
+    # outside_ball against their NumPy forms, 2000 draws each
+    rng = np.random.default_rng(n * 10 + (p == 2))
+    with np.errstate(over="ignore", invalid="ignore"):   # both sides overflow in np.dot
+        _draw_and_compare(rng, n, p)
+
+
+def _draw_and_compare(rng, n, p):
+    for i in range(2000):
+        count = _COUNTS[i % 3]
+        W, w = _vector(rng, n, count, i % 2 == 0), _vector(rng, n, count, i % 4 == 0)
+        assert _bits(add_repeated(W, w, count)) == _bits(reference_add_repeated(W, w, count)), \
+            (W, w, count)
+
+        v = _near_the_edge(rng, n, p) if i % 2 else _vector(rng, n, 1)
+        assert outside_ball(v, p) is reference_outside_ball(v, p), v
+
+        # an epoch of `length` rounds ends with this run of `count` rounds;
+        # a step of 1e200 overflows x * x
+        length = count + int(rng.integers(0, 3))
+        step = float(rng.choice((2.0 / math.sqrt(2.0), 1.0, 0.37, 1e200)))
+        player = MinibatchPlayer(GameConfig(2 * length, 2, n, p), step_size=step)
+        point, gradient = _vector(rng, n, count), _vector(rng, n, count, i % 2 == 0)
+        player.current_point, player.accumulated_gradient = point, gradient
+        player._rounds_seen = length - count
+        player.observe(w, count)
+        ref = reference_epoch_step(point, reference_add_repeated(gradient, w, count), step,
+                                   length, p)
+        assert _bits(player.current_point) == _bits(ref), (point, gradient, w, count, step)
+        assert player.accumulated_gradient == (0.0,) * n
+
+
+def test_add_repeated_sums_integers_exactly_on_both_sides_of_the_guard():
+    # the shortcut's result, and the same sum past the guard by np.add.accumulate
+    assert add_repeated((2.0,), (-1.0,), 2) == (0.0,)
+    assert _bits(add_repeated((-0.0, -0.0), (-0.0, 0.0), 3)) == _bits((-0.0, 0.0))
+    for count in _COUNTS[1:]:
+        inside = float((2 ** 53 - 1) // (count + 1))
+        for m in (inside, inside + 1.0):
+            assert add_repeated((m,), (-m,), count) == (m - count * m,)
+    big = (2.0 ** 53 - 1, 1.0)   # past the guard, the sums round
+    assert add_repeated(big, (3.0, 1.0), 2) == reference_add_repeated(big, (3.0, 1.0), 2)
+
+
+def _lazy_cells():
+    """The reference cells: every horizon above, the 1024- and 2049-round
+    chunks, and bounds.onedim_lower's T = 10^4 games."""
+    pairs = [("minibatch", "stopping"), ("minibatch", "product"), ("random_switch", "orthogonal"),
+             ("constant", "sign"), ("fugal", "stopping"), ("ints", "ints"),
+             ("signed_zero", "signed_zero"), ("minibatch", "stretch")]
+    for horizons in (HORIZONS, {1024: (4,), 2049: (16,)}):
+        for cfg in _configs(horizons):
+            yield from ((pid, aid, cfg) for pid, aid in pairs)
+    for K in (1, 4, 100):
+        for pid in ("minibatch", "random_switch"):
+            yield pid, "stopping", GameConfig(10_000, K, 1, 2.0, K)
+
+
+def test_rounds_are_built_on_first_read_and_equal_the_eager_build():
+    played = 0
+    for pid, aid, cfg in _lazy_cells():
+        try:
+            traj = play_game(_player(pid, cfg), _adversary(aid, cfg), cfg)
+            ref = reference_play_game(_player(pid, cfg), _adversary(aid, cfg), cfg)
+        except (UnsupportedConfigError, BudgetViolationError):   # no game, or no trajectory
+            continue
+        assert "rounds" not in vars(traj)
+        rounds = eager_rounds(cfg, *ref.runs[:2])
+        assert traj.block_lengths() == eager_block_lengths(rounds), (pid, aid, cfg)
+        assert "rounds" not in vars(traj)
+        assert traj.rounds.tobytes() == rounds.tobytes(), (pid, aid, cfg)
+        assert traj.rounds is traj.rounds and not traj.rounds.flags.writeable
+        played += 1
     assert played > 100

@@ -634,6 +634,18 @@ def test_state_key_snapshots_by_content_bits_and_identity():
     assert alive[id(obj)] is obj   # held, so its id is not reused during a search
 
 
+def test_state_key_packs_float_tuples_by_their_bits():
+    key = game_core._state_key
+    alive = {}
+    assert key((0.0,), alive) != key((-0.0,), alive)
+    assert key((0.5, 1.0), alive) != key([0.5, 1.0], alive)
+    assert key((0.5, -0.0), alive) == key((0.5, -0.0), alive)
+    assert key((math.nan,), alive) == key((math.nan,), alive)   # equal bits
+    assert key((1.0, 2.0), alive) != key((1.0, 2), alive) != key((1, 2), alive)
+    assert key((), alive) == key((), alive) != key([], alive)
+    assert alive == {}
+
+
 class _History(Player):
     """Plays 0 and records every loss, so no two sign prefixes reach one state."""
 

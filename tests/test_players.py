@@ -351,3 +351,24 @@ def test_fractional_losses_against_the_worst_sign_regret(case):
                 assert worst == sign, (T, K)
             cells += 1
     assert cells == (4 if case == "halfsplit" else 12)
+
+
+@pytest.mark.parametrize("pid", PLAYERS)
+def test_copy_forks_every_player(pid):
+    # the fork shares every attribute; observing on it rebinds only its own
+    cfg = GameConfig(40, 4, 1)
+    player = make_player(pid, cfg, {"resolution": 300} if pid == "fugal" else None)
+    for w in (1.0, -1.0, 1.0):
+        player.decide()
+        player.observe((w,), 1)
+    fork = copy.copy(player)
+    assert type(fork) is type(player) and fork is not player
+    assert vars(fork) == vars(player)
+    assert all(vars(fork)[k] is v for k, v in vars(player).items())
+    before = dict(vars(player))
+    for _ in range(12):
+        fork.decide()
+        fork.observe((1.0,), 1)
+    assert vars(player).keys() == before.keys()
+    assert all(vars(player)[k] is v for k, v in before.items()), pid
+    assert vars(fork) != before or pid == "constant"
