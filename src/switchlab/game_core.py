@@ -53,7 +53,7 @@ def outside_ball(v, p: float) -> bool:
     puts a NaN entry outside.  The L2 norm has np.linalg.norm's bits: at
     n = 1 that is ``sqrt(v0 * v0)``, above it np.dot's fused multiply-adds."""
     if p == 2:
-        norm = math.sqrt(v[0] * v[0] if len(v) == 1 else (a := np.array(v, float)).dot(a))
+        norm = math.sqrt(v[0] * v[0] if len(v) == 1 else (arr := np.array(v, float)).dot(arr))
         return not norm <= 1.0 + BALL_SLACK
     return not all(abs(a) <= 1.0 + BALL_SLACK for a in v)
 

@@ -85,7 +85,7 @@ def project_to_ball(x: tuple, p: float) -> tuple:
     """The tuple x projected onto the unit p-ball, with the bits of
     ``x / np.linalg.norm(x)`` (L2) or ``np.clip(x, -1.0, 1.0)`` (Linf)."""
     if p == 2:
-        nrm = math.sqrt(x[0] * x[0] if len(x) == 1 else (a := np.array(x, float)).dot(a))
+        nrm = math.sqrt(x[0] * x[0] if len(x) == 1 else (arr := np.array(x, float)).dot(arr))
         return x if nrm <= 1.0 else tuple([a / nrm for a in x])
     if p == INF:
         return tuple([min(max(a, -1.0), 1.0) for a in x])
